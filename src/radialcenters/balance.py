@@ -20,9 +20,8 @@ from scipy.optimize import brentq
 
 from .errors import (ConstructionFailed, ContinuumContact, InvalidBody, NotInterior,
                      TheoremViolation)
-from .geometry import (ArcSet, Disk, Polygon, area, as_point, boundary_distance,
-                       centroid, circle_clip, contains, diameter, is_convex,
-                       _build_arcset, _point_segment_distance)
+from .geometry import (ArcSet, Disk, Polygon, as_point, circle_clip, _angle_breakpoints,
+                       _arcs_between, _build_arcset, _segment_distances)
 
 __all__ = [
     "BalanceReport", "WeightedBodyFunction", "ContactSet", "RadialArcBody",
@@ -64,29 +63,6 @@ class BalanceReport:
     truncated: bool = False       # early stop after a gross violation
 
 
-def _radius_breakpoints(body, x) -> list[float]:
-    """Radii where arcs appear or disappear (vertex and edge-foot distances)."""
-    x = as_point(x)
-    if isinstance(body, Polygon):
-        out = [float(np.hypot(*(v - x))) for v in body.vertices]
-        for a, b in body.edges():
-            out.append(_point_segment_distance(x, a, b))
-        return out
-    if isinstance(body, Disk):
-        d = float(np.hypot(*(body.center - x)))
-        return [abs(d - body.radius), d + body.radius]
-    return body.radius_breakpoints(x)
-
-
-def _reach(body, x) -> float:
-    x = as_point(x)
-    if isinstance(body, Polygon):
-        return max(float(np.hypot(*(v - x))) for v in body.vertices)
-    if isinstance(body, Disk):
-        return float(np.hypot(*(body.center - x))) + body.radius
-    return body.reach(x)
-
-
 def balance_report(body, x, n_radii: int = 256, early_stop: bool = False) -> BalanceReport:
     """Residual spectrum over a radius grid covering the whole body.
 
@@ -99,12 +75,12 @@ def balance_report(body, x, n_radii: int = 256, early_stop: bool = False) -> Bal
     x = as_point(x)
     if n_radii < 32:
         raise ValueError("need at least 32 radii")
-    r_far = _reach(body, x)
+    r_far = body.reach(x)
     if r_far <= 0:
         raise ValueError("degenerate body")
     radii = set(np.geomspace(r_far * 1e-4, r_far, n_radii))
     jitter = 1e-9 * r_far
-    for b in _radius_breakpoints(body, x):
+    for b in body.radius_breakpoints(x):
         for rb in (b - jitter, b, b + jitter):
             if 0 < rb <= r_far:
                 radii.add(float(rb))
@@ -141,12 +117,12 @@ class WeightedBodyFunction:
         object.__setattr__(self, "terms", terms)
 
     def mass(self) -> float:
-        return math.fsum(w * area(b) for w, b in self.terms)
+        return math.fsum(w * b.area() for w, b in self.terms)
 
     def first_moment(self) -> np.ndarray:
         acc = np.zeros(2)
         for w, b in self.terms:
-            acc += w * area(b) * centroid(b)
+            acc += w * b.area() * b.centroid()
         return acc
 
 
@@ -172,8 +148,8 @@ def stationary_candidate(f: WeightedBodyFunction) -> StationaryCandidate:
     """
     mass = f.mass()
     moment = f.first_moment()
-    scale = math.fsum(abs(w) * area(b) for w, b in f.terms)
-    length = max(diameter(b) for _, b in f.terms)
+    scale = math.fsum(abs(w) * b.area() for w, b in f.terms)
+    length = max(b.diameter() for _, b in f.terms)
     if abs(mass) > 1e-10 * max(scale, 1e-300):
         return StationaryCandidate("candidate", moment / mass)
     if float(np.hypot(*moment)) > 1e-10 * max(scale * length, 1e-300):
@@ -201,8 +177,8 @@ def equivalence_check(body, x, n_radii: int = 48, tol: float = 1e-9) -> Equivale
     additively.
     """
     x = as_point(x)
-    r_far = _reach(body, x)
-    r_star = boundary_distance(body, x)
+    r_far = body.reach(x)
+    r_star = body.boundary_distance(x)
     grid = np.geomspace(r_far * 1e-3, r_far * 0.999, n_radii)
     comp_viol = 0.0
     split_viol = 0.0
@@ -241,9 +217,9 @@ def contact_points(body, x) -> ContactSet:
     x = as_point(x)
     if not isinstance(body, Polygon):
         raise ContinuumContact("contact analysis requires a polygon boundary")
-    if not is_convex(body):
+    if not body.is_convex():
         raise ValueError("contact analysis requires a convex polygon")
-    if not contains(body, x) or boundary_distance(body, x) <= 0:
+    if not body.contains(x) or body.boundary_distance(x) <= 0:
         raise NotInterior("contact analysis requires an interior point")
     feet = []
     for a, b in body.edges():
@@ -253,7 +229,7 @@ def contact_points(body, x) -> ContactSet:
         p = a + t * e
         feet.append((float(np.hypot(*(p - x))), p))
     r_star = min(d for d, _ in feet)
-    scale = diameter(body)
+    scale = body.diameter()
     pts = []
     for d, p in feet:
         if d <= r_star * (1 + 1e-9):
@@ -285,13 +261,13 @@ def classify_polygon(poly: Polygon, n_radii: int = 256) -> PolygonClass:
     """
     if poly.n not in (3, 4):
         raise ValueError("classification is defined for triangles and quadrangles")
-    if not is_convex(poly):
+    if not poly.is_convex():
         raise ValueError("classification requires a convex polygon")
-    g = centroid(poly)
+    g = poly.centroid()
     report = balance_report(poly, g, n_radii=n_radii, early_stop=True)
     if not report.balanced:
         return PolygonClass.NOT_BALANCED
-    scale = diameter(poly)
+    scale = poly.diameter()
     v = poly.vertices
     if poly.n == 3:
         sides = [float(np.hypot(*(v[(i + 1) % 3] - v[i]))) for i in range(3)]
@@ -308,14 +284,14 @@ def classify_polygon(poly: Polygon, n_radii: int = 256) -> PolygonClass:
 def parallelogram_defect(poly: Polygon) -> float:
     """Relative distance between diagonal midpoints (0 for parallelograms)."""
     v = poly.vertices
-    return float(np.hypot(*(0.5 * (v[0] + v[2]) - 0.5 * (v[1] + v[3])))) / diameter(poly)
+    return float(np.hypot(*(0.5 * (v[0] + v[2]) - 0.5 * (v[1] + v[3])))) / poly.diameter()
 
 
 def equilateral_defect(poly: Polygon) -> float:
     """Relative spread of side lengths (0 for equilateral triangles)."""
     v = poly.vertices
     sides = [float(np.hypot(*(v[(i + 1) % 3] - v[i]))) for i in range(3)]
-    return (max(sides) - min(sides)) / diameter(poly)
+    return (max(sides) - min(sides)) / poly.diameter()
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +325,9 @@ class RadialArcBody:
     piecewise-linear profile; the companion half-widths are recovered
     exactly from the balance constraint at evaluation time so the slice
     centroids vanish to machine precision at every radius, not just at the
-    stored nodes.
+    stored nodes.  Convexity, the diameter and the boundary outlines used by
+    ``boundary_distance`` (2048 points) and ``reach`` (1024 points) are
+    computed once here.
     """
 
     direction_angles: tuple
@@ -390,6 +368,14 @@ class RadialArcBody:
         if not (0 < c_v and 0 < c_w):
             raise InvalidBody("frame directions must make both sine ratios positive")
         object.__setattr__(self, "_c", (1.0, c_v, c_w))
+        outline = self.boundary_polyline(2048)
+        object.__setattr__(self, "_outline", outline)
+        object.__setattr__(self, "_outline_next", np.roll(outline, -1, axis=0))
+        object.__setattr__(self, "_reach_outline", self.boundary_polyline(1024))
+        t = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
+        object.__setattr__(self, "_diameter", float(np.max(
+            self.boundary_radius(t) + self.boundary_radius(t + math.pi))))
+        object.__setattr__(self, "_convex", self.convexity_defect(4096) >= -1e-12)
 
     @property
     def directions(self) -> np.ndarray:
@@ -453,6 +439,9 @@ class RadialArcBody:
         phi = math.atan2(p[1], p[0])
         return r <= float(self.boundary_radius(phi)[0]) + t
 
+    def contains_many(self, pts) -> np.ndarray:
+        return np.array([self.contains(p) for p in np.asarray(pts, dtype=float)], dtype=bool)
+
     def area(self) -> float:
         from .quadrature import adaptive_gk
         val, _ = adaptive_gk(lambda t: 0.5 * self.boundary_radius(t) ** 2,
@@ -460,25 +449,15 @@ class RadialArcBody:
         return float(val)
 
     def centroid(self) -> np.ndarray:
-        from .quadrature import adaptive_gk
-
-        def integrand(t):
-            rb = self.boundary_radius(t) ** 3 / 3.0
-            return np.stack([np.cos(t) * rb, np.sin(t) * rb], axis=1)
-
-        val, _ = adaptive_gk(integrand, self.angular_breakpoints(np.zeros(2)))
-        return np.asarray(val) / self.area()
+        """The origin, exactly: every circular slice is balanced about it, so
+        the body's first moment vanishes."""
+        return np.zeros(2)
 
     def diameter(self) -> float:
-        t = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
-        rb = self.boundary_radius(t)
-        opp = self.boundary_radius(t + math.pi)
-        return float(np.max(rb + opp))
+        return self._diameter
 
     def boundary_distance(self, p) -> float:
-        pts = self.boundary_polyline(2048)
-        seg_next = np.roll(pts, -1, axis=0)
-        return float(np.min(_point_segments_distance(as_point(p), pts, seg_next)))
+        return float(np.min(_segment_distances(as_point(p), self._outline, self._outline_next)))
 
     def boundary_polyline(self, n: int = 512) -> np.ndarray:
         t = np.linspace(0, 2 * math.pi, n, endpoint=False)
@@ -509,7 +488,6 @@ class RadialArcBody:
 
     def angular_breakpoints(self, x) -> list[float]:
         """Lobe apex and junction directions as seen from ``x``."""
-        x = as_point(x)
         pts = []
         for k, ang in enumerate(self.direction_angles):
             width = math.asin(min(1.0, self._c[k] * math.sin(self.profile_a_u[0])))
@@ -517,15 +495,10 @@ class RadialArcBody:
             for s in (-1.0, 1.0):
                 a = ang + s * width
                 pts.append(np.array([math.cos(a), math.sin(a)]))
-        angs = sorted((math.atan2(p[1] - x[1], p[0] - x[0]) % (2 * math.pi)) for p in pts)
-        out = [0.0]
-        for t in angs + [2 * math.pi]:
-            if t - out[-1] > 1e-13:
-                out.append(t)
-        return out
+        return _angle_breakpoints(pts, as_point(x))
 
     def is_convex(self) -> bool:
-        return self.convexity_defect(4096) >= -1e-12
+        return self._convex
 
     def convexity_defect(self, n: int = 4096) -> float:
         """Minimum normalized cross product of consecutive boundary steps."""
@@ -576,21 +549,8 @@ class RadialArcBody:
                 except ValueError:
                     continue
                 crossings.append(root % (2 * math.pi))
-        if not crossings:
-            probe = x + r * np.array([math.cos(0.1234567), math.sin(0.1234567)])
-            if self.contains(probe):
-                return ArcSet(x, r, ((0.0, 2 * math.pi),))
-            return ArcSet(x, r, ())
         crossings.sort()
-        raw = []
-        k = len(crossings)
-        for i in range(k):
-            t1 = crossings[i]
-            t2 = crossings[(i + 1) % k] + (2 * math.pi if i == k - 1 else 0.0)
-            mid = 0.5 * (t1 + t2)
-            if self.contains(x + r * np.array([math.cos(mid), math.sin(mid)])):
-                raw.append((t1, t2))
-        return _build_arcset(x, r, raw)
+        return _arcs_between(x, r, crossings, self.contains)
 
     def radius_breakpoints(self, x) -> list[float]:
         x = as_point(x)
@@ -598,8 +558,14 @@ class RadialArcBody:
         return [abs(1.0 - d), 1.0 + d, abs(self.r_max - d), self.r_max + d]
 
     def reach(self, x) -> float:
-        pts = self.boundary_polyline(1024)
+        pts = self._reach_outline
         return float(np.max(np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1])))
+
+    def route(self, loc: str) -> str:
+        """The angular route about interior points; nothing else is supported."""
+        if loc != "interior" or not self._convex:
+            raise ValueError(f"{loc} evaluation not supported for RadialArcBody")
+        return "angular"
 
     # -- serialization --------------------------------------------------------
 
@@ -621,15 +587,6 @@ class RadialArcBody:
         return cls(data["direction_angles"], data["r_max"],
                    np.asarray(data["profile_r"], dtype=float),
                    np.asarray(data["profile_a_u"], dtype=float))
-
-
-def _point_segments_distance(p, seg_a, seg_b) -> np.ndarray:
-    e = seg_b - seg_a
-    pe = p[None, :] - seg_a
-    denom = np.sum(e * e, axis=1)
-    t = np.clip(np.sum(pe * e, axis=1) / denom, 0.0, 1.0)
-    foot = seg_a + t[:, None] * e
-    return np.hypot(p[0] - foot[:, 0], p[1] - foot[:, 1])
 
 
 def generate_asymmetric_balanced(r_max: float = 1.04,
@@ -671,9 +628,9 @@ def generate_asymmetric_balanced(r_max: float = 1.04,
             amp *= 0.8
             continue
         body = RadialArcBody(FRAME_ANGLES, r_max, rr, aa)
-        last_defect = body.convexity_defect()
-        if last_defect >= -1e-12:
+        if body.is_convex():
             return body
+        last_defect = body.convexity_defect()
         amp *= 0.8
     raise ConstructionFailed(
         f"no convex instance within retry budget (last defect {last_defect:.3e}); "
@@ -700,10 +657,10 @@ def symmetry_search(body, tol_rel: float = 1e-6, n_samples: int = 512) -> list[I
     the diameter.  Returns the full symmetry group (identity included) when
     any nontrivial symmetry exists, and the empty list otherwise.
     """
-    g = centroid(body)
-    scale = diameter(body)
+    g = body.centroid()
+    scale = body.diameter()
     tol = tol_rel * scale
-    samples = boundary_samples_for(body, n_samples)
+    samples = body.boundary_polyline(n_samples)
     dist_fn = _boundary_distance_oracle(body)
     prefilter = _signature_prefilter(body, g, scale)
 
@@ -761,62 +718,23 @@ def _signature_prefilter(body, g: np.ndarray, scale: float):
     return check
 
 
-def boundary_samples_for(body, n: int) -> np.ndarray:
-    if isinstance(body, Polygon):
-        from .geometry import boundary_polyline
-        return boundary_polyline(body, n)
-    if isinstance(body, Disk):
-        from .geometry import boundary_polyline
-        return boundary_polyline(body, n)
-    return body.boundary_polyline(n)
-
-
 def _boundary_distance_oracle(body):
     """Vectorized point-to-boundary distance with body data precomputed once."""
-    if isinstance(body, Polygon):
-        v = body.vertices
-        nxt = np.roll(v, -1, axis=0)
-
-        def polygon_dist(pts):
-            out = np.full(len(pts), np.inf)
-            for i in range(len(v)):
-                out = np.minimum(out, _point_segments_distance_vec(pts, v[i], nxt[i]))
-            return out
-
-        return polygon_dist
     if isinstance(body, Disk):
         c, R = body.center, body.radius
         return lambda pts: np.abs(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) - R)
-    poly = body.boundary_polyline(2048)
-    nxt = np.roll(poly, -1, axis=0)
+    seg_a = body.vertices if isinstance(body, Polygon) else body.boundary_polyline(2048)
+    seg_b = np.roll(seg_a, -1, axis=0)
 
-    def polyline_dist(pts):
+    def dist(pts):
         out = np.full(len(pts), np.inf)
         # chunk over segments to bound memory
-        for i in range(0, len(poly), 512):
-            d = _points_segments_distance_matrix(pts, poly[i:i + 512], nxt[i:i + 512])
+        for i in range(0, len(seg_a), 512):
+            d = _segment_distances(pts[:, None, :], seg_a[i:i + 512], seg_b[i:i + 512])
             out = np.minimum(out, d.min(axis=1))
         return out
 
-    return polyline_dist
-
-
-def _point_segments_distance_vec(pts, a, b) -> np.ndarray:
-    e = b - a
-    denom = float(np.dot(e, e))
-    t = np.clip(((pts - a) @ e) / denom, 0.0, 1.0)
-    foot = a + t[:, None] * e
-    return np.hypot(pts[:, 0] - foot[:, 0], pts[:, 1] - foot[:, 1])
-
-
-def _points_segments_distance_matrix(pts, seg_a, seg_b) -> np.ndarray:
-    e = seg_b - seg_a                                 # (M, 2)
-    denom = np.sum(e * e, axis=1)                     # (M,)
-    pe = pts[:, None, :] - seg_a[None, :, :]          # (N, M, 2)
-    t = np.clip(np.sum(pe * e[None, :, :], axis=2) / denom[None, :], 0.0, 1.0)
-    foot = seg_a[None, :, :] + t[:, :, None] * e[None, :, :]
-    diff = pts[:, None, :] - foot
-    return np.hypot(diff[:, :, 0], diff[:, :, 1])
+    return dist
 
 
 def _rotation_candidates() -> list[float]:

@@ -76,6 +76,18 @@ class _Normalized:
     def to_original(self, y: np.ndarray) -> np.ndarray:
         return y / self.scale + self.shift
 
+    def to_normalized(self, x) -> np.ndarray:
+        return (as_point(x) - self.shift) * self.scale
+
+    def with_spec(self, spec: PotentialSpec) -> "_Normalized":
+        """The same normalized body with ``spec`` rescaled to it."""
+        s = self.scale
+        if isinstance(spec, Poisson):
+            spec = replace(spec, h=spec.h * s)
+        elif isinstance(spec, Heat):
+            spec = replace(spec, t=spec.t * s * s)
+        return replace(self, spec=spec)
+
 
 def _normalize(body, spec: PotentialSpec) -> _Normalized:
     if not isinstance(body, (Polygon, Disk)):
@@ -83,13 +95,7 @@ def _normalize(body, spec: PotentialSpec) -> _Normalized:
     shift = centroid(body)
     s = 2.0 / diameter(body)
     nbody = transformed(body, angle=0.0, shift=-shift * s, scale=s)
-    if isinstance(spec, Riesz):
-        nspec: PotentialSpec = spec
-    elif isinstance(spec, Poisson):
-        nspec = replace(spec, h=spec.h * s)
-    else:
-        nspec = replace(spec, t=spec.t * s * s)
-    return _Normalized(nbody, nspec, shift, s)
+    return _Normalized(nbody, spec, shift, s).with_spec(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -337,44 +343,48 @@ def trace_locus(body, family: str, param_range: tuple[float, float],
         raise ValueError("need at least 2 steps")
     if family in ("poisson", "heat") and lo <= 0:
         raise ValueError("positive parameters required")
-    grid = list(np.geomspace(lo, hi, n_steps)) if lo > 0 else \
-        list(np.linspace(lo, hi, n_steps))
+    grid = [float(p) for p in (np.geomspace(lo, hi, n_steps) if lo > 0 else
+                               np.linspace(lo, hi, n_steps))]
+    spec = _make_spec(family, grid[0])
+    first = find_center(body, spec, cfg or _family_cfg(spec))
+    rows = [(grid[0], first.point, first.grad_norm)]
+    rows += _walk(body, family, grid[0], first.point, grid[1:], cfg, refine=True)
+    params, points, gnorms = zip(*rows)
+    return LocusTrace(family, np.array(params), np.array(points), np.array(gnorms))
 
-    params: list[float] = []
-    points: list[np.ndarray] = []
-    gnorms: list[float] = []
-    x_prev: Optional[np.ndarray] = None
-    prev_param: Optional[float] = None
 
-    def solve(param, start, depth=0):
-        nonlocal x_prev
-        spec = _make_spec(family, param)
-        c = cfg or _family_cfg(spec)
-        norm = _normalize(body, spec)
-        if start is None:
-            res = find_center(body, spec, c)
-            return res.point, res.grad_norm, 0
-        y0 = (as_point(start) - norm.shift) * norm.scale
-        y, _, gn, iters = ascend(norm.body, norm.spec, y0, c)
+def _walk(body, family: str, param: float, point: np.ndarray, params,
+          cfg: Optional[QuadratureConfig] = None, refine: bool = False) -> list:
+    """Follow the center from ``point``, the center at ``param``, through ``params``.
+
+    Each step ascends from the previous center; the body is normalized once
+    for the whole walk.  Returns ``(param, point, grad_norm)`` per step.  With
+    ``refine``, a step whose ascent needs more than 20 iterations is retaken
+    after first walking to the middle of its parameter interval (up to six
+    nested halvings); those intermediate steps are returned too.
+    """
+    frame = _normalize(body, _make_spec(family, param))
+    rows = []
+
+    def ascend_to(q, x):
+        spec = _make_spec(family, q)
+        norm = frame.with_spec(spec)
+        y, _, gn, iters = ascend(norm.body, norm.spec, norm.to_normalized(x),
+                                 cfg or _family_cfg(spec))
         return norm.to_original(y), gn, iters
 
-    def walk(param, depth=0):
-        nonlocal x_prev, prev_param
-        point, gn, iters = solve(param, x_prev)
-        if x_prev is not None and iters > 20 and depth < 6 and prev_param is not None:
-            mid = math.sqrt(prev_param * param) if prev_param > 0 else \
-                0.5 * (prev_param + param)
-            walk(mid, depth + 1)
-            point, gn, _ = solve(param, x_prev)
-        params.append(param)
-        points.append(point)
-        gnorms.append(gn)
-        x_prev = point
-        prev_param = param
+    def step(q, depth=0):
+        nonlocal param, point
+        x, gn, iters = ascend_to(q, point)
+        if refine and iters > 20 and depth < 6:
+            step(math.sqrt(param * q) if param > 0 else 0.5 * (param + q), depth + 1)
+            x, gn, _ = ascend_to(q, point)
+        rows.append((q, x, gn))
+        param, point = q, x
 
-    for p in grid:
-        walk(float(p))
-    return LocusTrace(family, np.array(params), np.array(points), np.array(gnorms))
+    for q in params:
+        step(float(q))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -409,16 +419,16 @@ def limit_diagnostics(body, riesz_alphas=(10.0, 50.0, 200.0),
     ic = incenter(body).center
 
     alphas = sorted(riesz_alphas)
-    riesz_pts = _continuation_points(body, "riesz", alphas, from_low=True)
+    riesz_pts = _continuation(body, "riesz", alphas, alphas[0])
     riesz_rows = [(a, p, float(np.hypot(*(p - cc)))) for a, p in zip(alphas, riesz_pts)]
 
     hs = sorted(h * d for h in poisson_h_rel)
-    pois_pts = _continuation_points(body, "poisson", hs, from_low=True)
+    pois_pts = _continuation(body, "poisson", hs, hs[0])
     pois_rows = [(h, p, float(np.hypot(*(p - g)))) for h, p in zip(hs, pois_pts)]
 
     ts = sorted(heat_ts)
     anchor = max(min(1.0, ts[-1]), ts[0])
-    heat_pts = _two_sided_continuation(body, "heat", ts, anchor)
+    heat_pts = _continuation(body, "heat", ts, anchor)
     heat_rows = [(t, p, float(np.hypot(*(p - g))), float(np.hypot(*(p - ic))))
                  for t, p in zip(ts, heat_pts)]
 
@@ -433,51 +443,18 @@ def limit_diagnostics(body, riesz_alphas=(10.0, 50.0, 200.0),
     )
 
 
-def _continuation_points(body, family, params, from_low=True, sub_steps=4):
-    ordered = list(params) if from_low else list(reversed(params))
-    points = {}
-    x_prev = None
-    prev = None
-    for p in ordered:
-        if x_prev is None:
-            res = find_center(body, _make_spec(family, p))
-            points[p] = res.point
-        else:
-            walk = np.geomspace(prev, p, sub_steps + 1)[1:]
-            for q in walk:
-                spec = _make_spec(family, float(q))
-                norm = _normalize(body, spec)
-                y0 = (x_prev - norm.shift) * norm.scale
-                y, _, _, _ = ascend(norm.body, norm.spec, y0, _family_cfg(spec))
-                x_prev = norm.to_original(y)
-            points[p] = x_prev
-        x_prev = points[p]
-        prev = p
-    return [points[p] for p in params]
+def _continuation(body, family: str, params, anchor: float) -> list:
+    """Centers at ``params``, followed outward from a cold search at ``anchor``.
 
-
-def _two_sided_continuation(body, family, params, anchor):
-    below = sorted([p for p in params if p < anchor], reverse=True)
-    above = sorted([p for p in params if p > anchor])
-    res = find_center(body, _make_spec(family, anchor))
-    points = {anchor: res.point}
-
-    def chain(targets):
-        x_prev = points[anchor]
-        prev = anchor
-        for p in targets:
-            walk = np.geomspace(prev, p, 5)[1:]
-            for q in walk:
-                spec = _make_spec(family, float(q))
-                norm = _normalize(body, spec)
-                y0 = (x_prev - norm.shift) * norm.scale
-                y, _, _, _ = ascend(norm.body, norm.spec, y0, _family_cfg(spec))
-                x_prev = norm.to_original(y)
-            points[p] = x_prev
-            prev = p
-
-    chain(below)
-    chain(above)
-    if anchor not in params:
-        del points[anchor]
+    Targets below and above the anchor are walked in two chains, each
+    interval between consecutive targets in four geometric sub-steps.
+    """
+    start = find_center(body, _make_spec(family, anchor)).point
+    points = {anchor: start}
+    for targets in (sorted((p for p in params if p < anchor), reverse=True),
+                    sorted(p for p in params if p > anchor)):
+        if targets:
+            path = np.concatenate([np.geomspace(a, b, 5)[1:]
+                                   for a, b in zip([anchor] + targets, targets)])
+            points.update((q, x) for q, x, _ in _walk(body, family, anchor, start, path))
     return [points[p] for p in params]

@@ -119,14 +119,6 @@ def _point_arg(spec: str, body):
     return np.array([x, y])
 
 
-def _make_spec(family: str, param: float) -> pot.PotentialSpec:
-    if family == "riesz":
-        return pot.Riesz(alpha=param)
-    if family == "poisson":
-        return pot.Poisson(h=param)
-    return pot.Heat(t=param)
-
-
 def _cfg(args):
     if args.tol is None:
         return None
@@ -174,7 +166,7 @@ def _point_list(p) -> list:
 
 def _cmd_potential(args):
     body = _load_body(args)
-    spec = _make_spec(args.family, args.param)
+    spec = ctr._make_spec(args.family, args.param)
     x = _point_arg(args.at, body)
     cfg = _cfg(args)
     kwargs = {} if cfg is None else {"cfg": cfg}
@@ -189,7 +181,7 @@ def _cmd_potential(args):
 
 def _cmd_center(args):
     body = _load_body(args)
-    spec = _make_spec(args.family, args.param)
+    spec = ctr._make_spec(args.family, args.param)
     res = ctr.find_center(body, spec, _cfg(args))
     payload = {
         "family": args.family, "param": args.param,
@@ -224,7 +216,7 @@ def _cmd_balance(args):
     body = _load_body(args)
     x = _point_arg(args.at, body)
     report = bal.balance_report(body, x, n_radii=args.n_radii)
-    norm = [float(np.hypot(*v)) / (2 * math.pi * r)
+    norm = [float(np.hypot(*v) / (2 * math.pi * r))
             for v, r in zip(report.residual_vectors, report.radii)]
     buf = io.StringIO()
     buf.write("radius,residual_x,residual_y,normalized\n")

@@ -1,9 +1,14 @@
 """Planar body representations and classical centers.
 
-Bodies are immutable value objects: simple polygons (counterclockwise),
-disks, and radially parameterized convex bodies (defined in the balance
-module, plugged in here via duck typing).  All operations are pure
-functions; points are numpy arrays of shape (2,).
+Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
+``is_convex``, ``contains`` / ``contains_many``, ``boundary_distance``,
+``radial_function`` / ``radial_function_many``, ``circle_clip``,
+``angular_breakpoints``, ``radius_breakpoints``, ``reach``, ``route``,
+``boundary_polyline`` and ``to_dict``.  Simple polygons (counterclockwise)
+and disks live here; the radially parameterized balanced body lives in the
+balance module.  Bodies are immutable and prepare their derived geometry
+once, at construction.  The module-level functions of the same names
+delegate to the methods; points are numpy arrays of shape (2,).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ __all__ = [
     "circumcenter", "incenter", "radial_function", "radial_function_many",
     "circle_clip", "maximal_folding", "unfolded_region",
     "halfplane_intersection", "boundary_polyline", "transformed",
-    "polygon_to_dict", "disk_to_dict", "body_to_dict", "body_from_dict",
+    "body_to_dict", "body_from_dict",
 ]
 
 # Angular dedup tolerance for arc endpoints (intersection noise floor).
@@ -51,6 +56,29 @@ def _cross(a, b) -> float:
     return a[0] * b[1] - a[1] * b[0]
 
 
+def _segment_distances(p, a, b) -> np.ndarray:
+    """Distances from points ``p`` to segments [a, b]; leading axes broadcast."""
+    e = b - a
+    t = np.clip(np.sum((p - a) * e, axis=-1) / np.sum(e * e, axis=-1), 0.0, 1.0)
+    foot = a + t[..., None] * e
+    return np.hypot(p[..., 0] - foot[..., 0], p[..., 1] - foot[..., 1])
+
+
+def _point_set_diameter(v: np.ndarray) -> float:
+    d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
+    return math.sqrt(float(d2.max()))
+
+
+def _angle_breakpoints(points, x) -> list[float]:
+    """0, the sorted directions of ``points`` seen from ``x``, and 2 pi, deduplicated."""
+    angs = sorted((math.atan2(p[1] - x[1], p[0] - x[0]) % (2 * math.pi)) for p in points)
+    out = [0.0]
+    for t in angs + [2 * math.pi]:
+        if t - out[-1] > 1e-13:
+            out.append(t)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # body types
 # ---------------------------------------------------------------------------
@@ -60,7 +88,9 @@ class Polygon:
     """Simple polygon with counterclockwise vertices and positive area.
 
     Degenerate input (repeated or collinear consecutive vertices,
-    self-intersection, clockwise orientation) is rejected.
+    self-intersection, clockwise orientation) is rejected.  Edges, unit
+    outward normals, offsets, convexity, diameter, area and centroid are
+    computed once here.
     """
 
     vertices: np.ndarray
@@ -77,9 +107,11 @@ class Polygon:
         n = arr.shape[0]
         nxt = np.roll(arr, -1, axis=0)
         edges = nxt - arr
-        if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= REL_TOL * scale):
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        if np.any(lengths <= REL_TOL * scale):
             raise InvalidBody("consecutive vertices coincide")
-        area2 = float(np.sum(arr[:, 0] * nxt[:, 1] - nxt[:, 0] * arr[:, 1]))
+        w = arr[:, 0] * nxt[:, 1] - nxt[:, 0] * arr[:, 1]
+        area2 = float(np.sum(w))
         if area2 <= 0:
             raise InvalidBody("vertices must be counterclockwise with positive area")
         prv = np.roll(edges, 1, axis=0)
@@ -96,16 +128,159 @@ class Polygon:
                     raise InvalidBody("polygon is self-intersecting")
         arr = arr.copy()
         arr.setflags(write=False)
+        nxt.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
+        object.__setattr__(self, "_next", nxt)
+        # unit outward normals n_i and offsets b_i: interior = {n_i . x <= b_i}
+        normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
+        object.__setattr__(self, "_normals", normals)
+        object.__setattr__(self, "_offsets", np.sum(normals * arr, axis=1))
+        object.__setattr__(self, "_convex", bool(np.all(crosses > 0)))
+        object.__setattr__(self, "_diameter", _point_set_diameter(arr))
+        a = 0.5 * area2
+        object.__setattr__(self, "_area", a)
+        object.__setattr__(self, "_centroid", np.array(
+            [float(np.sum((arr[:, 0] + nxt[:, 0]) * w)) / (6 * a),
+             float(np.sum((arr[:, 1] + nxt[:, 1]) * w)) / (6 * a)]))
 
     @property
     def n(self) -> int:
         return self.vertices.shape[0]
 
     def edges(self) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+        return zip(self.vertices, self._next)
+
+    def area(self) -> float:
+        return self._area
+
+    def centroid(self) -> np.ndarray:
+        return self._centroid.copy()
+
+    def diameter(self) -> float:
+        return self._diameter
+
+    def is_convex(self) -> bool:
+        return self._convex
+
+    def contains(self, p, tol: Optional[float] = None) -> bool:
+        p = as_point(p)
+        t = REL_TOL * self._diameter if tol is None else tol
+        return self.boundary_distance(p) <= t or bool(self.contains_many(p[None, :])[0])
+
+    def contains_many(self, pts: np.ndarray) -> np.ndarray:
+        """Crossing-number membership of many points (no boundary band)."""
+        pts = np.asarray(pts, dtype=float)
+        x, y = pts[:, :1], pts[:, 1:]              # (N, 1) against the n edges
+        (x1, y1), (x2, y2) = self.vertices.T, self._next.T
+        crosses = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            return np.count_nonzero(crosses & (x < xi), axis=1) % 2 == 1
+
+    def boundary_distance(self, p) -> float:
+        return float(_segment_distances(as_point(p), self.vertices, self._next).min())
+
+    def radial_function(self, x, theta: float) -> float:
+        if self._convex:
+            return float(self.radial_function_many(x, np.array([theta]))[0])
+        return self._radial_general(as_point(x), theta)
+
+    def radial_function_many(self, x, thetas: np.ndarray) -> np.ndarray:
+        x = as_point(x)
+        thetas = np.asarray(thetas, dtype=float)
+        if not self._convex:
+            # the half-plane formula is wrong for reflex polygons
+            return np.array([self._radial_general(x, float(t)) for t in thetas])
+        u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        denom = u @ self._normals.T                      # (k, n)
+        num = self._offsets - self._normals @ x          # (n,)
+        if np.any(num < -REL_TOL * self._diameter):
+            raise NotStarShaped("base point outside the polygon")
+        with np.errstate(divide="ignore"):
+            lam = np.where(denom > 1e-14, num[None, :] / denom, np.inf)
+        return lam.min(axis=1)
+
+    def _radial_general(self, x: np.ndarray, theta: float) -> float:
+        u = _unit(theta)
+        scale = self._diameter
+        hits = []
+        for a, b in self.edges():
+            e = b - a
+            den = _cross(u, e)
+            if abs(den) < 1e-15 * scale:
+                continue
+            t = _cross(a - x, e) / den          # distance along the ray
+            s = _cross(a - x, u) / den          # position along the edge
+            if t > REL_TOL * scale and -REL_TOL <= s <= 1 + REL_TOL:
+                hits.append(t)
+        hits.sort()
+        dedup = []
+        for t in hits:
+            if not dedup or t - dedup[-1] > 1e-9 * scale:
+                dedup.append(t)
+        if not dedup:
+            raise NotStarShaped("ray never leaves the polygon; base point may be exterior")
+        if len(dedup) > 1:
+            raise NotStarShaped(f"ray crosses the boundary {len(dedup)} times")
+        return dedup[0]
+
+    def circle_clip(self, x, r: float) -> ArcSet:
+        x = as_point(x)
+        angles = []
+        for a, b in self.edges():
+            e = b - a
+            aa = float(np.dot(e, e))
+            bb = 2.0 * float(np.dot(a - x, e))
+            cc = float(np.dot(a - x, a - x)) - r * r
+            disc = bb * bb - 4 * aa * cc
+            if disc < 0:
+                continue
+            sq = math.sqrt(max(disc, 0.0))
+            for t in ((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)):
+                if -1e-12 <= t <= 1 + 1e-12:
+                    y = a + t * e
+                    angles.append(math.atan2(y[1] - x[1], y[0] - x[0]) % (2 * math.pi))
+        angles.sort()
+        dedup = angles[:1]
+        for t in angles[1:]:
+            if t - dedup[-1] > ANGLE_TOL:
+                dedup.append(t)
+        if len(dedup) > 1 and (dedup[0] + 2 * math.pi) - dedup[-1] <= ANGLE_TOL:
+            dedup.pop()
+        return _arcs_between(x, r, dedup, self.contains)
+
+    def angular_breakpoints(self, x) -> list[float]:
+        """Vertex directions seen from ``x``, where the radial function kinks."""
+        return _angle_breakpoints(self.vertices, as_point(x))
+
+    def radius_breakpoints(self, x) -> list[float]:
+        """Vertex and edge-foot distances, where circle arcs appear or vanish."""
+        x = as_point(x)
         v = self.vertices
-        for i in range(len(v)):
-            yield v[i], v[(i + 1) % len(v)]
+        return (np.hypot(v[:, 0] - x[0], v[:, 1] - x[1]).tolist()
+                + _segment_distances(x, v, self._next).tolist())
+
+    def reach(self, x) -> float:
+        """Largest distance from ``x`` to a point of the body."""
+        x = as_point(x)
+        v = self.vertices
+        return float(np.max(np.hypot(v[:, 0] - x[0], v[:, 1] - x[1])))
+
+    def route(self, loc: str) -> str:
+        """Quadrature route for a point at location ``loc``: the angular route
+        where the whole body is visible, signed edge sectors everywhere else."""
+        return "angular" if loc == "interior" and self._convex else "fan"
+
+    def boundary_polyline(self, n: int = 512) -> np.ndarray:
+        pts = []
+        per_edge = max(1, n // self.n)
+        for a, b in self.edges():
+            ts = np.linspace(0.0, 1.0, per_edge, endpoint=False)
+            pts.append(a[None, :] + ts[:, None] * (b - a)[None, :])
+        return np.vstack(pts)
+
+    def to_dict(self) -> dict:
+        return {"vertices": [[float(x), float(y)] for x, y in self.vertices]}
 
 
 @dataclass(frozen=True)
@@ -122,6 +297,85 @@ class Disk:
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
+
+    def area(self) -> float:
+        return math.pi * self.radius ** 2
+
+    def centroid(self) -> np.ndarray:
+        return self.center.copy()
+
+    def diameter(self) -> float:
+        return 2.0 * self.radius
+
+    def is_convex(self) -> bool:
+        return True
+
+    def contains(self, p, tol: Optional[float] = None) -> bool:
+        p = as_point(p)
+        t = REL_TOL * self.radius if tol is None else tol
+        return float(np.hypot(*(p - self.center))) <= self.radius + t
+
+    def contains_many(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        return np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1]) <= self.radius
+
+    def boundary_distance(self, p) -> float:
+        return abs(float(np.hypot(*(as_point(p) - self.center))) - self.radius)
+
+    def radial_function(self, x, theta: float) -> float:
+        d = as_point(x) - self.center
+        u = _unit(theta)
+        du = float(np.dot(d, u))
+        disc = self.radius ** 2 - float(np.dot(d, d)) + du * du
+        if disc < 0 or float(np.dot(d, d)) > self.radius ** 2:
+            raise NotStarShaped("base point outside the disk")
+        return -du + math.sqrt(disc)
+
+    def radial_function_many(self, x, thetas: np.ndarray) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=float)
+        u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        d = as_point(x) - self.center
+        du = u @ d
+        disc = self.radius ** 2 - float(np.dot(d, d)) + du * du
+        if np.any(disc < 0):
+            raise NotStarShaped("base point outside the disk")
+        return -du + np.sqrt(disc)
+
+    def circle_clip(self, x, r: float) -> ArcSet:
+        x = as_point(x)
+        d = float(np.hypot(*(self.center - x)))
+        R = self.radius
+        if d + r <= R + ANGLE_TOL * max(r, 1.0):
+            return ArcSet(x, r, ((0.0, 2 * math.pi),))
+        if r >= d + R or d >= r + R:
+            return ArcSet(x, r, ())
+        cosb = (d * d + r * r - R * R) / (2 * d * r)
+        cosb = min(1.0, max(-1.0, cosb))
+        beta = math.acos(cosb)
+        phi = math.atan2(self.center[1] - x[1], self.center[0] - x[0])
+        return _build_arcset(x, r, [(phi - beta, phi + beta)])
+
+    def angular_breakpoints(self, x) -> list[float]:
+        return [0.0, 2 * math.pi]
+
+    def radius_breakpoints(self, x) -> list[float]:
+        d = float(np.hypot(*(self.center - as_point(x))))
+        return [abs(d - self.radius), d + self.radius]
+
+    def reach(self, x) -> float:
+        return float(np.hypot(*(self.center - as_point(x)))) + self.radius
+
+    def route(self, loc: str) -> str:
+        """Chords seen from outside; the angular route everywhere else."""
+        return "disk_exterior" if loc == "exterior" else "angular"
+
+    def boundary_polyline(self, n: int = 512) -> np.ndarray:
+        t = np.linspace(0, 2 * math.pi, n, endpoint=False)
+        return self.center + self.radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+
+    def to_dict(self) -> dict:
+        return {"type": "disk", "center": [float(self.center[0]), float(self.center[1])],
+                "radius": float(self.radius)}
 
 
 Body = Union[Polygon, Disk, "RadialArcBody"]  # noqa: F821  (radial-arc lives in balance)
@@ -209,126 +463,99 @@ def _build_arcset(center, radius, raw_arcs) -> ArcSet:
     return ArcSet(center, radius, tuple((t1, t2) for t1, t2 in merged))
 
 
+def _arcs_between(x, r, crossings, inside) -> ArcSet:
+    """Arcs between consecutive sorted crossing angles whose midpoints are ``inside``.
+
+    Without crossings the circle lies wholly inside or wholly outside the
+    body, and one probe point decides which.
+    """
+    if not crossings:
+        full = inside(x + r * _unit(0.1234567))
+        return ArcSet(x, r, ((0.0, 2 * math.pi),) if full else ())
+    raw = []
+    k = len(crossings)
+    for i in range(k):
+        t1 = crossings[i]
+        t2 = crossings[(i + 1) % k] + (2 * math.pi if i == k - 1 else 0.0)
+        if inside(x + r * _unit(0.5 * (t1 + t2))):
+            raw.append((t1, t2))
+    return _build_arcset(x, r, raw)
+
+
 # ---------------------------------------------------------------------------
-# basic measures and membership
+# protocol functions: delegations to the body methods
 # ---------------------------------------------------------------------------
 
 def area(body: Body) -> float:
-    if isinstance(body, Polygon):
-        v = body.vertices
-        nxt = np.roll(v, -1, axis=0)
-        return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
-    if isinstance(body, Disk):
-        return math.pi * body.radius ** 2
     return body.area()
 
 
 def centroid(body: Body) -> np.ndarray:
-    if isinstance(body, Polygon):
-        v = body.vertices
-        nxt = np.roll(v, -1, axis=0)
-        w = v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]
-        a = 0.5 * float(np.sum(w))
-        cx = float(np.sum((v[:, 0] + nxt[:, 0]) * w)) / (6 * a)
-        cy = float(np.sum((v[:, 1] + nxt[:, 1]) * w)) / (6 * a)
-        return np.array([cx, cy])
-    if isinstance(body, Disk):
-        return body.center.copy()
     return body.centroid()
 
 
 def diameter(body: Body) -> float:
-    if isinstance(body, Polygon):
-        v = body.vertices
-        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-        return math.sqrt(float(d2.max()))
-    if isinstance(body, Disk):
-        return 2.0 * body.radius
     return body.diameter()
 
 
 def contains(body: Body, p, tol: Optional[float] = None) -> bool:
     """Closed-set membership; points within ``tol`` of the boundary count as inside."""
-    p = as_point(p)
-    if isinstance(body, Polygon):
-        t = (REL_TOL * diameter(body)) if tol is None else tol
-        if boundary_distance(body, p) <= t:
-            return True
-        return _crossing_number_inside(body.vertices, p)
-    if isinstance(body, Disk):
-        t = (REL_TOL * body.radius) if tol is None else tol
-        return float(np.hypot(*(p - body.center))) <= body.radius + t
     return body.contains(p, tol)
 
 
 def contains_many(body: Body, pts: np.ndarray) -> np.ndarray:
     """Vectorized membership (boundary treatment not hardened; for sampling oracles)."""
-    pts = np.asarray(pts, dtype=float)
-    if isinstance(body, Disk):
-        return np.hypot(pts[:, 0] - body.center[0], pts[:, 1] - body.center[1]) <= body.radius
-    if isinstance(body, Polygon):
-        v = body.vertices
-        n = len(v)
-        inside = np.zeros(len(pts), dtype=bool)
-        x, y = pts[:, 0], pts[:, 1]
-        for i in range(n):
-            x1, y1 = v[i]
-            x2, y2 = v[(i + 1) % n]
-            crosses = (y1 > y) != (y2 > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= crosses & (x < np.where(crosses, xi, np.inf))
-        return inside
-    return np.array([body.contains(p, None) for p in pts], dtype=bool)
-
-
-def _crossing_number_inside(v: np.ndarray, p: np.ndarray) -> bool:
-    inside = False
-    n = len(v)
-    for i in range(n):
-        x1, y1 = v[i]
-        x2, y2 = v[(i + 1) % n]
-        if (y1 > p[1]) != (y2 > p[1]):
-            xi = x1 + (p[1] - y1) * (x2 - x1) / (y2 - y1)
-            if p[0] < xi:
-                inside = not inside
-    return inside
+    return body.contains_many(pts)
 
 
 def boundary_distance(body: Body, p) -> float:
-    p = as_point(p)
-    if isinstance(body, Polygon):
-        return min(_point_segment_distance(p, a, b) for a, b in body.edges())
-    if isinstance(body, Disk):
-        return abs(float(np.hypot(*(p - body.center))) - body.radius)
     return body.boundary_distance(p)
-
-
-def _point_segment_distance(p, a, b) -> float:
-    e = b - a
-    t = float(np.dot(p - a, e) / np.dot(e, e))
-    t = min(1.0, max(0.0, t))
-    return float(np.hypot(*(p - (a + t * e))))
 
 
 def classify_location(body: Body, p, band_rel: float = 1e-9) -> str:
     """'interior' | 'exterior' | 'boundary' with a relative boundary band."""
     p = as_point(p)
-    band = band_rel * diameter(body)
-    if boundary_distance(body, p) <= band:
+    if body.boundary_distance(p) <= band_rel * body.diameter():
         return "boundary"
-    return "interior" if contains(body, p) else "exterior"
+    return "interior" if body.contains(p) else "exterior"
 
 
 def is_convex(body: Body) -> bool:
-    if isinstance(body, Disk):
-        return True
-    if isinstance(body, Polygon):
-        v = body.vertices
-        e = np.roll(v, -1, axis=0) - v
-        prv = np.roll(e, 1, axis=0)
-        return bool(np.all(prv[:, 0] * e[:, 1] - prv[:, 1] * e[:, 0] > 0))
     return body.is_convex()
+
+
+def radial_function(body: Body, x, theta: float) -> float:
+    """Distance from interior point ``x`` to the boundary along direction ``theta``.
+
+    Raises NotStarShaped when the ray re-enters the body beyond its first exit.
+    """
+    return body.radial_function(x, theta)
+
+
+def radial_function_many(body: Body, x, thetas: np.ndarray) -> np.ndarray:
+    """Vectorized radial function (fast for convex polygons and disks)."""
+    return body.radial_function_many(x, thetas)
+
+
+def circle_clip(body: Body, x, r: float) -> ArcSet:
+    """Arcs of the circle of radius ``r`` about ``x`` that lie inside the body.
+
+    Tangential contacts are resolved by midpoint membership tests and arc
+    merging; the operation never fails on degeneracies.
+    """
+    r = float(r)
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    return body.circle_clip(as_point(x), r)
+
+
+def boundary_polyline(body: Body, n: int = 512) -> np.ndarray:
+    """Closed boundary sample loop (last point connects back to the first)."""
+    return body.boundary_polyline(n)
+
+
+def body_to_dict(body: Body) -> dict:
+    return body.to_dict()
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -370,11 +597,7 @@ def circumcenter(body: Body) -> CircumCenter:
     """Center and radius of the minimal enclosing disk (unique)."""
     if isinstance(body, Disk):
         return CircumCenter(body.center.copy(), body.radius)
-    if isinstance(body, Polygon):
-        pts = [tuple(p) for p in body.vertices]
-    else:
-        pts = [tuple(p) for p in body.boundary_polyline(2048)]
-    c = _welzl(pts)
+    c = _welzl(body.vertices if isinstance(body, Polygon) else body.boundary_polyline(2048))
     return CircumCenter(np.array([c[0], c[1]]), c[2])
 
 
@@ -467,10 +690,8 @@ def incenter(body: Body) -> InCenter:
     """
     if isinstance(body, Disk):
         return InCenter(body.center.copy(), body.radius, False)
-    if isinstance(body, Polygon) and is_convex(body):
-        return _incenter_lp(body)
     if isinstance(body, Polygon):
-        return _incenter_grid(body)
+        return _incenter_lp(body) if body.is_convex() else _incenter_grid(body)
     # convex radially parameterized body: polygonal approximation of tangents
     poly = Polygon(body.boundary_polyline(512))
     c = _incenter_lp(poly)
@@ -478,7 +699,7 @@ def incenter(body: Body) -> InCenter:
 
 
 def _incenter_lp(poly: Polygon) -> InCenter:
-    normals, offsets = _edge_halfplanes(poly)
+    normals, offsets = poly._normals, poly._offsets
     m = len(offsets)
     # maximize r  s.t.  n_i . x + r <= b_i   (normals are unit outward)
     res = linprog(c=[0.0, 0.0, -1.0],
@@ -489,11 +710,11 @@ def _incenter_lp(poly: Polygon) -> InCenter:
         raise InvalidBody("incenter LP failed; polygon may be degenerate")
     r = float(res.x[2])
     # canonical point: midpoint (vertex mean) of the optimal face
-    face = halfplane_intersection(normals, offsets - r + 1e-12 * diameter(poly),
+    face = halfplane_intersection(normals, offsets - r + 1e-12 * poly.diameter(),
                                   _bounding_box(poly, pad=1.0))
     if face is not None and len(face) > 0:
         point = face.mean(axis=0)
-        amb = float(np.max(np.ptp(face, axis=0))) > 1e-9 * diameter(poly)
+        amb = float(np.max(np.ptp(face, axis=0))) > 1e-9 * poly.diameter()
     else:
         point = np.array([res.x[0], res.x[1]])
         amb = False
@@ -505,10 +726,10 @@ def _incenter_grid(poly: Polygon, n: int = 96) -> InCenter:
     ys = np.linspace(poly.vertices[:, 1].min(), poly.vertices[:, 1].max(), n)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    inside = contains_many(poly, pts)
+    inside = poly.contains_many(pts)
     best, best_d = None, -1.0
     for p in pts[inside]:
-        d = boundary_distance(poly, p)
+        d = poly.boundary_distance(p)
         if d > best_d:
             best, best_d = p, d
     if best is None:
@@ -521,23 +742,13 @@ def _incenter_grid(poly: Polygon, n: int = 96) -> InCenter:
         for dxy in ((step, 0), (-step, 0), (0, step), (0, -step),
                     (step, step), (step, -step), (-step, step), (-step, -step)):
             q = p + dxy
-            if contains(poly, q) and boundary_distance(poly, q) > best_d:
-                p, best_d, improved = q, boundary_distance(poly, q), True
+            if poly.contains(q) and poly.boundary_distance(q) > best_d:
+                p, best_d, improved = q, poly.boundary_distance(q), True
         if not improved:
             step *= 0.5
-            if step < 1e-13 * diameter(poly):
+            if step < 1e-13 * poly.diameter():
                 break
     return InCenter(p, best_d, True)
-
-
-def _edge_halfplanes(poly: Polygon) -> tuple[np.ndarray, np.ndarray]:
-    """Unit outward normals n_i and offsets b_i with interior = {n_i . x <= b_i}."""
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    lengths = np.hypot(e[:, 0], e[:, 1])
-    normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None]
-    offsets = np.sum(normals * v, axis=1)
-    return normals, offsets
 
 
 def _bounding_box(poly: Polygon, pad: float = 0.0) -> np.ndarray:
@@ -573,156 +784,6 @@ def halfplane_intersection(normals, offsets, seed_polygon) -> Optional[np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# radial function
-# ---------------------------------------------------------------------------
-
-def radial_function(body: Body, x, theta: float) -> float:
-    """Distance from interior point ``x`` to the boundary along direction ``theta``.
-
-    Raises NotStarShaped when the ray re-enters the body beyond its first exit.
-    """
-    x = as_point(x)
-    if isinstance(body, Disk):
-        d = x - body.center
-        u = _unit(theta)
-        du = float(np.dot(d, u))
-        disc = body.radius ** 2 - float(np.dot(d, d)) + du * du
-        if disc < 0 or float(np.dot(d, d)) > body.radius ** 2:
-            raise NotStarShaped("base point outside the disk")
-        return -du + math.sqrt(disc)
-    if isinstance(body, Polygon):
-        if is_convex(body):
-            return float(radial_function_many(body, x, np.array([theta]))[0])
-        return _radial_general(body, x, theta)
-    return body.radial_function(x, theta)
-
-
-def radial_function_many(body: Body, x, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized radial function (fast for convex polygons and disks)."""
-    x = as_point(x)
-    thetas = np.asarray(thetas, dtype=float)
-    u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    if isinstance(body, Disk):
-        d = x - body.center
-        du = u @ d
-        disc = body.radius ** 2 - float(np.dot(d, d)) + du * du
-        if np.any(disc < 0):
-            raise NotStarShaped("base point outside the disk")
-        return -du + np.sqrt(disc)
-    if isinstance(body, Polygon):
-        if not is_convex(body):
-            # the half-plane formula is wrong for reflex polygons
-            return np.array([_radial_general(body, x, float(t)) for t in thetas])
-        normals, offsets = _edge_halfplanes(body)
-        denom = u @ normals.T                      # (k, n)
-        num = offsets - normals @ x                # (n,)
-        if np.any(num < -REL_TOL * diameter(body)):
-            raise NotStarShaped("base point outside the polygon")
-        with np.errstate(divide="ignore"):
-            lam = np.where(denom > 1e-14, num[None, :] / denom, np.inf)
-        return lam.min(axis=1)
-    return np.array([body.radial_function(x, t) for t in thetas])
-
-
-def _radial_general(poly: Polygon, x: np.ndarray, theta: float) -> float:
-    u = _unit(theta)
-    scale = diameter(poly)
-    hits = []
-    for a, b in poly.edges():
-        e = b - a
-        den = _cross(u, e)
-        if abs(den) < 1e-15 * scale:
-            continue
-        t = _cross(a - x, e) / den          # distance along the ray
-        s = _cross(a - x, u) / den          # position along the edge
-        if t > REL_TOL * scale and -REL_TOL <= s <= 1 + REL_TOL:
-            hits.append(t)
-    hits.sort()
-    dedup = []
-    for t in hits:
-        if not dedup or t - dedup[-1] > 1e-9 * scale:
-            dedup.append(t)
-    if not dedup:
-        raise NotStarShaped("ray never leaves the polygon; base point may be exterior")
-    if len(dedup) > 1:
-        raise NotStarShaped(f"ray crosses the boundary {len(dedup)} times")
-    return dedup[0]
-
-
-# ---------------------------------------------------------------------------
-# circle clipping
-# ---------------------------------------------------------------------------
-
-def circle_clip(body: Body, x, r: float) -> ArcSet:
-    """Arcs of the circle of radius ``r`` about ``x`` that lie inside the body.
-
-    Tangential contacts are resolved by midpoint membership tests and arc
-    merging; the operation never fails on degeneracies.
-    """
-    x = as_point(x)
-    r = float(r)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if isinstance(body, Disk):
-        return _circle_clip_disk(body, x, r)
-    if isinstance(body, Polygon):
-        return _circle_clip_polygon(body, x, r)
-    return body.circle_clip(x, r)
-
-
-def _circle_clip_disk(disk: Disk, x: np.ndarray, r: float) -> ArcSet:
-    d = float(np.hypot(*(disk.center - x)))
-    R = disk.radius
-    if d + r <= R + ANGLE_TOL * max(r, 1.0):
-        return ArcSet(x, r, ((0.0, 2 * math.pi),))
-    if r >= d + R or d >= r + R:
-        return ArcSet(x, r, ())
-    cosb = (d * d + r * r - R * R) / (2 * d * r)
-    cosb = min(1.0, max(-1.0, cosb))
-    beta = math.acos(cosb)
-    phi = math.atan2(disk.center[1] - x[1], disk.center[0] - x[0])
-    return _build_arcset(x, r, [(phi - beta, phi + beta)])
-
-
-def _circle_clip_polygon(poly: Polygon, x: np.ndarray, r: float) -> ArcSet:
-    angles = []
-    for a, b in poly.edges():
-        e = b - a
-        aa = float(np.dot(e, e))
-        bb = 2.0 * float(np.dot(a - x, e))
-        cc = float(np.dot(a - x, a - x)) - r * r
-        disc = bb * bb - 4 * aa * cc
-        if disc < 0:
-            continue
-        sq = math.sqrt(max(disc, 0.0))
-        for t in ((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)):
-            if -1e-12 <= t <= 1 + 1e-12:
-                y = a + t * e
-                angles.append(math.atan2(y[1] - x[1], y[0] - x[0]) % (2 * math.pi))
-    if not angles:
-        probe = x + r * _unit(0.1234567)
-        if contains(poly, probe):
-            return ArcSet(x, r, ((0.0, 2 * math.pi),))
-        return ArcSet(x, r, ())
-    angles.sort()
-    dedup = [angles[0]]
-    for t in angles[1:]:
-        if t - dedup[-1] > ANGLE_TOL:
-            dedup.append(t)
-    if (dedup[0] + 2 * math.pi) - dedup[-1] <= ANGLE_TOL and len(dedup) > 1:
-        dedup.pop()
-    raw = []
-    k = len(dedup)
-    for i in range(k):
-        t1 = dedup[i]
-        t2 = dedup[(i + 1) % k] + (2 * math.pi if i == k - 1 else 0.0)
-        mid = 0.5 * (t1 + t2)
-        if contains(poly, x + r * _unit(mid)):
-            raw.append((t1, t2))
-    return _build_arcset(x, r, raw)
-
-
-# ---------------------------------------------------------------------------
 # folding and the unfolded region
 # ---------------------------------------------------------------------------
 
@@ -745,9 +806,7 @@ class UnfoldedRegion:
     def diameter(self) -> float:
         if self.polygon is None or len(self.polygon) == 0:
             return 0.0
-        v = self.polygon
-        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-        return math.sqrt(float(d2.max()))
+        return _point_set_diameter(self.polygon)
 
     def to_dict(self) -> dict:
         return {"directions": [[float(a), float(b)] for a, b in self.directions],
@@ -767,7 +826,7 @@ def maximal_folding(poly: Polygon, v) -> float:
     v = v / float(np.hypot(*v))
     proj = poly.vertices @ v
     lo, hi = float(proj.min()), float(proj.max())
-    convex = is_convex(poly)
+    convex = poly.is_convex()
     if _fold_ok(poly, v, lo, convex):
         return lo
     if not convex:
@@ -789,42 +848,27 @@ def maximal_folding(poly: Polygon, v) -> float:
 
 
 def _fold_ok(poly: Polygon, v: np.ndarray, b: float, convex: bool) -> bool:
-    scale = diameter(poly)
-    cap = _clip_keep_ge(list(poly.vertices), v, b)
-    if len(cap) < 3:
+    scale = poly.diameter()
+    # the cap {p . v >= b}
+    cap = halfplane_intersection([-v], [-b], poly.vertices)
+    if cap is None or len(cap) < 3:
         return True
     reflected = [p - 2.0 * (float(np.dot(p, v)) - b) * v for p in cap]
     tol = REL_TOL * scale
     for p in reflected:
-        if not contains(poly, p, tol=tol):
+        if not poly.contains(p, tol=tol):
             return False
     if convex:
         return True
     m = len(reflected)
     for i in range(m):
         p, q = reflected[i], reflected[(i + 1) % m]
-        if not contains(poly, 0.5 * (p + q), tol=tol):
+        if not poly.contains(0.5 * (p + q), tol=tol):
             return False
         for a, bb in poly.edges():
             if _segments_cross(p, q, a, bb, tol):
                 return False
     return True
-
-
-def _clip_keep_ge(pts, v, b):
-    """Sutherland-Hodgman clip keeping {p . v >= b}."""
-    out = []
-    m = len(pts)
-    vals = [float(np.dot(p, v)) - b for p in pts]
-    for i in range(m):
-        p, q = pts[i], pts[(i + 1) % m]
-        vp, vq = vals[i], vals[(i + 1) % m]
-        if vp >= 0:
-            out.append(p)
-        if (vp < 0 < vq) or (vq < 0 < vp):
-            t = vp / (vp - vq)
-            out.append(p + t * (q - p))
-    return out
 
 
 def unfolded_region(poly: Polygon, n_dirs: int) -> UnfoldedRegion:
@@ -852,38 +896,6 @@ def transformed(body: Body, angle: float = 0.0, shift=(0.0, 0.0), scale: float =
     if isinstance(body, Disk):
         return Disk(R @ body.center + shift, body.radius * scale)
     raise TypeError(f"cannot transform body of type {type(body).__name__}")
-
-
-def boundary_polyline(body: Body, n: int = 512) -> np.ndarray:
-    """Closed boundary sample loop (last point connects back to the first)."""
-    if isinstance(body, Polygon):
-        pts = []
-        per_edge = max(1, n // body.n)
-        for a, b in body.edges():
-            ts = np.linspace(0.0, 1.0, per_edge, endpoint=False)
-            pts.append(a[None, :] + ts[:, None] * (b - a)[None, :])
-        return np.vstack(pts)
-    if isinstance(body, Disk):
-        t = np.linspace(0, 2 * math.pi, n, endpoint=False)
-        return body.center + body.radius * np.stack([np.cos(t), np.sin(t)], axis=1)
-    return body.boundary_polyline(n)
-
-
-def polygon_to_dict(poly: Polygon) -> dict:
-    return {"vertices": [[float(x), float(y)] for x, y in poly.vertices]}
-
-
-def disk_to_dict(disk: Disk) -> dict:
-    return {"type": "disk", "center": [float(disk.center[0]), float(disk.center[1])],
-            "radius": float(disk.radius)}
-
-
-def body_to_dict(body: Body) -> dict:
-    if isinstance(body, Polygon):
-        return polygon_to_dict(body)
-    if isinstance(body, Disk):
-        return disk_to_dict(body)
-    return body.to_dict()
 
 
 def body_from_dict(data: dict) -> Body:

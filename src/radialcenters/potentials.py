@@ -9,8 +9,10 @@ dimension-generic constants.
 
 Evaluation strategy: the singularity (if any) is absorbed into an exact
 radial antiderivative and the remaining smooth angular integral is done by
-adaptive quadrature -- either about the base point (interior of a
-star-shaped body) or sector-by-sector over polygon edges (everywhere else).
+adaptive quadrature along the one route the body names for the base point's
+location, the same for all three families: about the base point where the
+whole body is visible from it, sector-by-sector over polygon edges at every
+other polygon point, and chord-by-chord for points outside a disk.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import BoundaryPoint
-from .geometry import (Disk, Polygon, as_point, boundary_distance,
-                       classify_location, is_convex)
+from .geometry import Disk, Polygon, as_point, classify_location
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, adaptive_gk,
                          disk_exterior_integral, disk_exterior_integral_vector,
                          fan_integral, fan_integral_vector, integrate_angular,
-                         integrate_angular_vector, integrate_polygon)
+                         integrate_angular_vector)
 
 __all__ = [
     "Riesz", "Poisson", "Heat", "PotentialSpec", "PotentialValue",
@@ -146,6 +147,9 @@ def weierstrass_kernel(z, t: float, m: int = 2) -> float:
 # radial antiderivatives (m = 2): F(rho) = int_0^rho kernel(r) r dr,
 # with the additive constant at zero dropped in the singular regimes
 # (that convention realizes the finite part at interior base points).
+# About an exterior point the signed chords cancel any additive constant, so
+# the Poisson and heat profiles drop their limit 1/(2 pi) there: far from
+# the body the value then no longer cancels between O(1) sector integrals.
 # ---------------------------------------------------------------------------
 
 def _riesz_profile(alpha: float):
@@ -164,16 +168,18 @@ def _riesz_grad_profile(alpha: float):
     return lambda r: r ** (alpha - 1) / (alpha - 1)
 
 
-def _poisson_profile(h: float):
-    return lambda rho: (1.0 - h / np.sqrt(rho * rho + h * h)) / (2 * math.pi)
+def _poisson_profile(h: float, loc: str):
+    c = 0.0 if loc == "exterior" else 1.0
+    return lambda rho: (c - h / np.sqrt(rho * rho + h * h)) / (2 * math.pi)
 
 
 def _poisson_grad_profile(h: float):
     return lambda r: r ** 3 / (2 * math.pi * h * (r * r + h * h) ** 1.5)
 
 
-def _heat_profile(t: float):
-    return lambda rho: (1.0 - np.exp(-rho * rho / (4 * t))) / (2 * math.pi)
+def _heat_profile(t: float, loc: str):
+    c = 0.0 if loc == "exterior" else 1.0
+    return lambda rho: (c - np.exp(-rho * rho / (4 * t))) / (2 * math.pi)
 
 
 def _heat_grad_profile(t: float):
@@ -190,41 +196,27 @@ def _location(body, x) -> str:
     return classify_location(body, x, BOUNDARY_BAND)
 
 
-def _star_visible(body, x, loc: str) -> bool:
-    if loc != "interior":
-        return False
-    if isinstance(body, Disk):
-        return True
-    if isinstance(body, Polygon):
-        return is_convex(body)
-    return body.is_convex()
+def _integrate(body, x, profile, loc: str, cfg, vector: bool = False):
+    """Kernel integral over the body along the route the body names for ``loc``.
+
+    ``profile`` is the radial antiderivative of the kernel, which gives the
+    finite-part convention at interior points.  With ``vector`` the
+    integrand is weighted by the unit direction, as gradients need.
+    """
+    route = body.route(loc)
+    if route == "angular":
+        fn = integrate_angular_vector if vector else integrate_angular
+    elif route == "fan":
+        fn = fan_integral_vector if vector else fan_integral
+    else:
+        fn = disk_exterior_integral_vector if vector else disk_exterior_integral
+    return fn(body, x, profile, cfg)
 
 
-def _radial_integral(body, x, profile, loc, cfg) -> float:
-    """Kernel integral over the body; finite-part convention at interior points."""
-    if _star_visible(body, x, loc):
-        return integrate_angular(body, x, profile, cfg)
-    if isinstance(body, Polygon):
-        return fan_integral(body, x, profile, cfg)
-    if isinstance(body, Disk):
-        if loc == "exterior":
-            return disk_exterior_integral(body, x, profile, cfg)
-        return integrate_angular(body, x, profile, cfg)
-    raise ValueError(
-        f"{loc} evaluation not supported for {type(body).__name__}")
-
-
-def _radial_integral_vector(body, x, vec_profile, loc, cfg) -> np.ndarray:
-    if _star_visible(body, x, loc):
-        return integrate_angular_vector(body, x, vec_profile, cfg)
-    if isinstance(body, Polygon):
-        return fan_integral_vector(body, x, vec_profile, cfg)
-    if isinstance(body, Disk):
-        if loc == "exterior":
-            return disk_exterior_integral_vector(body, x, vec_profile, cfg)
-        return integrate_angular_vector(body, x, vec_profile, cfg)
-    raise ValueError(
-        f"{loc} evaluation not supported for {type(body).__name__}")
+def _ball(body) -> Disk:
+    if not isinstance(body, Disk):
+        raise ValueError("general ambient dimension is supported for balls only")
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +233,12 @@ def riesz_value(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     x = as_point(x)
     alpha, m = spec.alpha, spec.m
     if m != 2:
-        if not isinstance(body, Disk):
-            raise ValueError("general ambient dimension is supported for balls only")
-        return _riesz_value_ball(body, x, alpha, m, cfg)
+        return _riesz_value_ball(_ball(body), x, alpha, m, cfg)
     loc = _location(body, x)
     if loc == "boundary" and alpha <= 0:
         raise BoundaryPoint("finite-part value undefined on the boundary for alpha <= 0")
     profile = _riesz_profile(alpha)
-    raw = _radial_integral(body, x, profile, loc, cfg)
+    raw = _integrate(body, x, profile, loc, cfg)
     sign = 1.0 if alpha == 2 else math.copysign(1.0, 2 - alpha)
     return PotentialValue(sign * raw, _riesz_regime(alpha, 2), loc)
 
@@ -268,10 +258,9 @@ def riesz_value_finite_part_eps(body, x, alpha: float, eps: float,
     loc = _location(body, x)
     if loc != "interior":
         raise BoundaryPoint("finite-part assembly needs an interior point")
-    if not (0 < eps < boundary_distance(body, x)):
+    if not (0 < eps < body.boundary_distance(x)):
         raise ValueError("eps must lie in (0, dist(x, boundary))")
-    profile = _riesz_profile(alpha)
-    total = _radial_integral(body, x, profile, loc, cfg)
+    total = _integrate(body, x, _riesz_profile(alpha), loc, cfg)
     if alpha == 0:
         annulus = total - 2 * math.pi * math.log(eps)
         counterterm = -2 * math.pi * math.log(1.0 / eps)
@@ -289,29 +278,21 @@ def riesz_value_complement(body, x, alpha: float,
     the complement at the circumscribed radius and measuring the inner part
     with circle-arc clipping; independent of the radial-function route.
     """
-    from .geometry import circle_clip  # local import: keeps module deps one-way
     x = as_point(x)
     if alpha >= 0:
         raise ValueError("complement identity holds for alpha < 0")
     if _location(body, x) != "interior":
         raise BoundaryPoint("complement identity needs an interior point")
-    if isinstance(body, Polygon):
-        r_far = max(float(np.hypot(*(v - x))) for v in body.vertices)
-    elif isinstance(body, Disk):
-        r_far = float(np.hypot(*(body.center - x))) + body.radius
-    else:
-        r_far = max(float(np.hypot(*(p - x))) for p in body.boundary_polyline(512))
-    r_far *= 1 + 1e-12
+    r_far = body.reach(x) * (1 + 1e-12)
     # tail beyond the circumscribed circle, closed form
     tail = -2 * math.pi * r_far ** alpha / alpha
     # inside the circumscribed circle but outside the body
-    from .geometry import boundary_distance as _bd
-    r_near = _bd(body, x)
+    r_near = body.boundary_distance(x)
 
     def integrand(rs):
         out = np.empty_like(rs)
         for i, r in enumerate(rs):
-            gap = 2 * math.pi - circle_clip(body, x, float(r)).measure()
+            gap = 2 * math.pi - body.circle_clip(x, float(r)).measure()
             out[i] = float(r) ** (alpha - 1) * gap
         return out
 
@@ -385,8 +366,8 @@ def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG)
         return riesz_gradient_boundary(body, x, alpha, cfg)
     if alpha > 1:
         return _riesz_gradient_volume(body, x, alpha, loc, cfg)
-    if alpha >= 0 and _star_visible(body, x, loc):
-        eps = 0.5 * boundary_distance(body, x)
+    if alpha >= 0 and body.route(loc) == "angular":
+        eps = 0.5 * body.boundary_distance(x)
         return riesz_gradient_annulus(body, x, alpha, eps, cfg)
     # alpha < 0 (complement-tail form) and non-star-shaped interiors: the
     # sector route with the antiderivative's value at zero dropped produces
@@ -397,8 +378,8 @@ def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG)
 def _riesz_gradient_volume(body, x, alpha: float, loc: str,
                            cfg: QuadratureConfig) -> np.ndarray:
     if alpha == 2:
-        return _radial_integral_vector(body, x, lambda r: r, loc, cfg)
-    vec = _radial_integral_vector(body, x, _riesz_grad_profile(alpha), loc, cfg)
+        return _integrate(body, x, lambda r: r, loc, cfg, vector=True)
+    vec = _integrate(body, x, _riesz_grad_profile(alpha), loc, cfg, vector=True)
     return abs(2 - alpha) * vec
 
 
@@ -413,7 +394,7 @@ def riesz_gradient_annulus(body, x, alpha: float, eps: float,
     x = as_point(x)
     if _location(body, x) != "interior":
         raise BoundaryPoint("annulus form needs an interior point")
-    if not (0 < eps < boundary_distance(body, x)):
+    if not (0 < eps < body.boundary_distance(x)):
         raise ValueError("eps must lie in (0, dist(x, boundary))")
     G = _riesz_grad_profile(alpha)
     pref = abs(2 - alpha)
@@ -474,13 +455,9 @@ def poisson_value(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CONFIG
     x = as_point(x)
     h, m = spec.h, spec.m
     if m != 2:
-        if not isinstance(body, Disk):
-            raise ValueError("general ambient dimension is supported for balls only")
-        return _smooth_value_ball(body, x, m, "poisson", _poisson_radial_density(h, m), cfg)
+        return _smooth_value_ball(_ball(body), x, m, "poisson", _poisson_radial_density(h, m), cfg)
     loc = _location(body, x)
-    val = _smooth_family_value(body, x, _poisson_profile(h),
-                               lambda pts: _poisson_pointwise(pts, x, h), loc, cfg)
-    return PotentialValue(val, "poisson", loc)
+    return PotentialValue(_integrate(body, x, _poisson_profile(h, loc), loc, cfg), "poisson", loc)
 
 
 def _poisson_radial_density(h: float, m: int):
@@ -498,20 +475,16 @@ def poisson_gradient(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CON
     if spec.m != 2:
         raise ValueError("gradients are implemented for the planar case only")
     loc = _location(body, x)
-    return _radial_integral_vector(body, x, _poisson_grad_profile(spec.h), loc, cfg)
+    return _integrate(body, x, _poisson_grad_profile(spec.h), loc, cfg, vector=True)
 
 
 def heat_value(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PotentialValue:
     x = as_point(x)
     t, m = spec.t, spec.m
     if m != 2:
-        if not isinstance(body, Disk):
-            raise ValueError("general ambient dimension is supported for balls only")
-        return _smooth_value_ball(body, x, m, "heat", _heat_radial_density(t, m), cfg)
+        return _smooth_value_ball(_ball(body), x, m, "heat", _heat_radial_density(t, m), cfg)
     loc = _location(body, x)
-    val = _smooth_family_value(body, x, _heat_profile(t),
-                               lambda pts: _heat_pointwise(pts, x, t), loc, cfg)
-    return PotentialValue(val, "heat", loc)
+    return PotentialValue(_integrate(body, x, _heat_profile(t, loc), loc, cfg), "heat", loc)
 
 
 def heat_gradient(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -519,30 +492,7 @@ def heat_gradient(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -
     if spec.m != 2:
         raise ValueError("gradients are implemented for the planar case only")
     loc = _location(body, x)
-    return _radial_integral_vector(body, x, _heat_grad_profile(spec.t), loc, cfg)
-
-
-def _poisson_pointwise(pts, x, h):
-    d2 = (pts[:, 0] - x[0]) ** 2 + (pts[:, 1] - x[1]) ** 2
-    return (1.0 / (2 * math.pi)) * h / (d2 + h * h) ** 1.5
-
-
-def _heat_pointwise(pts, x, t):
-    d2 = (pts[:, 0] - x[0]) ** 2 + (pts[:, 1] - x[1]) ** 2
-    return np.exp(-d2 / (4 * t)) / (4 * math.pi * t)
-
-
-def _smooth_family_value(body, x, profile, pointwise, loc, cfg) -> float:
-    """Angular route when star-visible, 2D triangulated quadrature otherwise."""
-    if _star_visible(body, x, loc):
-        return integrate_angular(body, x, profile, cfg)
-    if isinstance(body, Polygon):
-        return integrate_polygon(pointwise, body, cfg)
-    if isinstance(body, Disk):
-        if loc == "exterior":
-            return disk_exterior_integral(body, x, profile, cfg)
-        return integrate_angular(body, x, profile, cfg)
-    raise ValueError(f"{loc} evaluation not supported for {type(body).__name__}")
+    return _integrate(body, x, _heat_grad_profile(spec.t), loc, cfg, vector=True)
 
 
 def _smooth_value_ball(disk: Disk, x, m: int, regime: str, radial_density, cfg) -> PotentialValue:

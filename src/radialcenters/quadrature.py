@@ -10,7 +10,10 @@ Three routes are provided:
   of a polygon about an arbitrary base point (used for exterior points and
   non-star-shaped interiors).
 * ``integrate_polygon`` -- triangulation plus degree-5 Gauss rules with
-  recursive subdivision, for general smooth integrands.
+  recursive subdivision, for general smooth integrands.  No potential is
+  computed this way; tests use it as an independent oracle.
+
+Each body names the route for a base point through its ``route`` method.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ToleranceNotMet
-from .geometry import Disk, Polygon, as_point, diameter, is_convex, radial_function, \
-    radial_function_many
+from .geometry import Disk, Polygon, _cross, as_point
 
 __all__ = [
     "QuadratureConfig", "adaptive_gk", "integrate_angular", "integrate_polygon",
@@ -149,20 +151,7 @@ def _panel_sum(panels):
 
 def angular_breakpoints(body, x) -> list[float]:
     """Angles where the radial function loses smoothness, as seen from ``x``."""
-    x = as_point(x)
-    if isinstance(body, Polygon):
-        angs = sorted((math.atan2(v[1] - x[1], v[0] - x[0]) % (2 * math.pi))
-                      for v in body.vertices)
-    elif isinstance(body, Disk):
-        angs = []
-    else:
-        angs = sorted(a % (2 * math.pi) for a in body.angular_breakpoints(x))
-    pts = [0.0] + angs + [2 * math.pi]
-    out = [pts[0]]
-    for t in pts[1:]:
-        if t - out[-1] > 1e-13:
-            out.append(t)
-    return out
+    return body.angular_breakpoints(x)
 
 
 def integrate_angular(body, x, profile: Callable[[np.ndarray], np.ndarray],
@@ -175,18 +164,11 @@ def integrate_angular(body, x, profile: Callable[[np.ndarray], np.ndarray],
     vertex angles where ``rho`` is only piecewise smooth.
     """
     x = as_point(x)
-    fast = isinstance(body, Disk) or (isinstance(body, Polygon) and is_convex(body)) \
-        or hasattr(body, "radial_function_many")
 
-    if fast:
-        def integrand(thetas):
-            return profile(_rho_many(body, x, thetas))
-    else:
-        def integrand(thetas):
-            rho = np.array([radial_function(body, x, t) for t in np.atleast_1d(thetas)])
-            return profile(rho)
+    def integrand(thetas):
+        return profile(body.radial_function_many(x, thetas))
 
-    val, _ = adaptive_gk(integrand, angular_breakpoints(body, x), cfg)
+    val, _ = adaptive_gk(integrand, body.angular_breakpoints(x), cfg)
     return float(val)
 
 
@@ -195,22 +177,12 @@ def integrate_angular_vector(body, x, vec_profile, cfg: QuadratureConfig = DEFAU
     x = as_point(x)
 
     def integrand(thetas):
-        rho = _rho_many(body, x, thetas)
+        rho = body.radial_function_many(x, thetas)
         u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         return u * np.asarray(vec_profile(rho))[:, None]
 
-    val, _ = adaptive_gk(integrand, angular_breakpoints(body, x), cfg)
+    val, _ = adaptive_gk(integrand, body.angular_breakpoints(x), cfg)
     return np.asarray(val)
-
-
-def _rho_many(body, x, thetas):
-    # radial_function_many falls back to the general per-ray route (which can
-    # raise NotStarShaped) for reflex polygons
-    if isinstance(body, (Disk, Polygon)):
-        return radial_function_many(body, x, thetas)
-    if hasattr(body, "radial_function_many"):
-        return body.radial_function_many(x, thetas)
-    return np.array([radial_function(body, x, t) for t in np.atleast_1d(thetas)])
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +198,7 @@ def _fan_sectors(poly: Polygon, x: np.ndarray):
     drops the (possibly divergent) contribution at radius zero -- exactly the
     finite-part convention for singular kernels at interior base points.
     """
-    scale = diameter(poly)
+    scale = poly.diameter()
     for a_pt, b_pt in poly.edges():
         a = a_pt - x
         b = b_pt - x
@@ -356,19 +328,15 @@ _TRI_WEIGHTS = np.array([
 def triangle_rule(f, tri: np.ndarray) -> float:
     """Degree-5 Gauss rule on one triangle (exact for polynomials up to degree 5)."""
     tri = np.asarray(tri, dtype=float)
-    a = 0.5 * abs(_cross2(tri[1] - tri[0], tri[2] - tri[0]))
+    a = 0.5 * abs(_cross(tri[1] - tri[0], tri[2] - tri[0]))
     pts = _TRI_BARY @ tri
     return a * float(_TRI_WEIGHTS @ np.asarray(f(pts), dtype=float))
-
-
-def _cross2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
 
 
 def triangulate(poly: Polygon) -> list[np.ndarray]:
     """Fan triangulation for convex polygons, ear clipping otherwise."""
     v = [np.asarray(p, dtype=float) for p in poly.vertices]
-    if is_convex(poly):
+    if poly.is_convex():
         return [np.array([v[0], v[i], v[i + 1]]) for i in range(1, len(v) - 1)]
     tris = []
     idx = list(range(len(v)))
@@ -379,7 +347,7 @@ def triangulate(poly: Polygon) -> list[np.ndarray]:
         for k in range(n):
             i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
             a, b, c = v[i0], v[i1], v[i2]
-            if _cross2(b - a, c - a) <= 0:
+            if _cross(b - a, c - a) <= 0:
                 continue
             if any(_point_in_tri(v[j], a, b, c) for j in idx
                    if j not in (i0, i1, i2)):
@@ -394,9 +362,9 @@ def triangulate(poly: Polygon) -> list[np.ndarray]:
 
 
 def _point_in_tri(p, a, b, c) -> bool:
-    d1 = _cross2(b - a, p - a)
-    d2 = _cross2(c - b, p - b)
-    d3 = _cross2(a - c, p - c)
+    d1 = _cross(b - a, p - a)
+    d2 = _cross(c - b, p - b)
+    d3 = _cross(a - c, p - c)
     return (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0)
 
 

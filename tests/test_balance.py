@@ -18,6 +18,7 @@ from radialcenters.geometry import (Disk, Polygon, centroid, contains,
                                     contains_many, diameter, transformed)
 from radialcenters.potentials import Poisson, Riesz, poisson_gradient, \
     potential, riesz_gradient
+from radialcenters.quadrature import adaptive_gk
 
 from conftest import (make_equilateral, make_square, make_tri345,
                       make_unit_disk, random_parallelogram)
@@ -339,7 +340,15 @@ def test_asym_body_slice_moments(asym_body):
 
 
 def test_asym_body_centroid_origin(asym_body):
-    assert float(np.hypot(*asym_body.centroid())) < 1e-9
+    assert np.array_equal(asym_body.centroid(), np.zeros(2))
+
+    # oracle: the first moment, integrated in polar coordinates over the outline
+    def moment_density(t):
+        rb = asym_body.boundary_radius(t) ** 3 / 3.0
+        return np.stack([np.cos(t) * rb, np.sin(t) * rb], axis=1)
+
+    moment, _ = adaptive_gk(moment_density, asym_body.angular_breakpoints(np.zeros(2)))
+    assert float(np.hypot(*moment)) / asym_body.area() < 1e-9
 
 
 def test_asym_body_stationary_for_potentials(asym_body):

@@ -126,7 +126,7 @@ def test_centers_inside_heart_and_hull(rng):
 def test_multistart_on_nonconvex_body():
     # symmetric L-shape: the maximum must sit on the diagonal, inside the body
     lshape = Polygon([[0, 0], [3, 0], [3, 1], [1, 1], [1, 3], [0, 3]])
-    for spec in (Riesz(2.0), Riesz(0.5)):
+    for spec in (Riesz(2.0), Riesz(0.5), Heat(0.1)):
         res = find_center(lshape, spec)
         assert res.regime == "multistart"
         assert not res.uniqueness_guaranteed

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import radialcenters
 from radialcenters.cli import main
 from radialcenters.geometry import body_from_dict
 
@@ -39,6 +41,14 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m radialcenters.cli`` importing the package the tests import."""
+    src = os.path.dirname(os.path.dirname(radialcenters.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "radialcenters.cli", *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_center_square(capsys, square_file):
@@ -127,14 +137,8 @@ def test_invalid_body_is_domain_error(capsys, tmp_path):
 
 
 def test_bad_arguments_exit_two():
-    proc = subprocess.run(
-        [sys.executable, "-m", "radialcenters.cli", "bogus-command"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2
-    proc = subprocess.run(
-        [sys.executable, "-m", "radialcenters.cli", "center", "--family", "riesz"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2
+    assert run_module("bogus-command").returncode == 2
+    assert run_module("center", "--family", "riesz").returncode == 2
 
 
 def test_bad_range_is_config_error(capsys, square_file):
@@ -145,9 +149,7 @@ def test_bad_range_is_config_error(capsys, square_file):
 
 
 def test_help_lists_subcommands():
-    proc = subprocess.run(
-        [sys.executable, "-m", "radialcenters.cli", "--help"],
-        capture_output=True, text=True)
+    proc = run_module("--help")
     assert proc.returncode == 0
     for cmd in ("potential", "center", "locus", "balance", "classify",
                 "generate-asym", "limits", "concavity-check"):
@@ -160,3 +162,19 @@ def test_concavity_check(capsys, scalene_file):
     payload = json.loads(out)
     assert payload["all_passed"] is True
     assert len(payload["checks"]) >= 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["balance", "--at", "0.3,0.1", "--n-radii", "32"],
+    ["locus", "--family", "heat", "--range", "0.1:1:3"],
+])
+def test_csv_cells_are_plain_numbers(capsys, square_file, argv):
+    code, out, _ = run_cli(capsys, argv + ["--body", square_file, "--format", "csv"])
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
+        for cell in cells:
+            float(cell)

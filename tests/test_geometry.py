@@ -7,12 +7,14 @@ import pytest
 
 from radialcenters.errors import InvalidBody, NotStarShaped
 from radialcenters.geometry import (Disk, Polygon, area, boundary_distance,
-                                    centroid, circle_clip, circumcenter, contains,
+                                    boundary_polyline, centroid, circle_clip,
+                                    circumcenter, classify_location, contains,
                                     contains_many, diameter, incenter, is_convex,
                                     maximal_folding, radial_function,
                                     radial_function_many, transformed,
                                     unfolded_region, body_from_dict, body_to_dict)
-from radialcenters.quadrature import integrate_angular
+from radialcenters.balance import generate_asymmetric_balanced
+from radialcenters.quadrature import angular_breakpoints, integrate_angular
 
 from conftest import (interior_points, make_equilateral, make_square, make_tri345,
                       make_unit_disk, random_convex_polygon)
@@ -357,3 +359,49 @@ def test_body_json_round_trip(rng):
     d = Disk([1.5, -0.5], 2.0)
     back = body_from_dict(body_to_dict(d))
     assert np.allclose(back.center, d.center) and back.radius == d.radius
+
+
+# ---------------------------------------------------------------------------
+# the body protocol
+# ---------------------------------------------------------------------------
+
+PROTOCOL = ("area", "centroid", "diameter", "is_convex", "contains", "contains_many",
+            "boundary_distance", "radial_function", "radial_function_many",
+            "circle_clip", "angular_breakpoints", "radius_breakpoints", "reach",
+            "route", "boundary_polyline", "to_dict")
+
+
+@pytest.mark.parametrize("make", [make_tri345, make_unit_disk, generate_asymmetric_balanced],
+                         ids=["polygon", "disk", "radial_arc"])
+def test_body_protocol(make):
+    body = make()
+    for name in PROTOCOL:
+        assert callable(getattr(body, name, None)), name
+    x = body.centroid() + np.array([0.05, 0.03])
+    thetas = np.linspace(0.0, 2 * math.pi, 7)
+    pts = x + np.array([[0.0, 0.0], [0.1, -0.2], [5.0, 5.0], [-4.0, 0.5]])
+    outline = body.boundary_polyline(512)
+    assert body.area() == area(body) > 0
+    assert np.array_equal(body.centroid(), centroid(body))
+    assert body.diameter() == diameter(body) > 0
+    assert body.is_convex() is is_convex(body) is True
+    assert body.contains(x) and contains(body, x)
+    assert list(body.contains_many(pts)) == list(contains_many(body, pts)) \
+        == [contains(body, p) for p in pts] == [True, True, False, False]
+    assert body.boundary_distance(x) == boundary_distance(body, x) > 0
+    assert classify_location(body, x) == "interior"
+    rho = body.radial_function_many(x, thetas)
+    assert np.array_equal(rho, radial_function_many(body, x, thetas))
+    assert rho == pytest.approx([radial_function(body, x, t) for t in thetas], rel=1e-12)
+    assert body.circle_clip(x, 0.7).arcs == circle_clip(body, x, 0.7).arcs
+    breaks = body.angular_breakpoints(x)
+    assert breaks == angular_breakpoints(body, x)
+    assert breaks[0] == 0.0 and breaks[-1] == 2 * math.pi and breaks == sorted(breaks)
+    reach = body.reach(x)
+    assert reach >= float(np.max(np.hypot(*(outline - x).T))) - 1e-12
+    assert min(body.radius_breakpoints(x)) >= 0
+    assert body.route("interior") == "angular"
+    assert np.array_equal(outline, boundary_polyline(body, 512))
+    assert body.to_dict() == body_to_dict(body)
+    assert body_from_dict(body.to_dict()).diameter() == pytest.approx(body.diameter(),
+                                                                      rel=1e-12)

@@ -310,6 +310,29 @@ def test_heat_gradient_symmetry_and_fd():
     assert np.abs(got - fd).max() < 1e-6
 
 
+def _heat_rectangle(x, lo, hi, t):
+    """Heat potential of the rectangle [lo, hi] at ``x``: a product of erf differences.
+
+    Each difference is taken on the erfc side of its arguments, so it keeps
+    its relative accuracy far out in the tails.
+    """
+    s = 2 * math.sqrt(t)
+
+    def erf_diff(u, v):
+        return math.erfc(-u) - math.erfc(-v) if u + v < 0 else math.erfc(v) - math.erfc(u)
+
+    return 0.25 * math.prod(erf_diff((hi[k] - x[k]) / s, (lo[k] - x[k]) / s) for k in range(2))
+
+
+# reflex interior, notch exterior, far exterior (value about 2e-25)
+@pytest.mark.parametrize("x", [(0.5, 0.5), (1.5, 1.5), (4.0, 3.5)])
+def test_heat_lshape_closed_form(x):
+    lshape = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+    t = 0.05
+    want = _heat_rectangle(x, (0, 0), (2, 1), t) + _heat_rectangle(x, (0, 1), (1, 2), t)
+    assert heat_value(lshape, x, Heat(t)).value == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_weierstrass_kernel_value():
     assert weierstrass_kernel([0, 0], 1.0, 2) == pytest.approx(1 / (4 * math.pi), abs=1e-15)
 
