@@ -267,16 +267,11 @@ def classify_polygon(poly: Polygon, n_radii: int = 256) -> PolygonClass:
     report = balance_report(poly, g, n_radii=n_radii, early_stop=True)
     if not report.balanced:
         return PolygonClass.NOT_BALANCED
-    scale = poly.diameter()
-    v = poly.vertices
     if poly.n == 3:
-        sides = [float(np.hypot(*(v[(i + 1) % 3] - v[i]))) for i in range(3)]
-        if max(sides) - min(sides) <= CLASSIFY_TOL * scale:
+        if equilateral_defect(poly) <= CLASSIFY_TOL:
             return PolygonClass.BALANCED_EQUILATERAL
         raise TheoremViolation("balanced triangle is not equilateral")
-    mid02 = 0.5 * (v[0] + v[2])
-    mid13 = 0.5 * (v[1] + v[3])
-    if float(np.hypot(*(mid02 - mid13))) <= CLASSIFY_TOL * scale:
+    if parallelogram_defect(poly) <= CLASSIFY_TOL:
         return PolygonClass.BALANCED_PARALLELOGRAM
     raise TheoremViolation("balanced quadrangle is not a parallelogram")
 
@@ -390,20 +385,14 @@ class RadialArcBody:
                          right=0.0)
 
     def half_widths(self, r) -> np.ndarray:
-        """Half-widths (a_u, a_v, a_w) at radius r; zero outside (1, r_max]."""
-        r = float(r)
-        if r <= 1.0 or r > self.r_max:
-            return np.zeros(3)
-        s_u = math.sin(float(self.seed_half_width(r)))
-        return np.array([math.asin(min(1.0, c * s_u)) for c in self._c])
+        """Half-widths (a_u, a_v, a_w) of radii r, on a new last axis; zero outside (1, r_max]."""
+        r = np.asarray(r, dtype=float)
+        s_u = np.where((r > 1.0) & (r <= self.r_max), np.sin(self.seed_half_width(r)), 0.0)
+        return np.arcsin(np.minimum(1.0, np.multiply.outer(s_u, self._c)))
 
     def slice_moment(self, r) -> np.ndarray:
         """First angular moment of the slice at radius r (zero when balanced)."""
-        a = self.half_widths(r)
-        acc = np.zeros(2)
-        for ang, hw in zip(self.direction_angles, a):
-            acc += math.sin(hw) * np.array([math.cos(ang), math.sin(ang)])
-        return acc
+        return np.sin(self.half_widths(r)) @ self.directions
 
     def _lobe_radius_many(self, half_angles: np.ndarray, which: int) -> np.ndarray:
         """Inverse profile: radii at which lobe ``which`` has the given half-widths."""
@@ -430,17 +419,19 @@ class RadialArcBody:
 
     # -- generic body protocol ------------------------------------------------
 
+    def _polar(self, pts) -> tuple[np.ndarray, np.ndarray]:
+        """|p| and the boundary radius R(arg p) for points of shape (n, 2) or (2,)."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        return (np.hypot(pts[:, 0], pts[:, 1]),
+                self.boundary_radius(np.arctan2(pts[:, 1], pts[:, 0])))
+
     def contains(self, p, tol=None) -> bool:
-        p = as_point(p)
-        r = float(np.hypot(*p))
-        t = 1e-12 * self.r_max if tol is None else tol
-        if r <= 1e-300:
-            return True
-        phi = math.atan2(p[1], p[0])
-        return r <= float(self.boundary_radius(phi)[0]) + t
+        rad, rb = self._polar(as_point(p))
+        return bool(rad[0] <= rb[0] + (1e-12 * self.r_max if tol is None else tol))
 
     def contains_many(self, pts) -> np.ndarray:
-        return np.array([self.contains(p) for p in np.asarray(pts, dtype=float)], dtype=bool)
+        rad, rb = self._polar(pts)
+        return rad <= rb + 1e-12 * self.r_max
 
     def area(self) -> float:
         from .quadrature import adaptive_gk
@@ -465,26 +456,29 @@ class RadialArcBody:
         return np.stack([rb * np.cos(t), rb * np.sin(t)], axis=1)
 
     def radial_function(self, x, theta: float) -> float:
-        x = as_point(x)
-        if float(np.hypot(*x)) <= 1e-12:
-            return float(self.boundary_radius(theta)[0])
-        u = np.array([math.cos(theta), math.sin(theta)])
-
-        def g(s):
-            p = x + s * u
-            return float(np.hypot(*p)) - float(self.boundary_radius(math.atan2(p[1], p[0]))[0])
-
-        hi = float(np.hypot(*x)) + self.r_max + 1.0
-        if g(0.0) >= 0:
-            raise NotInterior("base point must be interior")
-        return float(brentq(g, 0.0, hi, xtol=1e-14, rtol=1e-15))
+        return float(self.radial_function_many(x, theta)[0])
 
     def radial_function_many(self, x, thetas) -> np.ndarray:
+        """Exit distances from ``x`` along ``thetas``; off the origin, all rays are
+        bisected at once until the midpoints stop moving."""
         x = as_point(x)
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         if float(np.hypot(*x)) <= 1e-12:
             return self.boundary_radius(thetas)
-        return np.array([self.radial_function(x, t) for t in thetas])
+        rad, rb = self._polar(x)
+        if rad[0] >= rb[0]:
+            raise NotInterior("base point must be interior")
+        u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        lo = np.zeros_like(thetas)
+        hi = np.full_like(thetas, rad[0] + self.r_max + 1.0)
+        mid = hi
+        while True:
+            mid, last = 0.5 * (lo + hi), mid
+            if np.array_equal(mid, last):
+                return mid
+            rad, rb = self._polar(x + mid[:, None] * u)
+            out = rad > rb
+            lo, hi = np.where(out, lo, mid), np.where(out, mid, hi)
 
     def angular_breakpoints(self, x) -> list[float]:
         """Lobe apex and junction directions as seen from ``x``."""
@@ -525,32 +519,27 @@ class RadialArcBody:
             return _build_arcset(x, r, arcs)
         return self._circle_clip_offcenter(x, r)
 
-    def _circle_clip_offcenter(self, x, r, n_scan: int = 2048) -> ArcSet:
-        ts = np.linspace(0, 2 * math.pi, n_scan, endpoint=False)
-        px = x[0] + r * np.cos(ts)
-        py = x[1] + r * np.sin(ts)
-        rad = np.hypot(px, py)
-        phi = np.arctan2(py, px)
-        vals = rad - self.boundary_radius(phi)
+    def _circle_clip_offcenter(self, x, r) -> ArcSet:
+        """Sign changes of |p| - R(arg p) among 2048 circle samples, each
+        bracket refined by ``brentq``."""
+        ts = np.linspace(0, 2 * math.pi, 2048, endpoint=False)
+        rad, rb = self._polar(x + r * np.stack([np.cos(ts), np.sin(ts)], axis=1))
+        vals = rad - rb
+        neg = vals < 0
+        starts = ts[(vals == 0.0) | (neg != np.roll(neg, -1))]
+
+        def g(t):
+            rad, rb = self._polar(x + r * np.array([math.cos(t), math.sin(t)]))
+            return float(rad[0] - rb[0])
+
         crossings = []
-        for i in range(n_scan):
-            j = (i + 1) % n_scan
-            vi, vj = vals[i], vals[j]
-            if vi == 0.0 or (vi < 0) != (vj < 0):
-                t_lo, t_hi = ts[i], ts[i] + (2 * math.pi / n_scan)
-
-                def g(t):
-                    p = x + r * np.array([math.cos(t), math.sin(t)])
-                    return float(np.hypot(*p)) - float(
-                        self.boundary_radius(math.atan2(p[1], p[0]))[0])
-
-                try:
-                    root = brentq(g, t_lo, t_hi, xtol=1e-14)
-                except ValueError:
-                    continue
-                crossings.append(root % (2 * math.pi))
-        crossings.sort()
-        return _arcs_between(x, r, crossings, self.contains)
+        for t_lo in starts:
+            try:
+                root = brentq(g, t_lo, t_lo + 2 * math.pi / 2048, xtol=1e-14)
+            except ValueError:
+                continue
+            crossings.append(root % (2 * math.pi))
+        return _arcs_between(x, r, sorted(crossings), self.contains)
 
     def radius_breakpoints(self, x) -> list[float]:
         x = as_point(x)
@@ -570,16 +559,15 @@ class RadialArcBody:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        rr = self.profile_r
-        widths = np.array([self.half_widths(float(r)) for r in rr])
+        widths = self.half_widths(self.profile_r)
         return {
             "type": "radial_arc",
             "direction_angles": [float(a) for a in self.direction_angles],
             "r_max": float(self.r_max),
-            "profile_r": [float(r) for r in rr],
-            "profile_a_u": [float(a) for a in self.profile_a_u],
-            "profile_a_v": [float(a) for a in widths[:, 1]],
-            "profile_a_w": [float(a) for a in widths[:, 2]],
+            "profile_r": self.profile_r.tolist(),
+            "profile_a_u": self.profile_a_u.tolist(),
+            "profile_a_v": widths[:, 1].tolist(),
+            "profile_a_w": widths[:, 2].tolist(),
         }
 
     @classmethod

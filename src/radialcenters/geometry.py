@@ -53,7 +53,7 @@ def _unit(theta):
 
 
 def _cross(a, b) -> float:
-    return a[0] * b[1] - a[1] * b[0]
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def _segment_distances(p, a, b) -> np.ndarray:
@@ -118,14 +118,11 @@ class Polygon:
         crosses = prv[:, 0] * edges[:, 1] - prv[:, 1] * edges[:, 0]
         if np.any(np.abs(crosses) <= REL_TOL * scale * scale):
             raise InvalidBody("collinear vertex triple")
-        for i in range(n):
-            a, b = arr[i], nxt[i]
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                c, d = arr[j], nxt[j]
-                if _segments_cross(a, b, c, d, REL_TOL * scale):
-                    raise InvalidBody("polygon is self-intersecting")
+        for i in range(n - 2):
+            # edge i against the later edges that share no vertex with it
+            j = slice(i + 2, n if i else n - 1)
+            if np.any(_segments_cross(arr[i], nxt[i], arr[j], nxt[j], REL_TOL * scale)):
+                raise InvalidBody("polygon is self-intersecting")
         arr = arr.copy()
         arr.setflags(write=False)
         nxt.setflags(write=False)
@@ -381,14 +378,17 @@ class Disk:
 Body = Union[Polygon, Disk, "RadialArcBody"]  # noqa: F821  (radial-arc lives in balance)
 
 
-def _segments_cross(a, b, c, d, tol) -> bool:
-    """Proper crossing test: segment interiors intersect transversally."""
+def _segments_cross(a, b, c, d, tol):
+    """Proper crossing test: segment interiors intersect transversally.
+
+    Endpoint arrays of shape (..., 2) broadcast; one verdict per segment pair.
+    """
     d1 = _cross(b - a, c - a)
     d2 = _cross(b - a, d - a)
     d3 = _cross(d - c, a - c)
     d4 = _cross(d - c, b - c)
-    return (d1 > tol and d2 < -tol or d1 < -tol and d2 > tol) and \
-           (d3 > tol and d4 < -tol or d3 < -tol and d4 > tol)
+    return ((d1 > tol) & (d2 < -tol) | (d1 < -tol) & (d2 > tol)) & \
+           ((d3 > tol) & (d4 < -tol) | (d3 < -tol) & (d4 > tol))
 
 
 # ---------------------------------------------------------------------------
@@ -863,11 +863,9 @@ def _fold_ok(poly: Polygon, v: np.ndarray, b: float, convex: bool) -> bool:
     m = len(reflected)
     for i in range(m):
         p, q = reflected[i], reflected[(i + 1) % m]
-        if not poly.contains(0.5 * (p + q), tol=tol):
+        if not poly.contains(0.5 * (p + q), tol=tol) or \
+                np.any(_segments_cross(p, q, poly.vertices, poly._next, tol)):
             return False
-        for a, bb in poly.edges():
-            if _segments_cross(p, q, a, bb, tol):
-                return False
     return True
 
 

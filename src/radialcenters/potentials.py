@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, erfc
 
 from .errors import BoundaryPoint
 from .geometry import Disk, Polygon, as_point, classify_location
@@ -148,8 +148,9 @@ def weierstrass_kernel(z, t: float, m: int = 2) -> float:
 # with the additive constant at zero dropped in the singular regimes
 # (that convention realizes the finite part at interior base points).
 # About an exterior point the signed chords cancel any additive constant, so
-# the Poisson and heat profiles drop their limit 1/(2 pi) there: far from
-# the body the value then no longer cancels between O(1) sector integrals.
+# the Poisson and heat profiles, values and gradients alike, drop their
+# limits at infinity there: far from the body they then no longer cancel
+# between O(1) sector integrals.
 # ---------------------------------------------------------------------------
 
 def _riesz_profile(alpha: float):
@@ -173,7 +174,12 @@ def _poisson_profile(h: float, loc: str):
     return lambda rho: (c - h / np.sqrt(rho * rho + h * h)) / (2 * math.pi)
 
 
-def _poisson_grad_profile(h: float):
+def _poisson_grad_profile(h: float, loc: str):
+    if loc == "exterior":
+        def g(r):  # minus the limit 1/(2 pi h), in a form free of cancellation
+            s = np.sqrt(r * r + h * h)
+            return -h * (s * s + s * r + r * r) / (2 * math.pi * s ** 3 * (s + r))
+        return g
     return lambda r: r ** 3 / (2 * math.pi * h * (r * r + h * h) ** 1.5)
 
 
@@ -182,9 +188,11 @@ def _heat_profile(t: float, loc: str):
     return lambda rho: (c - np.exp(-rho * rho / (4 * t))) / (2 * math.pi)
 
 
-def _heat_grad_profile(t: float):
+def _heat_grad_profile(t: float, loc: str):
     c = 1.0 / (4 * math.pi * t)
     sq = math.sqrt(math.pi * t)
+    if loc == "exterior":
+        return lambda r: -c * (sq * erfc(r / (2 * math.sqrt(t))) + r * np.exp(-r * r / (4 * t)))
     return lambda r: c * (sq * erf(r / (2 * math.sqrt(t))) - r * np.exp(-r * r / (4 * t)))
 
 
@@ -475,7 +483,7 @@ def poisson_gradient(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CON
     if spec.m != 2:
         raise ValueError("gradients are implemented for the planar case only")
     loc = _location(body, x)
-    return _integrate(body, x, _poisson_grad_profile(spec.h), loc, cfg, vector=True)
+    return _integrate(body, x, _poisson_grad_profile(spec.h, loc), loc, cfg, vector=True)
 
 
 def heat_value(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PotentialValue:
@@ -492,7 +500,7 @@ def heat_gradient(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -
     if spec.m != 2:
         raise ValueError("gradients are implemented for the planar case only")
     loc = _location(body, x)
-    return _integrate(body, x, _heat_grad_profile(spec.t), loc, cfg, vector=True)
+    return _integrate(body, x, _heat_grad_profile(spec.t, loc), loc, cfg, vector=True)
 
 
 def _smooth_value_ball(disk: Disk, x, m: int, regime: str, radial_density, cfg) -> PotentialValue:

@@ -378,6 +378,32 @@ def test_asym_body_offcenter_clip_consistency(asym_body):
         assert np.abs(got - oracle).max() < 1e-7
 
 
+@pytest.mark.parametrize("x", [(0.3, -0.2), (-0.5, 0.4), (0.0, 0.95)])
+def test_asym_body_offcenter_ray_exits(asym_body, x):
+    x = np.array(x)
+    thetas = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+    rho = asym_body.radial_function_many(x, thetas)
+    u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    exits = x + rho[:, None] * u
+    phi = np.arctan2(exits[:, 1], exits[:, 0])
+    assert np.abs(np.hypot(exits[:, 0], exits[:, 1])
+                  - asym_body.boundary_radius(phi)).max() <= 1e-13
+    for r, d in zip(rho, u):
+        assert asym_body.contains(x + (1 - 1e-9) * r * d, tol=0)
+        assert not asym_body.contains(x + (1 + 1e-9) * r * d, tol=0)
+
+
+def test_asym_body_membership_near_boundary(asym_body):
+    phi = np.random.default_rng(11).uniform(0, 2 * math.pi, 2000)
+    rb = asym_body.boundary_radius(phi)
+    u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    for scale, want in ((1 - 1e-9, True), (1 + 1e-9, False)):
+        pts = (scale * rb)[:, None] * u
+        got = asym_body.contains_many(pts)
+        assert np.all(got == want)
+        assert [asym_body.contains(p) for p in pts] == got.tolist()
+
+
 def test_generator_fails_honestly_beyond_tangent_bound():
     # tall lobes cannot stay convex for admissible widths; all retries fail
     with pytest.raises(ConstructionFailed):

@@ -39,6 +39,22 @@ def test_polygon_rejects_self_intersection():
         Polygon([[0, 0], [2, 2], [2, 0], [0, 2]])
 
 
+def test_polygon_rejects_self_intersection_512gon():
+    # a regular 512-gon whose last vertex mirrors the one before it through the
+    # first edge's midpoint: the second-to-last edge crosses the first, the
+    # farthest pair the check of edge 0 reaches
+    t = np.linspace(0, 2 * math.pi, 512, endpoint=False)
+    v = np.stack([np.cos(t), np.sin(t)], axis=1)
+    v[-1] = v[0] + v[1] - v[-2]
+    with pytest.raises(InvalidBody):
+        Polygon(v)
+
+
+def test_polygon_accepts_fine_outline():
+    outline = generate_asymmetric_balanced().boundary_polyline(512)
+    assert Polygon(outline).n == 512
+
+
 def test_polygon_rejects_duplicate_vertices():
     with pytest.raises(InvalidBody):
         Polygon([[0, 0], [0, 0], [1, 0], [0, 1]])

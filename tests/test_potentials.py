@@ -324,6 +324,18 @@ def _heat_rectangle(x, lo, hi, t):
     return 0.25 * math.prod(erf_diff((hi[k] - x[k]) / s, (lo[k] - x[k]) / s) for k in range(2))
 
 
+def _heat_rectangle_gradient(x, lo, hi, t):
+    """Gradient of ``_heat_rectangle`` in ``x``: one erf difference differentiated."""
+    s = 2 * math.sqrt(t)
+    u = [(hi[k] - x[k]) / s for k in range(2)]
+    v = [(lo[k] - x[k]) / s for k in range(2)]
+    diff = [math.erfc(-u[k]) - math.erfc(-v[k]) if u[k] + v[k] < 0
+            else math.erfc(v[k]) - math.erfc(u[k]) for k in range(2)]
+    deriv = [2 / (s * math.sqrt(math.pi)) * (math.exp(-v[k] ** 2) - math.exp(-u[k] ** 2))
+             for k in range(2)]
+    return 0.25 * np.array([deriv[0] * diff[1], diff[0] * deriv[1]])
+
+
 # reflex interior, notch exterior, far exterior (value about 2e-25)
 @pytest.mark.parametrize("x", [(0.5, 0.5), (1.5, 1.5), (4.0, 3.5)])
 def test_heat_lshape_closed_form(x):
@@ -331,6 +343,22 @@ def test_heat_lshape_closed_form(x):
     t = 0.05
     want = _heat_rectangle(x, (0, 0), (2, 1), t) + _heat_rectangle(x, (0, 1), (1, 2), t)
     assert heat_value(lshape, x, Heat(t)).value == pytest.approx(want, rel=1e-12, abs=0)
+    grad = (_heat_rectangle_gradient(x, (0, 0), (2, 1), t)
+            + _heat_rectangle_gradient(x, (0, 1), (1, 2), t))
+    assert heat_gradient(lshape, x, Heat(t)) == pytest.approx(grad, rel=1e-12, abs=0)
+
+
+def test_poisson_gradient_far_exterior():
+    # the gradient (about 2e-19) against Richardson-extrapolated central differences
+    tri, x, spec = make_tri345(), np.array([40000.0, 30000.0]), Poisson(0.5)
+
+    def central(k, step):
+        e = step * np.eye(2)[k]
+        return (poisson_value(tri, x + e, spec).value
+                - poisson_value(tri, x - e, spec).value) / (2 * step)
+
+    fd = [(4 * central(k, 50.0) - central(k, 100.0)) / 3 for k in range(2)]
+    assert poisson_gradient(tri, x, spec) == pytest.approx(fd, rel=1e-4, abs=0)
 
 
 def test_weierstrass_kernel_value():
