@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -316,39 +316,29 @@ class RadialArcBody:
     At every radius ``r`` in (1, r_max] the body meets the circle of radius
     ``r`` in three arcs whose half-widths ``a_d(r)`` satisfy
     ``sum_d sin(a_d(r)) * d = 0``, so the centroid of each circular slice
-    stays at the origin.  The seed half-width ``a_u`` is stored as a
-    piecewise-linear profile; the companion half-widths are recovered
-    exactly from the balance constraint at evaluation time so the slice
-    centroids vanish to machine precision at every radius, not just at the
-    stored nodes.  Convexity, the diameter and the boundary outlines used by
-    ``boundary_distance`` (2048 points) and ``reach`` (1024 points) are
-    computed once here.
+    stays at the origin.  The seed half-width is the closed form
+    ``a_u(r) = amplitude * (1 - sqrt((r - 1) / (r_max - 1)))``; the companion
+    half-widths are recovered exactly from the balance constraint at
+    evaluation time so the slice centroids vanish to machine precision at
+    every radius.  The lobe junction half-widths, convexity, the diameter and
+    the boundary outlines used by ``boundary_distance`` (2048 points) and
+    ``reach`` (1024 points) are computed once here.
     """
 
     direction_angles: tuple
     r_max: float
-    profile_r: np.ndarray
-    profile_a_u: np.ndarray
+    amplitude: float
 
-    def __init__(self, direction_angles, r_max, profile_r, profile_a_u):
+    def __init__(self, direction_angles, r_max, amplitude):
         angles = tuple(float(a) for a in direction_angles)
         if len(angles) != 3:
             raise InvalidBody("exactly three lobe directions required")
         r_max = float(r_max)
         if not 1.0 < r_max <= 1.3:
             raise InvalidBody("r_max must lie in (1, 1.3]")
-        rr = np.asarray(profile_r, dtype=float)
-        aa = np.asarray(profile_a_u, dtype=float)
-        if rr.shape != aa.shape or rr.ndim != 1 or len(rr) < 2:
-            raise InvalidBody("profile arrays must be matching 1-D arrays")
-        if abs(rr[0] - 1.0) > 1e-12 or abs(rr[-1] - r_max) > 1e-12:
-            raise InvalidBody("profile must span [1, r_max]")
-        if np.any(np.diff(rr) <= 0) or np.any(np.diff(aa) >= 0):
-            raise InvalidBody("seed half-width must decrease strictly along increasing radius")
-        if aa[0] > math.pi / 3 + 1e-12 or aa[-1] < -1e-12:
-            raise InvalidBody("half-widths must lie in (0, pi/3] and reach 0 at r_max")
-        rr = rr.copy(); rr.setflags(write=False)
-        aa = aa.copy(); aa.setflags(write=False)
+        amplitude = float(amplitude)
+        if not 0.0 < amplitude <= math.pi / 3:
+            raise InvalidBody("seed amplitude must lie in (0, pi/3]")
         # a symmetry-free frame has pairwise distinct angular gaps: equal gaps
         # admit a reflection (two equal) or a rotation (all equal)
         sorted_angles = sorted(a % (2 * math.pi) for a in angles)
@@ -357,12 +347,13 @@ class RadialArcBody:
             raise InvalidBody("frame admits a nontrivial symmetry (repeated angular gap)")
         object.__setattr__(self, "direction_angles", angles)
         object.__setattr__(self, "r_max", r_max)
-        object.__setattr__(self, "profile_r", rr)
-        object.__setattr__(self, "profile_a_u", aa)
+        object.__setattr__(self, "amplitude", amplitude)
         c_v, c_w = _frame_coefficients(angles)
         if not (0 < c_v and 0 < c_w):
             raise InvalidBody("frame directions must make both sine ratios positive")
         object.__setattr__(self, "_c", (1.0, c_v, c_w))
+        object.__setattr__(self, "_junctions", tuple(
+            math.asin(min(1.0, c * math.sin(amplitude))) for c in self._c))
         outline = self.boundary_polyline(2048)
         object.__setattr__(self, "_outline", outline)
         object.__setattr__(self, "_outline_next", np.roll(outline, -1, axis=0))
@@ -380,9 +371,8 @@ class RadialArcBody:
     # -- profile evaluation -------------------------------------------------
 
     def seed_half_width(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.interp(r, self.profile_r, self.profile_a_u, left=self.profile_a_u[0],
-                         right=0.0)
+        q = np.clip((np.asarray(r, dtype=float) - 1.0) / (self.r_max - 1.0), 0.0, 1.0)
+        return self.amplitude * (1.0 - np.sqrt(q))
 
     def half_widths(self, r) -> np.ndarray:
         """Half-widths (a_u, a_v, a_w) of radii r, on a new last axis; zero outside (1, r_max]."""
@@ -396,21 +386,15 @@ class RadialArcBody:
 
     def _lobe_radius_many(self, half_angles: np.ndarray, which: int) -> np.ndarray:
         """Inverse profile: radii at which lobe ``which`` has the given half-widths."""
-        c = self._c[which]
-        s = np.sin(half_angles) / c
-        s = np.clip(s, -1.0, 1.0)
-        targets = np.arcsin(s)
-        # profile_a_u decreases along profile_r: invert the piecewise-linear map
-        a_rev = self.profile_a_u[::-1]
-        r_rev = self.profile_r[::-1]
-        return np.interp(targets, a_rev, r_rev, left=self.r_max, right=1.0)
+        targets = np.arcsin(np.clip(np.sin(half_angles) / self._c[which], -1.0, 1.0))
+        q = np.clip(1.0 - targets / self.amplitude, 0.0, 1.0)
+        return 1.0 + (self.r_max - 1.0) * q * q
 
     def boundary_radius(self, phi) -> np.ndarray:
         """Radial function about the origin."""
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         out = np.ones_like(phi)
-        for k, ang in enumerate(self.direction_angles):
-            width = math.asin(min(1.0, self._c[k] * math.sin(self.profile_a_u[0])))
+        for k, (ang, width) in enumerate(zip(self.direction_angles, self._junctions)):
             delta = np.abs((phi - ang + math.pi) % (2 * math.pi) - math.pi)
             mask = delta < width
             if np.any(mask):
@@ -483,8 +467,7 @@ class RadialArcBody:
     def angular_breakpoints(self, x) -> list[float]:
         """Lobe apex and junction directions as seen from ``x``."""
         pts = []
-        for k, ang in enumerate(self.direction_angles):
-            width = math.asin(min(1.0, self._c[k] * math.sin(self.profile_a_u[0])))
+        for ang, width in zip(self.direction_angles, self._junctions):
             pts.append(self.r_max * np.array([math.cos(ang), math.sin(ang)]))
             for s in (-1.0, 1.0):
                 a = ang + s * width
@@ -559,40 +542,30 @@ class RadialArcBody:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        widths = self.half_widths(self.profile_r)
         return {
             "type": "radial_arc",
             "direction_angles": [float(a) for a in self.direction_angles],
-            "r_max": float(self.r_max),
-            "profile_r": self.profile_r.tolist(),
-            "profile_a_u": self.profile_a_u.tolist(),
-            "profile_a_v": widths[:, 1].tolist(),
-            "profile_a_w": widths[:, 2].tolist(),
+            "r_max": self.r_max,
+            "amplitude": self.amplitude,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RadialArcBody":
-        return cls(data["direction_angles"], data["r_max"],
-                   np.asarray(data["profile_r"], dtype=float),
-                   np.asarray(data["profile_a_u"], dtype=float))
+        return cls(data["direction_angles"], data["r_max"], data["amplitude"])
 
 
 def generate_asymmetric_balanced(r_max: float = 1.04,
-                                 seed_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                                 a0: float = math.pi / 6,
-                                 n_nodes: int = 16385) -> RadialArcBody:
+                                 a0: float = math.pi / 6) -> RadialArcBody:
     """Convex body balanced at the origin with no symmetry at all.
 
     Starts from the unit disk and grows three lobes along a symmetry-free
     frame; at each radius the two companion half-widths are solved from the
-    zero-slice-centroid constraint.  The default seed half-width profile is
-    tangential at the lobe base (vertical slope in radius at r = 1), which
-    is what keeps the lobe/disk junctions convex; steep-at-apex profiles
-    provably create concave corners there.  Profile nodes are spaced
-    uniformly in half-width (quadratically in radius) and kept much denser
-    than the convexity scan so the piecewise-linear representation cannot
-    alias into spurious concave turns.  Convexity is verified on 4096
-    boundary samples; on failure the lobe amplitude is shrunk geometrically.
+    zero-slice-centroid constraint.  The seed half-width
+    ``a0 * (1 - sqrt((r - 1) / (r_max - 1)))`` is tangential at the lobe base
+    (vertical slope in radius at r = 1), which is what keeps the lobe/disk
+    junctions convex; steep-at-apex profiles provably create concave corners
+    there.  Convexity is verified on 4096 boundary samples; on failure the
+    lobe amplitude is shrunk geometrically.
     """
     if not 1.0 < r_max <= 1.3:
         raise ValueError("r_max must lie in (1, 1.3]")
@@ -601,21 +574,11 @@ def generate_asymmetric_balanced(r_max: float = 1.04,
     c_v, c_w = _frame_coefficients(FRAME_ANGLES)
     amp = a0
     last_defect = None
-    q = np.linspace(0.0, 1.0, n_nodes)
-    rr = 1.0 + (r_max - 1.0) * q * q
-    rr[-1] = r_max
     for _ in range(20):
-        if seed_profile is None:
-            aa = amp * (1.0 - q)
-        else:
-            aa = np.asarray(seed_profile(rr), dtype=float) * (amp / a0)
-        aa[-1] = 0.0
-        if np.any(np.diff(aa) >= 0):
-            raise ValueError("seed profile must be strictly decreasing")
-        if max(c_v, c_w) * math.sin(aa[0]) >= math.sin(math.pi / 3):
+        if max(c_v, c_w) * math.sin(amp) >= math.sin(math.pi / 3):
             amp *= 0.8
             continue
-        body = RadialArcBody(FRAME_ANGLES, r_max, rr, aa)
+        body = RadialArcBody(FRAME_ANGLES, r_max, amp)
         if body.is_convex():
             return body
         last_defect = body.convexity_defect()
@@ -636,7 +599,7 @@ class Isometry:
     center: np.ndarray
 
 
-def symmetry_search(body, tol_rel: float = 1e-6, n_samples: int = 512) -> list[Isometry]:
+def symmetry_search(body, tol_rel: float = 1e-6) -> list[Isometry]:
     """Isometries (about the centroid) mapping the body onto itself.
 
     Tests rotations by 2 pi k / n for n <= 12 and reflections across
@@ -648,7 +611,7 @@ def symmetry_search(body, tol_rel: float = 1e-6, n_samples: int = 512) -> list[I
     g = body.centroid()
     scale = body.diameter()
     tol = tol_rel * scale
-    samples = body.boundary_polyline(n_samples)
+    samples = body.boundary_polyline(512)
     dist_fn = _boundary_distance_oracle(body)
     prefilter = _signature_prefilter(body, g, scale)
 

@@ -107,8 +107,7 @@ def _keep_interior(spec: PotentialSpec) -> bool:
     return isinstance(spec, Riesz) and spec.alpha <= 1
 
 
-def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None,
-           max_iter: int = MAX_ITERATIONS):
+def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None):
     """Damped Newton ascent from ``x0``; returns (point, value, grad_norm, iterations).
 
     Convergence at ``|grad| < 1e-9 * max(|value at start|, 1)``.  When the
@@ -136,7 +135,7 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     grad = potential_gradient(body, x, spec, cfg)
     gnorm = float(np.hypot(*grad))
     iterations = 0
-    while iterations < max_iter:
+    while iterations < MAX_ITERATIONS:
         if gnorm < gtol:
             return x, val, gnorm, iterations
         iterations += 1
@@ -224,7 +223,7 @@ def _halton(index: int, base: int) -> float:
     return out
 
 
-def multistart_seeds(body, n_extra: int = 9) -> list[np.ndarray]:
+def multistart_seeds(body) -> list[np.ndarray]:
     """Deterministic interior seed set: classical centers plus low-discrepancy points."""
     diam = diameter(body)
     margin = 2 * INTERIOR_MARGIN_REL * diam
@@ -245,7 +244,7 @@ def multistart_seeds(body, n_extra: int = 9) -> list[np.ndarray]:
     else:
         c = centroid(body)
         lo, hi = c - diam / 2, c + diam / 2
-    need = max(3 + n_extra, len(seeds) + n_extra)
+    need = max(3, len(seeds)) + 9
     i = 1
     while len(seeds) < need and i < 10000:
         p = np.array([lo[0] + (hi[0] - lo[0]) * _halton(i, 2),

@@ -37,6 +37,7 @@ __all__ = [
 
 # Angular dedup tolerance for arc endpoints (intersection noise floor).
 ANGLE_TOL = 1e-12
+BOUNDARY_BAND = 1e-9   # relative exclusion band around the boundary
 # Relative slack for containment / membership tests.
 REL_TOL = 1e-12
 
@@ -512,10 +513,10 @@ def boundary_distance(body: Body, p) -> float:
     return body.boundary_distance(p)
 
 
-def classify_location(body: Body, p, band_rel: float = 1e-9) -> str:
-    """'interior' | 'exterior' | 'boundary' with a relative boundary band."""
+def classify_location(body: Body, p) -> str:
+    """'interior' | 'exterior' | 'boundary', with a band of ``BOUNDARY_BAND`` diameters."""
     p = as_point(p)
-    if body.boundary_distance(p) <= band_rel * body.diameter():
+    if body.boundary_distance(p) <= BOUNDARY_BAND * body.diameter():
         return "boundary"
     return "interior" if body.contains(p) else "exterior"
 
@@ -897,13 +898,16 @@ def transformed(body: Body, angle: float = 0.0, shift=(0.0, 0.0), scale: float =
 
 
 def body_from_dict(data: dict) -> Body:
-    if "vertices" in data:
-        return Polygon(np.asarray(data["vertices"], dtype=float))
-    if data.get("type") == "disk":
-        return Disk(data["center"], data["radius"])
-    if data.get("type") == "radial_arc":
-        from .balance import RadialArcBody
-        return RadialArcBody.from_dict(data)
+    try:
+        if "vertices" in data:
+            return Polygon(np.asarray(data["vertices"], dtype=float))
+        if data.get("type") == "disk":
+            return Disk(data["center"], data["radius"])
+        if data.get("type") == "radial_arc":
+            from .balance import RadialArcBody
+            return RadialArcBody.from_dict(data)
+    except KeyError as exc:
+        raise InvalidBody(f"{data['type']} body JSON lacks key {exc.args[0]!r}") from None
     raise InvalidBody(f"unrecognized body JSON with keys {sorted(data)}")
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import erf, erfc
 
 from .errors import BoundaryPoint
-from .geometry import Disk, Polygon, as_point, classify_location
+from .geometry import BOUNDARY_BAND, Disk, Polygon, as_point, classify_location
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, adaptive_gk,
                          disk_exterior_integral, disk_exterior_integral_vector,
                          fan_integral, fan_integral_vector, integrate_angular,
@@ -40,8 +40,6 @@ __all__ = [
     "poisson_value", "poisson_gradient", "heat_value", "heat_gradient",
     "potential", "potential_gradient",
 ]
-
-BOUNDARY_BAND = 1e-9   # relative exclusion band around the boundary
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,7 @@ def _heat_grad_profile(t: float, loc: str):
 # ---------------------------------------------------------------------------
 
 def _location(body, x) -> str:
-    return classify_location(body, x, BOUNDARY_BAND)
+    return classify_location(body, x)
 
 
 def _integrate(body, x, profile, loc: str, cfg, vector: bool = False):
@@ -353,33 +351,23 @@ def _riesz_value_ball(disk: Disk, x, alpha: float, m: int,
 # ---------------------------------------------------------------------------
 
 def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Gradient of the order-``alpha`` potential, regime-dispatched.
+    """Gradient of the order-``alpha`` potential.
 
-    Exterior points use the boundary-integral form; interior points use the
-    volume form for ``alpha > 1``, the excluded-ball (annulus) form at
-    ``eps = dist(x, boundary)/2`` for ``0 <= alpha <= 1``, and the
-    complement-tail form for ``alpha < 0``.  Boundary points are refused for
-    ``alpha <= 1`` where the potential is not differentiable.
+    Exterior points use the boundary-integral form; every other point uses
+    the volume form along the body's route, whose profile drops the
+    antiderivative's value at zero and so equals the excluded-ball (annulus)
+    form for ``alpha <= 1``.  Boundary points are refused for ``alpha <= 1``
+    where the potential is not differentiable.
     """
     x = as_point(x)
     alpha = spec.alpha
     if spec.m != 2:
         raise ValueError("gradients are implemented for the planar case only")
     loc = _location(body, x)
-    if loc == "boundary":
-        if alpha <= 1:
-            raise BoundaryPoint("potential not differentiable on the boundary for alpha <= 1")
-        return _riesz_gradient_volume(body, x, alpha, loc, cfg)
+    if loc == "boundary" and alpha <= 1:
+        raise BoundaryPoint("potential not differentiable on the boundary for alpha <= 1")
     if loc == "exterior":
         return riesz_gradient_boundary(body, x, alpha, cfg)
-    if alpha > 1:
-        return _riesz_gradient_volume(body, x, alpha, loc, cfg)
-    if alpha >= 0 and body.route(loc) == "angular":
-        eps = 0.5 * body.boundary_distance(x)
-        return riesz_gradient_annulus(body, x, alpha, eps, cfg)
-    # alpha < 0 (complement-tail form) and non-star-shaped interiors: the
-    # sector route with the antiderivative's value at zero dropped produces
-    # the same excluded-ball value, for any chord structure
     return _riesz_gradient_volume(body, x, alpha, loc, cfg)
 
 

@@ -1,5 +1,6 @@
 """Balance law: residuals, contact points, classification, the asymmetric body."""
 
+import json
 import math
 
 import numpy as np
@@ -13,12 +14,13 @@ from radialcenters.balance import (PolygonClass, RadialArcBody,
                                    parallelogram_defect, scalar_residual,
                                    stationary_candidate, symmetry_search,
                                    vector_residual)
+from radialcenters.centers import CENTER_CFG, ascend
 from radialcenters.errors import ConstructionFailed, ContinuumContact, NotInterior
 from radialcenters.geometry import (Disk, Polygon, centroid, contains,
                                     contains_many, diameter, transformed)
-from radialcenters.potentials import Poisson, Riesz, poisson_gradient, \
-    potential, riesz_gradient
-from radialcenters.quadrature import adaptive_gk
+from radialcenters.potentials import Heat, Poisson, Riesz, _riesz_profile, \
+    poisson_gradient, potential, riesz_gradient
+from radialcenters.quadrature import adaptive_gk, integrate_angular
 
 from conftest import (make_equilateral, make_square, make_tri345,
                       make_unit_disk, random_parallelogram)
@@ -362,10 +364,40 @@ def test_asym_body_stationary_for_potentials(asym_body):
 
 def test_asym_body_serialization_round_trip(asym_body):
     data = asym_body.to_dict()
-    back = RadialArcBody.from_dict(data)
+    assert sorted(data) == ["amplitude", "direction_angles", "r_max", "type"]
+    back = RadialArcBody.from_dict(json.loads(json.dumps(data)))
+    assert back == asym_body
     t = np.linspace(0, 2 * math.pi, 257)
-    assert np.allclose(back.boundary_radius(t), asym_body.boundary_radius(t),
-                       atol=1e-14)
+    assert np.array_equal(back.boundary_radius(t), asym_body.boundary_radius(t))
+
+
+def test_asym_body_lobe_radius_inverts_profile(asym_body):
+    r = np.linspace(1.0, asym_body.r_max, 1001)[1:-1]
+    widths = asym_body.half_widths(r)
+    for k in range(3):
+        assert np.abs(asym_body._lobe_radius_many(widths[:, k], k) - r).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [Riesz(0.5), Riesz(4.0), Riesz(10.0), Poisson(0.5),
+                                  Heat(0.2)])
+def test_asym_body_offcenter_ascent_reaches_origin(asym_body, spec):
+    # the center does not depend on the family or its parameter
+    x, _, _, _ = ascend(asym_body, spec, (0.15, -0.1))
+    assert float(np.hypot(*x)) < 1e-10
+
+
+def test_asym_body_high_order_value_is_cheap(asym_body):
+    # a smooth lobe profile needs few integrand calls at the strictest tolerance
+    calls = 0
+    profile = _riesz_profile(5.477)
+
+    def counted(rho):
+        nonlocal calls
+        calls += 1
+        return profile(rho)
+
+    integrate_angular(asym_body, np.zeros(2), counted, CENTER_CFG)
+    assert calls <= 1000
 
 
 def test_asym_body_offcenter_clip_consistency(asym_body):
@@ -407,7 +439,7 @@ def test_asym_body_membership_near_boundary(asym_body):
 def test_generator_fails_honestly_beyond_tangent_bound():
     # tall lobes cannot stay convex for admissible widths; all retries fail
     with pytest.raises(ConstructionFailed):
-        generate_asymmetric_balanced(1.3, n_nodes=2049)
+        generate_asymmetric_balanced(1.3)
 
 
 def test_generator_rejects_bad_inputs():
@@ -425,11 +457,16 @@ def test_radial_arc_directions_are_unit_vectors(asym_body):
 
 def test_radial_arc_rejects_symmetric_frame():
     from radialcenters.errors import InvalidBody
-    rr = np.linspace(1.0, 1.04, 64)
-    aa = np.linspace(0.4, 0.0, 64)
     # 223 degrees mirrors 137 degrees across the first direction: two equal gaps
     with pytest.raises(InvalidBody):
-        RadialArcBody((0.0, math.radians(137), math.radians(223)), 1.04, rr, aa)
+        RadialArcBody((0.0, math.radians(137), math.radians(223)), 1.04, 0.4)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, -0.1, math.pi / 3 + 1e-9])
+def test_radial_arc_rejects_bad_amplitude(amplitude):
+    from radialcenters.errors import InvalidBody
+    with pytest.raises(InvalidBody):
+        RadialArcBody((0.0, math.radians(137), math.radians(219)), 1.04, amplitude)
 
 
 # ---------------------------------------------------------------------------

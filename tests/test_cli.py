@@ -128,6 +128,24 @@ def test_missing_body_file_is_domain_error(capsys, tmp_path):
     assert "error" in payload and "message" in payload
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"type": "disk", "radius": 1}, "center"),
+    ({"type": "radial_arc"}, "direction_angles"),
+    # the older profile-array format is rejected, not converted
+    ({"type": "radial_arc", "direction_angles": [0.0, 2.39, 3.82], "r_max": 1.04,
+      "profile_r": [1.0, 1.04], "profile_a_u": [0.5, 0.0]}, "amplitude"),
+])
+def test_malformed_body_json_is_domain_error(capsys, tmp_path, data, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["balance", "--body", str(bad)])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidBody"
+    assert key in payload["message"]
+
+
 def test_invalid_body_is_domain_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 0], [1, 1]]}))

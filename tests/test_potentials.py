@@ -128,6 +128,8 @@ def test_gradient_routes_agree(rng):
     pts = interior_points(rng, poly, 4)
     for alpha in (0.0, 0.5, 1.0, 3.0):
         for x in pts:
+            # production takes the volume route; the boundary and annulus
+            # forms are independent oracles for it
             g_disp = riesz_gradient(poly, x, Riesz(alpha))
             g_bd = riesz_gradient_boundary(poly, x, alpha)
             eps = 0.5 * boundary_distance(poly, x)
