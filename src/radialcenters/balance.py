@@ -20,8 +20,8 @@ from scipy.optimize import brentq
 
 from .errors import (ConstructionFailed, ContinuumContact, InvalidBody, NotInterior,
                      TheoremViolation)
-from .geometry import (ArcSet, Disk, Polygon, as_point, circle_clip, _angle_breakpoints,
-                       _arcs_between, _build_arcset, _segment_distances)
+from .geometry import (ArcSet, CircumCenter, Disk, InCenter, Polygon, as_point, circle_clip,
+                       _angle_breakpoints, _arcs_between, _build_arcset, _polyline_distances)
 
 __all__ = [
     "BalanceReport", "WeightedBodyFunction", "ContactSet", "RadialArcBody",
@@ -352,8 +352,13 @@ class RadialArcBody:
         if not (0 < c_v and 0 < c_w):
             raise InvalidBody("frame directions must make both sine ratios positive")
         object.__setattr__(self, "_c", (1.0, c_v, c_w))
-        object.__setattr__(self, "_junctions", tuple(
-            math.asin(min(1.0, c * math.sin(amplitude))) for c in self._c))
+        w = tuple(math.asin(min(1.0, c * math.sin(amplitude))) for c in self._c)
+        object.__setattr__(self, "_junctions", w)
+        # the exact incenter needs unit-circle arcs within 60 degrees of every direction
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            gap = abs((angles[i] - angles[j] + math.pi) % (2 * math.pi) - math.pi)
+            if max(w[i], w[j]) > math.pi / 3 or w[i] + w[j] >= gap:
+                raise InvalidBody("lobes must be disjoint and at most 120 degrees wide")
         outline = self.boundary_polyline(2048)
         object.__setattr__(self, "_outline", outline)
         object.__setattr__(self, "_outline_next", np.roll(outline, -1, axis=0))
@@ -432,7 +437,12 @@ class RadialArcBody:
         return self._diameter
 
     def boundary_distance(self, p) -> float:
-        return float(np.min(_segment_distances(as_point(p), self._outline, self._outline_next)))
+        return float(self.boundary_distance_many(as_point(p))[0])
+
+    def boundary_distance_many(self, pts) -> np.ndarray:
+        """Distances to the 2048-chord outline, short of the true ones by up to
+        the outline's sagitta (about 1.2e-6 for the generated body)."""
+        return _polyline_distances(pts, self._outline, self._outline_next)
 
     def boundary_polyline(self, n: int = 512) -> np.ndarray:
         t = np.linspace(0, 2 * math.pi, n, endpoint=False)
@@ -443,8 +453,15 @@ class RadialArcBody:
         return float(self.radial_function_many(x, theta)[0])
 
     def radial_function_many(self, x, thetas) -> np.ndarray:
-        """Exit distances from ``x`` along ``thetas``; off the origin, all rays are
-        bisected at once until the midpoints stop moving."""
+        """Exit distances from ``x`` along ``thetas``.
+
+        Off the origin, all rays are solved at once for the root of
+        |p| - R(arg p) by the Illinois variant of regula falsi (Dowell and
+        Jarratt, BIT 11, 1971): the secant point of the bracket replaces the
+        end of its sign, and an end kept twice in a row has its value halved.
+        Trial points keep two ulps from the bracket ends, and a ray stops
+        when its bracket is four ulps wide or its value is zero.
+        """
         x = as_point(x)
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         if float(np.hypot(*x)) <= 1e-12:
@@ -454,15 +471,24 @@ class RadialArcBody:
             raise NotInterior("base point must be interior")
         u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         lo = np.zeros_like(thetas)
+        f_lo = np.full_like(thetas, rad[0] - rb[0])
         hi = np.full_like(thetas, rad[0] + self.r_max + 1.0)
-        mid = hi
-        while True:
-            mid, last = 0.5 * (lo + hi), mid
-            if np.array_equal(mid, last):
-                return mid
-            rad, rb = self._polar(x + mid[:, None] * u)
+        f_hi = np.subtract(*self._polar(x + hi[:, None] * u))
+        moved = np.zeros_like(thetas)         # +1: the low end moved last, -1: the high end
+        ulp = np.finfo(float).eps
+        live = np.arange(len(thetas))
+        while live.size:
+            a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+            t = np.clip((a * fb - b * fa) / (fb - fa), a + 2 * ulp * b, b - 2 * ulp * b)
+            rad, rb = self._polar(x + t[:, None] * u[live])
+            f = rad - rb
             out = rad > rb
-            lo, hi = np.where(out, lo, mid), np.where(out, mid, hi)
+            lo[live], hi[live] = np.where(out, a, t), np.where(out | (f == 0), t, b)
+            f_lo[live] = np.where(out, np.where(moved[live] < 0, 0.5 * fa, fa), f)
+            f_hi[live] = np.where(out, f, np.where(moved[live] > 0, 0.5 * fb, fb))
+            moved[live] = np.where(out, -1.0, 1.0)
+            live = live[hi[live] - lo[live] > 4 * ulp * hi[live]]
+        return 0.5 * (lo + hi)
 
     def angular_breakpoints(self, x) -> list[float]:
         """Lobe apex and junction directions as seen from ``x``."""
@@ -532,6 +558,30 @@ class RadialArcBody:
     def reach(self, x) -> float:
         pts = self._reach_outline
         return float(np.max(np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1])))
+
+    def circumcenter(self) -> CircumCenter:
+        """The origin with radius ``r_max``, exactly.
+
+        R <= r_max everywhere, and the three lobe apexes lie at radius r_max.
+        The positive sine ratios write the origin as a positive combination
+        of the lobe directions, so it lies strictly inside the apex triangle;
+        that triangle is acute, and the circumcircle of an acute triangle is
+        its minimal enclosing circle.
+        """
+        return CircumCenter(np.zeros(2), self.r_max)
+
+    def incenter(self) -> InCenter:
+        """The origin with radius 1, exactly and unambiguously.
+
+        The body contains the unit disk, and R = 1 outside the three lobes,
+        which are disjoint and at most 120 degrees wide, so every direction
+        lies within 60 degrees of a unit-circle arc of the boundary.  A disk
+        of radius r >= 1 inside the body has its center c within
+        r_max - r <= 0.3 of the origin; for c != 0 the boundary point e on
+        such an arc nearest to the direction of c has
+        |e - c|^2 <= 1 - |c| (1 - |c|) < r^2, inside that disk.
+        """
+        return InCenter(np.zeros(2), 1.0, False)
 
     def route(self, loc: str) -> str:
         """The angular route about interior points; nothing else is supported."""
@@ -612,14 +662,13 @@ def symmetry_search(body, tol_rel: float = 1e-6) -> list[Isometry]:
     scale = body.diameter()
     tol = tol_rel * scale
     samples = body.boundary_polyline(512)
-    dist_fn = _boundary_distance_oracle(body)
     prefilter = _signature_prefilter(body, g, scale)
 
     def h_dist(mat) -> float:
         fwd = (samples - g) @ mat.T + g
-        d1 = dist_fn(fwd)
+        d1 = body.boundary_distance_many(fwd)
         bwd = (samples - g) @ mat + g       # inverse of an orthogonal matrix
-        d2 = dist_fn(bwd)
+        d2 = body.boundary_distance_many(bwd)
         return max(float(d1.max()), float(d2.max()))
 
     found: list[Isometry] = []
@@ -667,25 +716,6 @@ def _signature_prefilter(body, g: np.ndarray, scale: float):
         return float(np.max(np.abs(mapped - sig))) < thr
 
     return check
-
-
-def _boundary_distance_oracle(body):
-    """Vectorized point-to-boundary distance with body data precomputed once."""
-    if isinstance(body, Disk):
-        c, R = body.center, body.radius
-        return lambda pts: np.abs(np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) - R)
-    seg_a = body.vertices if isinstance(body, Polygon) else body.boundary_polyline(2048)
-    seg_b = np.roll(seg_a, -1, axis=0)
-
-    def dist(pts):
-        out = np.full(len(pts), np.inf)
-        # chunk over segments to bound memory
-        for i in range(0, len(seg_a), 512):
-            d = _segment_distances(pts[:, None, :], seg_a[i:i + 512], seg_b[i:i + 512])
-            out = np.minimum(out, d.min(axis=1))
-        return out
-
-    return dist
 
 
 def _rotation_candidates() -> list[float]:

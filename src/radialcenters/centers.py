@@ -238,12 +238,8 @@ def multistart_seeds(body) -> list[np.ndarray]:
     push(centroid(body))
     push(incenter(body).center)
     push(circumcenter(body).center)
-    if isinstance(body, Polygon):
-        lo = body.vertices.min(axis=0)
-        hi = body.vertices.max(axis=0)
-    else:
-        c = centroid(body)
-        lo, hi = c - diam / 2, c + diam / 2
+    outline = body.boundary_polyline()
+    lo, hi = outline.min(axis=0), outline.max(axis=0)
     need = max(3, len(seeds)) + 9
     i = 1
     while len(seeds) < need and i < 10000:

@@ -1,12 +1,12 @@
 """Planar body representations and classical centers.
 
 Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
-``is_convex``, ``contains`` / ``contains_many``, ``boundary_distance``,
-``radial_function`` / ``radial_function_many``, ``circle_clip``,
-``angular_breakpoints``, ``radius_breakpoints``, ``reach``, ``route``,
-``boundary_polyline`` and ``to_dict``.  Simple polygons (counterclockwise)
-and disks live here; the radially parameterized balanced body lives in the
-balance module.  Bodies are immutable and prepare their derived geometry
+``is_convex``, ``contains`` / ``contains_many``, ``boundary_distance`` /
+``boundary_distance_many``, ``radial_function`` / ``radial_function_many``,
+``circle_clip``, ``angular_breakpoints``, ``radius_breakpoints``, ``reach``,
+``route``, ``boundary_polyline``, ``circumcenter``, ``incenter`` and
+``to_dict``.  Simple polygons (counterclockwise) and disks live here; the
+radially parameterized balanced body lives in the balance module.  Bodies are immutable and prepare their derived geometry
 once, at construction.  The module-level functions of the same names
 delegate to the methods; points are numpy arrays of shape (2,).
 """
@@ -63,6 +63,17 @@ def _segment_distances(p, a, b) -> np.ndarray:
     t = np.clip(np.sum((p - a) * e, axis=-1) / np.sum(e * e, axis=-1), 0.0, 1.0)
     foot = a + t[..., None] * e
     return np.hypot(p[..., 0] - foot[..., 0], p[..., 1] - foot[..., 1])
+
+
+def _polyline_distances(pts, a, b) -> np.ndarray:
+    """Distances from points of shape (N, 2) to the nearest of the segments
+    [a_i, b_i], in chunks of at most 2**18 point-segment pairs to bound memory."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 1, 2)
+    chunk = max(1, 2 ** 18 // len(pts))
+    out = _segment_distances(pts, a[:chunk], b[:chunk]).min(axis=1)
+    for i in range(chunk, len(a), chunk):
+        out = np.minimum(out, _segment_distances(pts, a[i:i + chunk], b[i:i + chunk]).min(axis=1))
+    return out
 
 
 def _point_set_diameter(v: np.ndarray) -> float:
@@ -176,7 +187,10 @@ class Polygon:
             return np.count_nonzero(crosses & (x < xi), axis=1) % 2 == 1
 
     def boundary_distance(self, p) -> float:
-        return float(_segment_distances(as_point(p), self.vertices, self._next).min())
+        return float(self.boundary_distance_many(as_point(p))[0])
+
+    def boundary_distance_many(self, pts) -> np.ndarray:
+        return _polyline_distances(pts, self.vertices, self._next)
 
     def radial_function(self, x, theta: float) -> float:
         if self._convex:
@@ -277,6 +291,16 @@ class Polygon:
             pts.append(a[None, :] + ts[:, None] * (b - a)[None, :])
         return np.vstack(pts)
 
+    def circumcenter(self) -> CircumCenter:
+        """The minimal enclosing disk of the vertices (Welzl)."""
+        c = _welzl(self.vertices)
+        return CircumCenter(np.array([c[0], c[1]]), c[2])
+
+    def incenter(self) -> InCenter:
+        """Linear programming over the edge half-planes when convex, grid
+        search plus local refinement otherwise."""
+        return _incenter_lp(self) if self._convex else _incenter_grid(self)
+
     def to_dict(self) -> dict:
         return {"vertices": [[float(x), float(y)] for x, y in self.vertices]}
 
@@ -318,7 +342,12 @@ class Disk:
         return np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1]) <= self.radius
 
     def boundary_distance(self, p) -> float:
-        return abs(float(np.hypot(*(as_point(p) - self.center))) - self.radius)
+        return float(self.boundary_distance_many(as_point(p))[0])
+
+    def boundary_distance_many(self, pts) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        return np.abs(np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
+                      - self.radius)
 
     def radial_function(self, x, theta: float) -> float:
         d = as_point(x) - self.center
@@ -370,6 +399,12 @@ class Disk:
     def boundary_polyline(self, n: int = 512) -> np.ndarray:
         t = np.linspace(0, 2 * math.pi, n, endpoint=False)
         return self.center + self.radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+
+    def circumcenter(self) -> CircumCenter:
+        return CircumCenter(self.center.copy(), self.radius)
+
+    def incenter(self) -> InCenter:
+        return InCenter(self.center.copy(), self.radius, False)
 
     def to_dict(self) -> dict:
         return {"type": "disk", "center": [float(self.center[0]), float(self.center[1])],
@@ -596,10 +631,7 @@ class InCenter(NamedTuple):
 
 def circumcenter(body: Body) -> CircumCenter:
     """Center and radius of the minimal enclosing disk (unique)."""
-    if isinstance(body, Disk):
-        return CircumCenter(body.center.copy(), body.radius)
-    c = _welzl(body.vertices if isinstance(body, Polygon) else body.boundary_polyline(2048))
-    return CircumCenter(np.array([c[0], c[1]]), c[2])
+    return body.circumcenter()
 
 
 def _welzl(points) -> tuple[float, float, float]:
@@ -687,16 +719,10 @@ def incenter(body: Body) -> InCenter:
     half-planes; when the optimal set is a segment (e.g. long rectangles) the
     canonical midpoint of that face is returned and ``ambiguous`` is set.
     Non-convex polygons fall back to grid search plus local refinement and
-    are always flagged ambiguous.
+    are always flagged ambiguous.  Disks and radial-arc bodies answer in
+    closed form.
     """
-    if isinstance(body, Disk):
-        return InCenter(body.center.copy(), body.radius, False)
-    if isinstance(body, Polygon):
-        return _incenter_lp(body) if body.is_convex() else _incenter_grid(body)
-    # convex radially parameterized body: polygonal approximation of tangents
-    poly = Polygon(body.boundary_polyline(512))
-    c = _incenter_lp(poly)
-    return InCenter(c.center, c.radius, c.ambiguous)
+    return body.incenter()
 
 
 def _incenter_lp(poly: Polygon) -> InCenter:
@@ -727,14 +753,12 @@ def _incenter_grid(poly: Polygon, n: int = 96) -> InCenter:
     ys = np.linspace(poly.vertices[:, 1].min(), poly.vertices[:, 1].max(), n)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    inside = poly.contains_many(pts)
-    best, best_d = None, -1.0
-    for p in pts[inside]:
-        d = poly.boundary_distance(p)
-        if d > best_d:
-            best, best_d = p, d
-    if best is None:
+    pts = pts[poly.contains_many(pts)]
+    if not len(pts):
         raise InvalidBody("no interior grid point found")
+    dist = poly.boundary_distance_many(pts)
+    k = int(np.argmax(dist))        # the first deepest grid point
+    best, best_d = pts[k], float(dist[k])
     # local refinement by shrinking pattern search
     step = (xs[1] - xs[0])
     p = best.copy()

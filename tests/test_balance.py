@@ -14,10 +14,11 @@ from radialcenters.balance import (PolygonClass, RadialArcBody,
                                    parallelogram_defect, scalar_residual,
                                    stationary_candidate, symmetry_search,
                                    vector_residual)
-from radialcenters.centers import CENTER_CFG, ascend
-from radialcenters.errors import ConstructionFailed, ContinuumContact, NotInterior
-from radialcenters.geometry import (Disk, Polygon, centroid, contains,
-                                    contains_many, diameter, transformed)
+from radialcenters.centers import CENTER_CFG, ascend, limit_diagnostics
+from radialcenters.errors import (ConstructionFailed, ContinuumContact, InvalidBody,
+                                  NotInterior)
+from radialcenters.geometry import (Disk, Polygon, centroid, circumcenter, contains,
+                                    contains_many, diameter, incenter, transformed)
 from radialcenters.potentials import Heat, Poisson, Riesz, _riesz_profile, \
     poisson_gradient, potential, riesz_gradient
 from radialcenters.quadrature import adaptive_gk, integrate_angular
@@ -425,6 +426,43 @@ def test_asym_body_offcenter_ray_exits(asym_body, x):
         assert not asym_body.contains(x + (1 + 1e-9) * r * d, tol=0)
 
 
+@pytest.mark.parametrize("x", [(0.3, -0.2), (-0.5, 0.4), (0.9, 0.1), (0.05, 0.02)])
+def test_asym_body_ray_exits_take_few_rounds(asym_body, x, monkeypatch):
+    # the Illinois step needs 11-15 rounds where bisection needed 57-60
+    calls = 0
+    polar = RadialArcBody._polar
+
+    def counted(self, pts):
+        nonlocal calls
+        calls += 1
+        return polar(self, pts)
+
+    monkeypatch.setattr(RadialArcBody, "_polar", counted)
+    asym_body.radial_function_many(np.array(x), np.linspace(0, 2 * math.pi, 200,
+                                                            endpoint=False))
+    assert calls <= 20
+
+
+def test_asym_body_circumcenter_is_origin(asym_body):
+    cc = circumcenter(asym_body)
+    assert np.abs(cc.center).max() <= 1e-12
+    assert cc.radius == asym_body.r_max
+    t = np.linspace(0, 2 * math.pi, 100001)
+    assert asym_body.boundary_radius(t).max() <= cc.radius
+
+
+def test_asym_body_incenter_is_unit_disk(asym_body):
+    ic = incenter(asym_body)
+    assert np.abs(ic.center).max() <= 1e-12
+    assert ic.radius == 1.0 and not ic.ambiguous
+
+
+def test_asym_body_riesz_limit_is_circumcenter(asym_body):
+    diag = limit_diagnostics(asym_body)
+    assert np.abs(diag.circumcenter).max() <= 1e-12
+    assert all(dist <= 1e-10 for _, _, dist in diag.riesz)
+
+
 def test_asym_body_membership_near_boundary(asym_body):
     phi = np.random.default_rng(11).uniform(0, 2 * math.pi, 2000)
     rb = asym_body.boundary_radius(phi)
@@ -460,6 +498,14 @@ def test_radial_arc_rejects_symmetric_frame():
     # 223 degrees mirrors 137 degrees across the first direction: two equal gaps
     with pytest.raises(InvalidBody):
         RadialArcBody((0.0, math.radians(137), math.radians(223)), 1.04, 0.4)
+
+
+@pytest.mark.parametrize("degrees", [(0, 120, 250), (0, 165, 200)],
+                         ids=["wider_than_120", "overlapping"])
+def test_radial_arc_rejects_wide_lobes(degrees):
+    # the exact incenter needs disjoint lobes, each at most 120 degrees wide
+    with pytest.raises(InvalidBody, match="lobes"):
+        RadialArcBody(tuple(math.radians(a) for a in degrees), 1.04, math.pi / 3)
 
 
 @pytest.mark.parametrize("amplitude", [0.0, -0.1, math.pi / 3 + 1e-9])

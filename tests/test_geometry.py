@@ -1,10 +1,13 @@
 """Geometry: bodies, classical centers, arc clipping, folding."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import radialcenters
 from radialcenters.errors import InvalidBody, NotStarShaped
 from radialcenters.geometry import (Disk, Polygon, area, boundary_distance,
                                     boundary_polyline, centroid, circle_clip,
@@ -139,6 +142,15 @@ def test_incenter_nonconvex_flagged():
     assert ic.ambiguous
     assert contains(lshape, ic.center)
     assert ic.radius == pytest.approx(boundary_distance(lshape, ic.center), rel=1e-6)
+
+
+def test_incenter_lshape_closed_form():
+    # the deepest disk touches both axes and the reflex corner (1, 1)
+    lshape = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+    ic = incenter(lshape)
+    r = 2 - math.sqrt(2)
+    assert ic.center == pytest.approx([r, r], abs=1e-9)
+    assert ic.radius == pytest.approx(r, abs=1e-9)
 
 
 def test_circumradius_at_least_inradius(rng):
@@ -382,9 +394,10 @@ def test_body_json_round_trip(rng):
 # ---------------------------------------------------------------------------
 
 PROTOCOL = ("area", "centroid", "diameter", "is_convex", "contains", "contains_many",
-            "boundary_distance", "radial_function", "radial_function_many",
-            "circle_clip", "angular_breakpoints", "radius_breakpoints", "reach",
-            "route", "boundary_polyline", "to_dict")
+            "boundary_distance", "boundary_distance_many", "radial_function",
+            "radial_function_many", "circle_clip", "angular_breakpoints",
+            "radius_breakpoints", "reach", "route", "boundary_polyline",
+            "circumcenter", "incenter", "to_dict")
 
 
 @pytest.mark.parametrize("make", [make_tri345, make_unit_disk, generate_asymmetric_balanced],
@@ -421,3 +434,65 @@ def test_body_protocol(make):
     assert body.to_dict() == body_to_dict(body)
     assert body_from_dict(body.to_dict()).diameter() == pytest.approx(body.diameter(),
                                                                       rel=1e-12)
+    assert np.array_equal(body.circumcenter().center, circumcenter(body).center)
+    assert body.incenter().radius == incenter(body).radius > 0
+
+
+@pytest.mark.parametrize("make", [make_tri345, make_unit_disk, generate_asymmetric_balanced],
+                         ids=["polygon", "disk", "radial_arc"])
+def test_boundary_distance_many_matches_scalar(make):
+    body = make()
+    rng = np.random.default_rng(5)
+    pts = body.centroid() + body.diameter() * (rng.random((300, 2)) - 0.5)
+    many = body.boundary_distance_many(pts)
+    assert many.shape == (300,)
+    assert many.tolist() == [body.boundary_distance(p) for p in pts]
+
+
+# ---------------------------------------------------------------------------
+# ratchet on type dispatch: new body behaviour belongs in the body protocol
+# ---------------------------------------------------------------------------
+
+SPEC_TYPES = {"Riesz", "Poisson", "Heat"}
+
+# (module, enclosing function): the type checks on bodies that remain
+ALLOWED_TYPE_CHECKS = {
+    ("balance", "contact_points"): 1,
+    ("balance", "_signature_prefilter"): 1,
+    ("balance", "_axis_candidates"): 2,
+    ("centers", "_normalize"): 1,
+    ("cli", "_cmd_classify"): 1,
+    ("geometry", "transformed"): 2,
+    ("potentials", "_ball"): 1,
+    ("potentials", "riesz_gradient_boundary"): 2,
+}
+
+
+def _type_check_sites() -> dict:
+    """Counts of isinstance/hasattr calls per (module, innermost enclosing
+    function), leaving out the checks on potential specs."""
+    sites: dict = {}
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("isinstance", "hasattr")):
+                names = {n.id for n in ast.walk(child.args[1]) if isinstance(n, ast.Name)}
+                if not (child.func.id == "isinstance" and names and names <= SPEC_TYPES):
+                    sites[module, owner] = sites.get((module, owner), 0) + 1
+            visit(child, module, owner)
+
+    for path in sorted(pathlib.Path(radialcenters.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return sites
+
+
+def test_body_type_checks_do_not_grow():
+    sites = _type_check_sites()
+    extra = {k: v for k, v in sites.items() if v > ALLOWED_TYPE_CHECKS.get(k, 0)}
+    assert not extra, (f"body type checks outside the allowed sites {ALLOWED_TYPE_CHECKS}: "
+                       f"{extra}; add a body method instead")
+    assert sum(sites.values()) <= 11
