@@ -13,15 +13,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (ConstructionFailed, ContinuumContact, InvalidBody, NotInterior,
                      TheoremViolation)
-from .geometry import (ArcSet, CircumCenter, Disk, InCenter, Polygon, as_point, circle_clip,
-                       _angle_breakpoints, _arcs_between, _build_arcset, _polyline_distances)
+from .geometry import (ArcSet, CircleArc, CircumCenter, Disk, InCenter, Polygon, as_point,
+                       circle_clip, _angle_breakpoints, _angle_within, _arcs_between,
+                       _build_arcset, _polyline_distances)
 
 __all__ = [
     "BalanceReport", "WeightedBodyFunction", "ContactSet", "RadialArcBody",
@@ -309,6 +310,34 @@ def _frame_coefficients(angles) -> tuple[float, float]:
     return float(c[0]), float(c[1])
 
 
+class _LobeCurve(NamedTuple):
+    """Half of lobe ``which`` of a RadialArcBody: y(t) = R(t) u(t), t in [t0, t1].
+
+    ``side`` is -1 on the half before the apex direction ``apex`` and +1 on
+    the half after it.  With u' = (-sin t, cos t), the outward normal scaled
+    by |dy/dt| is R u - R' u'.
+    """
+
+    body: "RadialArcBody"
+    which: int
+    apex: float
+    side: float
+    t0: float
+    t1: float
+
+    def curve(self, t: np.ndarray):
+        delta = self.side * (t - self.apex)
+        rad = self.body._lobe_radius_many(delta, self.which)
+        slope = self.side * self.body._lobe_slope_many(delta, self.which)
+        u = np.stack([np.cos(t), np.sin(t)], axis=1)
+        y = rad[:, None] * u
+        return y, y - slope[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=1)
+
+    def nearest(self, x) -> float:
+        """The direction of ``x``, clipped to the piece."""
+        return _angle_within(math.atan2(x[1], x[0]), self.t0, self.t1)
+
+
 @dataclass(frozen=True)
 class RadialArcBody:
     """Unit disk grown by three balanced lobes; star-shaped about the origin.
@@ -359,6 +388,7 @@ class RadialArcBody:
             gap = abs((angles[i] - angles[j] + math.pi) % (2 * math.pi) - math.pi)
             if max(w[i], w[j]) > math.pi / 3 or w[i] + w[j] >= gap:
                 raise InvalidBody("lobes must be disjoint and at most 120 degrees wide")
+        object.__setattr__(self, "_pieces", self._split_boundary())
         outline = self.boundary_polyline(2048)
         object.__setattr__(self, "_outline", outline)
         object.__setattr__(self, "_outline_next", np.roll(outline, -1, axis=0))
@@ -394,6 +424,14 @@ class RadialArcBody:
         targets = np.arcsin(np.clip(np.sin(half_angles) / self._c[which], -1.0, 1.0))
         q = np.clip(1.0 - targets / self.amplitude, 0.0, 1.0)
         return 1.0 + (self.r_max - 1.0) * q * q
+
+    def _lobe_slope_many(self, half_angles: np.ndarray, which: int) -> np.ndarray:
+        """Derivative of ``_lobe_radius_many`` in the half-width, inside the lobe."""
+        c = self._c[which]
+        s = np.sin(half_angles)
+        q = 1.0 - np.arcsin(s / c) / self.amplitude
+        return (-2.0 * (self.r_max - 1.0) / self.amplitude * q * np.cos(half_angles)
+                / np.sqrt(c * c - s * s))
 
     def boundary_radius(self, phi) -> np.ndarray:
         """Radial function about the origin."""
@@ -448,6 +486,24 @@ class RadialArcBody:
         t = np.linspace(0, 2 * math.pi, n, endpoint=False)
         rb = self.boundary_radius(t)
         return np.stack([rb * np.cos(t), rb * np.sin(t)], axis=1)
+
+    def boundary_pieces(self) -> tuple:
+        """Each lobe split at its apex, where R has a corner, and the
+        unit-circle arcs between the lobes."""
+        return self._pieces
+
+    def _split_boundary(self) -> tuple:
+        lobes = sorted((a % (2 * math.pi), w, k)
+                       for k, (a, w) in enumerate(zip(self.direction_angles, self._junctions)))
+        pieces = []
+        for i, (a, w, k) in enumerate(lobes):
+            a_next, w_next, _ = lobes[(i + 1) % 3]
+            if i == 2:
+                a_next += 2 * math.pi
+            pieces += [_LobeCurve(self, k, a, -1.0, a - w, a),
+                       _LobeCurve(self, k, a, 1.0, a, a + w),
+                       CircleArc(np.zeros(2), 1.0, a + w, a_next - w_next)]
+        return tuple(pieces)
 
     def radial_function(self, x, theta: float) -> float:
         return float(self.radial_function_many(x, theta)[0])

@@ -1,8 +1,8 @@
 """Locating potential maxima: centers, loci, and parameter-limit diagnostics.
 
-The optimizer is a damped Newton ascent (Hessian by central differences of
-the analytic gradient) with projected backtracking that keeps iterates
-strictly interior when the potential family requires it.  Uniqueness
+The optimizer is a damped Newton ascent (exact Hessian from a boundary
+integral of the kernel's derivative) with projected backtracking that keeps
+iterates strictly interior when the potential family requires it.  Uniqueness
 regimes follow the concavity theory: order-``alpha`` potentials are
 strictly concave inside convex bodies for ``alpha <= 1`` and globally for
 ``alpha >= m + 1``; Poisson and heat potentials of convex bodies are
@@ -18,11 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoInteriorSeed, NonConvergence
+from .errors import BoundaryPoint, NoInteriorSeed, NonConvergence
 from .geometry import (Disk, Polygon, as_point, boundary_distance, centroid,
                        circumcenter, contains, diameter, incenter, is_convex,
                        transformed)
-from .potentials import Heat, Poisson, PotentialSpec, Riesz, potential, potential_gradient
+from .potentials import (Heat, Poisson, PotentialSpec, Riesz, potential, potential_gradient,
+                         potential_hessian)
 from .quadrature import QuadratureConfig
 
 __all__ = ["CenterResult", "LocusTrace", "LimitDiagnostics", "find_center",
@@ -102,6 +103,11 @@ def _normalize(body, spec: PotentialSpec) -> _Normalized:
 # core ascent
 # ---------------------------------------------------------------------------
 
+def _value_resolution(cfg: QuadratureConfig, val: float) -> float:
+    """Differences of potential values below this are quadrature noise."""
+    return 32 * max(cfg.abs_tol, (cfg.rel_tol + 4e-16) * abs(val))
+
+
 def _keep_interior(spec: PotentialSpec) -> bool:
     # the potential diverges or loses differentiability at the boundary
     return isinstance(spec, Riesz) and spec.alpha <= 1
@@ -120,7 +126,6 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     keep_in = _keep_interior(spec)
     diam = diameter(body)
     margin = INTERIOR_MARGIN_REL * diam
-    h_step = 1e-4 * diam
 
     def feasible(p):
         return (not keep_in) or (contains(body, p) and boundary_distance(body, p) > margin)
@@ -139,7 +144,7 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
         if gnorm < gtol:
             return x, val, gnorm, iterations
         iterations += 1
-        direction = _newton_direction(body, spec, x, grad, h_step, cfg)
+        direction = _newton_direction(body, spec, x, grad, cfg)
         if direction is None:
             direction = grad / gnorm * min(0.2 * diam, gnorm)
         slope = float(np.dot(grad, direction))
@@ -149,8 +154,7 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
         # once the predicted gain drops below the value's resolution the
         # sufficient-decrease test only measures quadrature noise; accept
         # steps on gradient-norm decrease instead (Newton endgame)
-        val_eps = 32 * max(cfg.abs_tol, (cfg.rel_tol + 4e-16) * abs(val))
-        if 1e-4 * slope <= val_eps:
+        if 1e-4 * slope <= _value_resolution(cfg, val):
             step, accepted = 1.0, False
             for _ in range(20):
                 trial = x + step * direction
@@ -193,14 +197,16 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     raise NonConvergence(x, gnorm, iterations)
 
 
-def _newton_direction(body, spec, x, grad, h_step, cfg) -> Optional[np.ndarray]:
-    """Solve -H d = g with H from central differences of the analytic gradient."""
-    H = np.empty((2, 2))
-    for j, e in enumerate(np.eye(2)):
-        gp = potential_gradient(body, x + h_step * e, spec, cfg)
-        gm = potential_gradient(body, x - h_step * e, spec, cfg)
-        H[:, j] = (gp - gm) / (2 * h_step)
-    H = 0.5 * (H + H.T)
+def _newton_direction(body, spec, x, grad, cfg) -> Optional[np.ndarray]:
+    """Solve -H d = g with the exact Hessian from ``potential_hessian``.
+
+    Returns None, and so a gradient step, where the Hessian is not negative
+    definite or diverges (Riesz orders alpha <= 2 in the boundary band).
+    """
+    try:
+        H = potential_hessian(body, x, spec, cfg)
+    except BoundaryPoint:
+        return None
     eig = np.linalg.eigvalsh(H)
     if eig.max() >= -1e-300:        # not negative definite: reject
         return None
@@ -272,7 +278,8 @@ def find_center(body, spec: PotentialSpec,
     In guaranteed-unique regimes a single ascent from the centroid (or the
     deepest interior point) suffices; otherwise twelve deterministic seeds
     are ascended and the best maximum is reported with
-    ``uniqueness_guaranteed = False``.
+    ``uniqueness_guaranteed = False``; of maxima whose values agree to the
+    quadrature's resolution, the one with the smallest gradient wins.
     """
     cfg = cfg or _family_cfg(spec)
     norm = _normalize(body, spec)
@@ -281,17 +288,20 @@ def find_center(body, spec: PotentialSpec,
 
     if regime == "multistart":
         seeds = multistart_seeds(nbody)
-        best = None
+        cands = []
         for s in seeds:
             try:
-                cand = ascend(nbody, nspec, s, cfg)
+                cands.append(ascend(nbody, nspec, s, cfg))
             except NonConvergence:
                 continue
-            if best is None or cand[1] > best[1]:
-                best = cand
-        if best is None:
+        if not cands:
             raise NonConvergence(seeds[0], math.nan, MAX_ITERATIONS,
                                  "no seed converged")
+        # maxima whose values tie to the value's resolution are told apart by
+        # stationarity, not by rounding noise in the last bits
+        top = max(c[1] for c in cands)
+        best = min((c for c in cands if c[1] >= top - _value_resolution(cfg, top)),
+                   key=lambda c: c[2])
         y, _, _, iters = best
     else:
         start = centroid(nbody)

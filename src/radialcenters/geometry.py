@@ -4,11 +4,12 @@ Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
 ``is_convex``, ``contains`` / ``contains_many``, ``boundary_distance`` /
 ``boundary_distance_many``, ``radial_function`` / ``radial_function_many``,
 ``circle_clip``, ``angular_breakpoints``, ``radius_breakpoints``, ``reach``,
-``route``, ``boundary_polyline``, ``circumcenter``, ``incenter`` and
-``to_dict``.  Simple polygons (counterclockwise) and disks live here; the
-radially parameterized balanced body lives in the balance module.  Bodies are immutable and prepare their derived geometry
-once, at construction.  The module-level functions of the same names
-delegate to the methods; points are numpy arrays of shape (2,).
+``route``, ``boundary_polyline``, ``boundary_pieces``, ``circumcenter``,
+``incenter`` and ``to_dict``.  Simple polygons (counterclockwise) and disks
+live here; the radially parameterized balanced body lives in the balance
+module.  Bodies are immutable and prepare their derived geometry once, at
+construction.  The module-level functions of the same names delegate to the
+methods; points are numpy arrays of shape (2,).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy.optimize import linprog
 from .errors import InvalidBody, NotStarShaped
 
 __all__ = [
-    "Polygon", "Disk", "ArcSet", "UnfoldedRegion",
+    "Polygon", "Disk", "ArcSet", "UnfoldedRegion", "Segment", "CircleArc",
     "CircumCenter", "InCenter",
     "area", "centroid", "diameter", "contains", "boundary_distance",
     "classify_location", "is_convex", "convex_hull",
@@ -92,6 +93,55 @@ def _angle_breakpoints(points, x) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# boundary pieces: parametrized curves y(t), t in [t0, t1], counterclockwise
+# ---------------------------------------------------------------------------
+
+def _angle_within(phi: float, t0: float, t1: float) -> float:
+    """The direction ``phi`` as a parameter in [t0, t1] (mod 2 pi), or the nearer end."""
+    t = t0 + (phi - t0) % (2 * math.pi)
+    if t <= t1:
+        return t
+    return t1 if t - t1 < t0 + 2 * math.pi - t else t0
+
+
+class Segment(NamedTuple):
+    """The boundary piece y(t) = a + t e, t in [0, 1]."""
+
+    a: np.ndarray
+    e: np.ndarray
+    t0: float = 0.0
+    t1: float = 1.0
+
+    def curve(self, t: np.ndarray):
+        """Points y(t) and outward normals scaled by |dy/dt|, each of shape (n, 2)."""
+        n_ds = np.array([self.e[1], -self.e[0]])
+        return self.a + t[:, None] * self.e, np.broadcast_to(n_ds, (len(t), 2))
+
+    def nearest(self, x) -> float:
+        """The foot of the perpendicular from ``x``, clipped to the segment."""
+        e = self.e
+        return float(np.clip(np.dot(x - self.a, e) / np.dot(e, e), 0.0, 1.0))
+
+
+class CircleArc(NamedTuple):
+    """The boundary piece y(t) = center + radius (cos t, sin t), t in [t0, t1]."""
+
+    center: np.ndarray
+    radius: float
+    t0: float
+    t1: float
+
+    def curve(self, t: np.ndarray):
+        u = np.stack([np.cos(t), np.sin(t)], axis=1)
+        return self.center + self.radius * u, self.radius * u
+
+    def nearest(self, x) -> float:
+        """The direction of ``x`` from the center, clipped to the arc."""
+        c = self.center
+        return _angle_within(math.atan2(x[1] - c[1], x[0] - c[0]), self.t0, self.t1)
+
+
+# ---------------------------------------------------------------------------
 # body types
 # ---------------------------------------------------------------------------
 
@@ -101,8 +151,8 @@ class Polygon:
 
     Degenerate input (repeated or collinear consecutive vertices,
     self-intersection, clockwise orientation) is rejected.  Edges, unit
-    outward normals, offsets, convexity, diameter, area and centroid are
-    computed once here.
+    outward normals, offsets, boundary segments, convexity, diameter, area
+    and centroid are computed once here.
     """
 
     vertices: np.ndarray
@@ -144,6 +194,7 @@ class Polygon:
         normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
         object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_offsets", np.sum(normals * arr, axis=1))
+        object.__setattr__(self, "_pieces", tuple(Segment(a, e) for a, e in zip(arr, edges)))
         object.__setattr__(self, "_convex", bool(np.all(crosses > 0)))
         object.__setattr__(self, "_diameter", _point_set_diameter(arr))
         a = 0.5 * area2
@@ -291,6 +342,10 @@ class Polygon:
             pts.append(a[None, :] + ts[:, None] * (b - a)[None, :])
         return np.vstack(pts)
 
+    def boundary_pieces(self) -> tuple[Segment, ...]:
+        """One segment per edge."""
+        return self._pieces
+
     def circumcenter(self) -> CircumCenter:
         """The minimal enclosing disk of the vertices (Welzl)."""
         c = _welzl(self.vertices)
@@ -319,6 +374,7 @@ class Disk:
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "_pieces", (CircleArc(c, r, 0.0, 2 * math.pi),))
 
     def area(self) -> float:
         return math.pi * self.radius ** 2
@@ -399,6 +455,10 @@ class Disk:
     def boundary_polyline(self, n: int = 512) -> np.ndarray:
         t = np.linspace(0, 2 * math.pi, n, endpoint=False)
         return self.center + self.radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+
+    def boundary_pieces(self) -> tuple[CircleArc, ...]:
+        """The whole circle."""
+        return self._pieces
 
     def circumcenter(self) -> CircumCenter:
         return CircumCenter(self.center.copy(), self.radius)
@@ -748,6 +808,10 @@ def _incenter_lp(poly: Polygon) -> InCenter:
     return InCenter(point, r, amb)
 
 
+_PATTERN = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)],
+                    dtype=float)
+
+
 def _incenter_grid(poly: Polygon, n: int = 96) -> InCenter:
     xs = np.linspace(poly.vertices[:, 0].min(), poly.vertices[:, 0].max(), n)
     ys = np.linspace(poly.vertices[:, 1].min(), poly.vertices[:, 1].max(), n)
@@ -759,17 +823,18 @@ def _incenter_grid(poly: Polygon, n: int = 96) -> InCenter:
     dist = poly.boundary_distance_many(pts)
     k = int(np.argmax(dist))        # the first deepest grid point
     best, best_d = pts[k], float(dist[k])
-    # local refinement by shrinking pattern search
+    # local refinement by shrinking pattern search: move to the deepest of
+    # the eight neighbours when it improves, else halve the step; one move a
+    # round, so 480 rounds allow the moves of 60 rounds of eight
     step = (xs[1] - xs[0])
     p = best.copy()
-    for _ in range(60):
-        improved = False
-        for dxy in ((step, 0), (-step, 0), (0, step), (0, -step),
-                    (step, step), (step, -step), (-step, step), (-step, -step)):
-            q = p + dxy
-            if poly.contains(q) and poly.boundary_distance(q) > best_d:
-                p, best_d, improved = q, poly.boundary_distance(q), True
-        if not improved:
+    for _ in range(480):
+        q = p + step * _PATTERN
+        d = np.where(poly.contains_many(q), poly.boundary_distance_many(q), -np.inf)
+        k = int(np.argmax(d))
+        if d[k] > best_d:
+            p, best_d = q[k], float(d[k])
+        else:
             step *= 0.5
             if step < 1e-13 * poly.diameter():
                 break

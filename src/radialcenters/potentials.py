@@ -1,4 +1,4 @@
-"""Potential values and gradients for planar bodies.
+"""Potential values, gradients and Hessians for planar bodies.
 
 Families: the order-``alpha`` radial power potential (with Hadamard
 finite-part regularization at interior points for ``alpha <= 0``), the
@@ -13,6 +13,8 @@ adaptive quadrature along the one route the body names for the base point's
 location, the same for all three families: about the base point where the
 whole body is visible from it, sector-by-sector over polygon edges at every
 other polygon point, and chord-by-chord for points outside a disk.
+Hessians, and Riesz gradients at exterior points, are one-dimensional
+integrals over the body's boundary pieces instead.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.special import erf, erfc
 
 from .errors import BoundaryPoint
-from .geometry import BOUNDARY_BAND, Disk, Polygon, as_point, classify_location
+from .geometry import BOUNDARY_BAND, Disk, as_point, classify_location
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, adaptive_gk,
                          disk_exterior_integral, disk_exterior_integral_vector,
                          fan_integral, fan_integral_vector, integrate_angular,
@@ -38,7 +40,7 @@ __all__ = [
     "riesz_value", "riesz_value_finite_part_eps", "riesz_value_complement",
     "riesz_gradient", "riesz_gradient_boundary", "riesz_gradient_annulus",
     "poisson_value", "poisson_gradient", "heat_value", "heat_gradient",
-    "potential", "potential_gradient",
+    "potential", "potential_gradient", "potential_hessian",
 ]
 
 
@@ -414,33 +416,28 @@ def riesz_gradient_boundary(body, x, alpha: float,
     else:
         kern = lambda r: r ** (alpha - 2)
         pref = -math.copysign(1.0, 2 - alpha)
-    if isinstance(body, Polygon):
-        acc = np.zeros(2)
-        for a, b in body.edges():
-            e = b - a
-            length = float(np.hypot(*e))
-            n_out = np.array([e[1], -e[0]]) / length
 
-            def integrand(ts, a=a, e=e):
-                pts = a[None, :] + ts[:, None] * e[None, :]
-                rr = np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1])
-                return kern(rr)
+    def integrand(d, n_ds):
+        return kern(np.hypot(d[:, 0], d[:, 1]))[:, None] * n_ds
 
-            val, _ = adaptive_gk(integrand, [0.0, 0.5, 1.0], cfg)
-            acc += val * length * n_out
-        return pref * acc
-    if isinstance(body, Disk):
-        c, R = body.center, body.radius
+    return pref * _boundary_integral(body, x, integrand, cfg)
 
-        def integrand(phis):
-            u = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-            pts = c[None, :] + R * u
-            rr = np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1])
-            return u * kern(rr)[:, None]
 
-        val, _ = adaptive_gk(integrand, [0.0, math.pi, 2 * math.pi], cfg)
-        return pref * R * np.asarray(val)
-    raise ValueError("boundary-integral gradient supports polygons and disks")
+def _boundary_integral(body, x: np.ndarray, integrand, cfg: QuadratureConfig) -> np.ndarray:
+    """Sum over the body's boundary pieces of the integral of
+    ``integrand(x - y, n_ds)`` in the piece parameter, with ``n_ds`` the
+    outward normal scaled by |dy/dt|.  Each piece is split at its parameter
+    nearest to ``x``, where the kernel peaks when ``x`` is near the boundary.
+    """
+    total = 0.0
+    for piece in body.boundary_pieces():
+        def f(t, piece=piece):
+            y, n_ds = piece.curve(t)
+            return integrand(x - y, n_ds)
+
+        val, _ = adaptive_gk(f, [piece.t0, piece.nearest(x), piece.t1], cfg)
+        total = total + np.asarray(val)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +497,53 @@ def _smooth_value_ball(disk: Disk, x, m: int, regime: str, radial_density, cfg) 
     val, _ = adaptive_gk(lambda r: sphere_area(m - 1) * radial_density(r),
                          [0.0, R / 2, R], cfg)
     return PotentialValue(float(val), regime, "interior")
+
+
+# ---------------------------------------------------------------------------
+# Hessians
+# ---------------------------------------------------------------------------
+
+def _hessian_kernel(spec: PotentialSpec):
+    """k'(r) / r as a function of r^2, for the kernel k in the sign convention
+    of ``potential``."""
+    if isinstance(spec, Riesz):
+        alpha = spec.alpha
+        if alpha == 2:
+            return lambda r2: -1.0 / r2
+        c, p = -abs(alpha - 2), 0.5 * (alpha - 4)
+        return lambda r2: c * r2 ** p
+    if isinstance(spec, Poisson):
+        h2, c = spec.h * spec.h, -3 * spec.h / (2 * math.pi)
+        return lambda r2: c / (r2 + h2) ** 2.5
+    if isinstance(spec, Heat):
+        t = spec.t
+        return lambda r2: np.exp(-r2 / (4 * t)) / (-8 * math.pi * t * t)
+    raise TypeError(f"unknown potential spec {spec!r}")
+
+
+def potential_hessian(body, x, spec: PotentialSpec,
+                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Hessian of the potential, ``-int over the boundary of d_i K(x - y) n_j ds``.
+
+    Differentiating the boundary form of the gradient once more leaves a
+    smooth one-dimensional integral at any point off the boundary, for every
+    family and order (the finite-part counterterm does not depend on ``x``).
+    In the boundary band the integral diverges for Riesz orders
+    ``alpha <= 2``, which are refused there.
+    """
+    x = as_point(x)
+    if spec.m != 2:
+        raise ValueError("Hessians are implemented for the planar case only")
+    dk = _hessian_kernel(spec)
+    if isinstance(spec, Riesz) and spec.alpha <= 2 and _location(body, x) == "boundary":
+        raise BoundaryPoint("Hessian diverges on the boundary for alpha <= 2")
+
+    def integrand(d, n_ds):
+        w = dk(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        return (w[:, None, None] * d[:, :, None] * n_ds[:, None, :]).reshape(-1, 4)
+
+    H = -_boundary_integral(body, x, integrand, cfg).reshape(2, 2)
+    return 0.5 * (H + H.T)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from radialcenters import centers, quadrature
 from radialcenters.centers import (ascend, find_center, limit_diagnostics,
                                    multistart_seeds, trace_locus, _normalize)
 from radialcenters.geometry import (Disk, Polygon, centroid, circumcenter, contains,
@@ -203,3 +204,45 @@ def test_limit_diagnostics_rectangle_center():
             assert p == pytest.approx([2.0, 0.5], abs=1e-6)
     for _, p, _, _ in diag.heat:
         assert p == pytest.approx([2.0, 0.5], abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# cost of a search: Newton steps take the exact Hessian
+# ---------------------------------------------------------------------------
+
+def test_heat_center_integrand_calls(monkeypatch):
+    calls = 0
+    panel = quadrature._gk15_panel
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return panel(*args)
+
+    monkeypatch.setattr(quadrature, "_gk15_panel", counted)
+    find_center(make_tri345(), Heat(1.25))
+    assert calls <= 360
+
+
+def test_ascent_makes_at_most_two_gradient_calls_per_iteration(monkeypatch):
+    calls = 0
+    gradient = centers.potential_gradient
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(centers, "potential_gradient", counted)
+    tri = make_tri345()
+    iterations = ascend(tri, Riesz(0.5), centroid(tri))[3]
+    assert iterations >= 1
+    assert calls <= 2 * iterations
+
+
+def test_multistart_prefers_the_most_stationary_of_tied_maxima():
+    # the twelve ascents reach the same maximum, with values equal to the
+    # last bits; the reported point is the one with the smallest gradient
+    res = find_center(make_tri345(), Riesz(1.5))
+    assert res.regime == "multistart"
+    assert res.grad_norm < 1e-10

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from radialcenters.balance import generate_asymmetric_balanced
+from radialcenters.centers import CENTER_CFG
 from radialcenters.errors import BoundaryPoint
 from radialcenters.geometry import Disk, Polygon, area, boundary_distance, centroid, \
     diameter, transformed
@@ -139,6 +141,16 @@ def test_gradient_routes_agree(rng):
             assert np.abs(g_disp - g_bd).max() < 1e-8
             assert np.abs(g_disp - g_ann).max() < 1e-8
             assert np.abs(g_disp - fd).max() < 1e-6
+
+
+@pytest.mark.parametrize("x", [(0.3, -0.2), (0.05, 0.02)])
+@pytest.mark.parametrize("alpha", [0.5, 3.0, 4.0])
+def test_boundary_gradient_on_radial_arc_body(x, alpha):
+    # the lobe pieces' normals against the production volume route
+    body = generate_asymmetric_balanced()
+    want = riesz_gradient(body, x, Riesz(alpha), CENTER_CFG)
+    got = riesz_gradient_boundary(body, x, alpha, CENTER_CFG)
+    assert np.abs(got - want).max() < 1e-9 * np.abs(want).max()
 
 
 def test_gradient_annulus_eps_choice_is_immaterial(rng):
