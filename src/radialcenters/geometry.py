@@ -3,13 +3,14 @@
 Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
 ``is_convex``, ``contains`` / ``contains_many``, ``boundary_distance`` /
 ``boundary_distance_many``, ``radial_function`` / ``radial_function_many``,
-``circle_clip``, ``angular_breakpoints``, ``radius_breakpoints``, ``reach``,
-``route``, ``boundary_polyline``, ``boundary_pieces``, ``circumcenter``,
-``incenter`` and ``to_dict``.  Simple polygons (counterclockwise) and disks
-live here; the radially parameterized balanced body lives in the balance
-module.  Bodies are immutable and prepare their derived geometry once, at
-construction.  The module-level functions of the same names delegate to the
-methods; points are numpy arrays of shape (2,).
+``circle_clip``, ``balance_residuals``, ``angular_breakpoints``,
+``radius_breakpoints``, ``reach``, ``route``, ``boundary_polyline``,
+``boundary_pieces``, ``circumcenter``, ``incenter`` and ``to_dict``.
+Simple polygons (counterclockwise) and disks live here; the radially
+parameterized balanced body lives in the balance module.  Bodies are
+immutable and prepare their derived geometry once, at construction.  The
+module-level functions of the same names delegate to the methods; points
+are numpy arrays of shape (2,).
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ class Polygon:
         nxt.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
         object.__setattr__(self, "_next", nxt)
+        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_tangents", edges / lengths[:, None])
         # unit outward normals n_i and offsets b_i: interior = {n_i . x <= b_i}
         normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
         object.__setattr__(self, "_normals", normals)
@@ -311,6 +314,41 @@ class Polygon:
         if len(dedup) > 1 and (dedup[0] + 2 * math.pi) - dedup[-1] <= ANGLE_TOL:
             dedup.pop()
         return _arcs_between(x, r, dedup, self.contains)
+
+    def balance_residuals(self, x, radii) -> np.ndarray:
+        """Balance-law residuals on the circles of ``radii`` about ``x``, shape (k, 2).
+
+        A signed sum over circle-edge crossings, for convex and reflex
+        polygons and for any ``x``.  With d = y - x at a crossing y, the
+        counterclockwise circle adds (d_y, -d_x) where it leaves the body and
+        subtracts it where it enters; on the edge a + t e the smaller root of
+        |a - x + t e| = r is a leave and the larger one an enter.  Written with
+        the signed line distance s and the half chord h = sqrt(r^2 - s^2), a
+        leave is at d = s n - h e/|e| and an enter at d = s n + h e/|e| (n the
+        unit outward normal).  So each crossing adds -h n, and an edge that
+        runs from inside the circle to outside adds s e/|e| (the reverse
+        edge -s e/|e|).  One status per vertex, |v - x| < r, decides
+        both of its edges, so a vertex on the circle is counted once or not at
+        all.  An edge whose two ends lie outside the circle is crossed twice
+        when the foot of the perpendicular lies inside it and the circle
+        reaches more than ``REL_TOL`` diameters past its line; the thinner
+        band is a tangency, which ``contains`` also counts as boundary.
+        """
+        x = as_point(x)
+        r = np.asarray(radii, dtype=float).reshape(-1, 1)   # radii down, edges across
+        rel = self.vertices - x
+        inside = np.sum(rel * rel, axis=1) < r * r
+        after = np.roll(inside, -1, axis=1)
+        s = np.sum(self._normals * rel, axis=1)
+        along = -np.sum(self._tangents * rel, axis=1)
+        depth = r - np.abs(s)          # how far the circle reaches past each edge line
+        pair = ~inside & ~after & (along > 0) & (along < self._lengths) \
+            & (depth > REL_TOL * self._diameter)
+        half_chord = np.sqrt(np.maximum(depth * (r + np.abs(s)), 0.0))
+        crossings = (inside != after) + 2 * pair
+        flow = inside.astype(float) - after
+        return (flow * s) @ self._tangents \
+            - (half_chord * crossings) @ self._normals
 
     def angular_breakpoints(self, x) -> list[float]:
         """Vertex directions seen from ``x``, where the radial function kinks."""
@@ -437,6 +475,22 @@ class Disk:
         beta = math.acos(cosb)
         phi = math.atan2(self.center[1] - x[1], self.center[0] - x[0])
         return _build_arcset(x, r, [(phi - beta, phi + beta)])
+
+    def balance_residuals(self, x, radii) -> np.ndarray:
+        """2 r sin(beta) (cos phi, sin phi) for the arc phi +- beta that
+        ``circle_clip`` finds; zero where it finds the full or empty circle."""
+        x = as_point(x)
+        r = np.asarray(radii, dtype=float).reshape(-1)
+        d = float(np.hypot(*(self.center - x)))
+        R = self.radius
+        arc = (d + r > R + ANGLE_TOL * np.maximum(r, 1.0)) & (r < d + R) & (d < r + R)
+        out = np.zeros((len(r), 2))
+        if np.any(arc):     # then d > 0
+            ra = r[arc]
+            cosb = np.clip((d * d + ra * ra - R * R) / (2 * d * ra), -1.0, 1.0)
+            out[arc] = np.outer(2 * ra * np.sqrt((1 - cosb) * (1 + cosb)),
+                                (self.center - x) / d)
+        return out
 
     def angular_breakpoints(self, x) -> list[float]:
         return [0.0, 2 * math.pi]

@@ -84,7 +84,7 @@ def test_criterion_03_balance_iff_stationary():
              for a in (-1.0, 0.0, 0.5, 1.0, 3.0, 5.0)]
     norms += [float(np.hypot(*poisson_gradient(tri, g0, Poisson(h))))
               for h in (0.3, 1.0, 3.0)]
-    rep = balance_report(tri, g0, early_stop=True)
+    rep = balance_report(tri, g0)
     unbalanced_ok = max(norms) > 1e-3 and not rep.balanced
     report(3, "balance law iff stationary gradients", balanced_ok and unbalanced_ok,
            f"balanced worst {worst:.2e}, unbalanced max {max(norms):.2e}")

@@ -6,25 +6,26 @@ import math
 import numpy as np
 import pytest
 
-from radialcenters.balance import (PolygonClass, RadialArcBody,
+from radialcenters.balance import (BALANCED_TOL, PolygonClass, RadialArcBody,
                                    WeightedBodyFunction, balance_report,
                                    classify_polygon, contact_points,
                                    equilateral_defect, equivalence_check,
                                    generate_asymmetric_balanced,
                                    parallelogram_defect, scalar_residual,
                                    stationary_candidate, symmetry_search,
-                                   vector_residual)
+                                   vector_residual, vector_residual_of_arcs)
 from radialcenters.centers import CENTER_CFG, ascend, limit_diagnostics
 from radialcenters.errors import (ConstructionFailed, ContinuumContact, InvalidBody,
                                   NotInterior)
-from radialcenters.geometry import (Disk, Polygon, centroid, circumcenter, contains,
-                                    contains_many, diameter, incenter, transformed)
+from radialcenters.geometry import (Disk, Polygon, centroid, circle_clip, circumcenter,
+                                    contains, contains_many, diameter, incenter, transformed)
 from radialcenters.potentials import Heat, Poisson, Riesz, _riesz_profile, \
     poisson_gradient, potential, riesz_gradient
 from radialcenters.quadrature import adaptive_gk, integrate_angular
 
 from conftest import (make_equilateral, make_square, make_tri345,
-                      make_unit_disk, random_parallelogram)
+                      make_unit_disk, random_convex_polygon, random_convex_quadrangle,
+                      random_parallelogram, random_triangle)
 
 
 def _residual_oracle(body, x, r, n=10 ** 6):
@@ -123,7 +124,76 @@ def test_balanced_point_is_centroid(rng):
         rep = balance_report(poly, g)
         assert rep.balanced
         offset = g + np.array([0.05, -0.03]) * diameter(poly)
-        assert not balance_report(poly, offset, early_stop=True).balanced
+        assert not balance_report(poly, offset).balanced
+
+
+def _spectrum_vs_clip_oracle(body, x):
+    """Largest gap between the report's spectrum and the circle-clip arc
+    moments at radii more than 2e-9 r_far from every breakpoint, relative to
+    the diameter, and the two balance verdicts."""
+    rep = balance_report(body, x)
+    oracle = np.array([vector_residual_of_arcs(circle_clip(body, x, r)) for r in rep.radii])
+    breaks = np.array(body.radius_breakpoints(x))
+    clear = np.abs(rep.radii[:, None] - breaks[None, :]).min(axis=1) > 2e-9 * body.reach(x)
+    gap = float(np.abs(rep.residual_vectors - oracle)[clear].max()) / body.diameter()
+    sup = float(np.max(np.hypot(*oracle.T) / (2 * math.pi * rep.radii)))
+    return gap, rep.balanced, bool(sup < BALANCED_TOL)
+
+
+def test_polygon_spectrum_matches_clip_oracle(rng):
+    lshape = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+    cases = [(p, p.centroid() + 0.2 * p.diameter() * (rng.random(2) - 0.5))
+             for p in (random_convex_polygon(rng, n_points=9) for _ in range(10))]
+    cases += [(lshape, np.array(x)) for x in
+              [(0.5, 0.5), (1.5, 0.5), (0.5, 1.5), (1.5, 1.5), (3.0, -1.0), (-0.5, 2.5)]]
+    cases += [(Disk([0.3, -0.2], 1.5), np.array(x)) for x in [(1.0, 0.4), (2.5, 1.0)]]
+    for body, x in cases:
+        gap, new, old = _spectrum_vs_clip_oracle(body, x)
+        assert gap <= 1e-13 and new == old
+
+
+def test_classification_spectra_match_clip_oracle(rng):
+    corpus = [random_triangle(rng) for _ in range(4)] \
+        + [random_convex_quadrangle(rng) for _ in range(4)] \
+        + [make_equilateral((rng.random(2) - 0.5) * 6, 0.5 + 2 * rng.random(), 6 * rng.random())
+           for _ in range(4)] \
+        + [random_parallelogram(rng) for _ in range(4)]
+    for poly in corpus:
+        gap, new, old = _spectrum_vs_clip_oracle(poly, poly.centroid())
+        assert gap <= 1e-13 and new == old
+    assert [classify_polygon(p) != PolygonClass.NOT_BALANCED for p in corpus] \
+        == [False] * 8 + [True] * 8
+
+
+@pytest.mark.parametrize("poly", [make_equilateral((0.4, -1.1), 1.7, 0.3),
+                                  Polygon([[0, 0], [3, 0], [4, 2], [1, 2]])],
+                         ids=["equilateral", "parallelogram"])
+def test_spectrum_vanishes_at_edge_foot_radii(poly):
+    # a circle tangent to an edge from inside has no outside arc; rounding
+    # must not make one of sqrt(eps) width
+    g = poly.centroid()
+    feet = np.array(poly.radius_breakpoints(g)[poly.n:])
+    res = poly.balance_residuals(g, feet)
+    assert np.all(np.hypot(*res.T) <= 1e-12 * feet)
+
+
+def test_spectrum_exterior_tangency_is_empty():
+    # the circle touches the bottom edge from outside and meets the body nowhere else
+    lshape = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+    x = np.array([1.5099193486761044, -2.1692521054088565])
+    r = 2.1692521054088565
+    assert np.hypot(*vector_residual(lshape, x, r)) <= 1e-15 * r
+
+
+def test_polygon_spectra_make_no_circle_clips(monkeypatch):
+    def refuse(self, x, r):
+        raise AssertionError("circle_clip called")
+
+    monkeypatch.setattr(Polygon, "circle_clip", refuse)
+    tri = make_tri345()
+    assert not balance_report(tri, centroid(tri)).balanced
+    assert classify_polygon(make_equilateral()) == PolygonClass.BALANCED_EQUILATERAL
+    assert classify_polygon(tri) == PolygonClass.NOT_BALANCED
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +392,6 @@ def test_asym_body_balanced(asym_body):
 
 
 def test_asym_body_full_circles_below_unit_radius(asym_body):
-    from radialcenters.geometry import circle_clip
     for r in (0.3, 0.8, 0.999):
         assert circle_clip(asym_body, np.zeros(2), r).is_full()
 
@@ -402,7 +471,6 @@ def test_asym_body_high_order_value_is_cheap(asym_body):
 
 
 def test_asym_body_offcenter_clip_consistency(asym_body):
-    from radialcenters.geometry import circle_clip
     x = np.array([0.05, -0.03])
     for r in (0.5, 1.0, 1.02):
         arcs = circle_clip(asym_body, x, r)

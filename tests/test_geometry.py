@@ -16,7 +16,7 @@ from radialcenters.geometry import (Disk, Polygon, area, boundary_distance,
                                     maximal_folding, radial_function,
                                     radial_function_many, transformed,
                                     unfolded_region, body_from_dict, body_to_dict)
-from radialcenters.balance import generate_asymmetric_balanced
+from radialcenters.balance import generate_asymmetric_balanced, vector_residual_of_arcs
 from radialcenters.quadrature import angular_breakpoints, integrate_angular
 
 from conftest import (interior_points, make_equilateral, make_square, make_tri345,
@@ -412,7 +412,7 @@ def test_body_json_round_trip(rng):
 
 PROTOCOL = ("area", "centroid", "diameter", "is_convex", "contains", "contains_many",
             "boundary_distance", "boundary_distance_many", "radial_function",
-            "radial_function_many", "circle_clip", "angular_breakpoints",
+            "radial_function_many", "circle_clip", "balance_residuals", "angular_breakpoints",
             "radius_breakpoints", "reach", "route", "boundary_polyline",
             "circumcenter", "incenter", "to_dict")
 
@@ -440,6 +440,8 @@ def test_body_protocol(make):
     assert np.array_equal(rho, radial_function_many(body, x, thetas))
     assert rho == pytest.approx([radial_function(body, x, t) for t in thetas], rel=1e-12)
     assert body.circle_clip(x, 0.7).arcs == circle_clip(body, x, 0.7).arcs
+    moments = [vector_residual_of_arcs(circle_clip(body, x, r)) for r in (0.7, 1.1)]
+    assert np.abs(body.balance_residuals(x, [0.7, 1.1]) - moments).max() < 1e-13
     breaks = body.angular_breakpoints(x)
     assert breaks == angular_breakpoints(body, x)
     assert breaks[0] == 0.0 and breaks[-1] == 2 * math.pi and breaks == sorted(breaks)
