@@ -644,10 +644,9 @@ class RadialArcBody:
         return InCenter(np.zeros(2), 1.0, False)
 
     def route(self, loc: str) -> str:
-        """The angular route about interior points; nothing else is supported."""
-        if loc != "interior" or not self._convex:
-            raise ValueError(f"{loc} evaluation not supported for RadialArcBody")
-        return "angular"
+        """The angular route about interior points, and no route (``none``)
+        elsewhere: only the boundary-piece quadratures serve those points."""
+        return "angular" if loc == "interior" and self._convex else "none"
 
     # -- serialization --------------------------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BoundaryPoint, NoInteriorSeed, NonConvergence
 from .geometry import (Disk, Polygon, as_point, boundary_distance, centroid,
-                       circumcenter, contains, diameter, incenter, is_convex,
+                       circumcenter, contains_many, diameter, incenter, is_convex,
                        transformed)
 from .potentials import (Heat, Poisson, PotentialSpec, Riesz, potential, potential_gradient,
                          potential_hessian)
@@ -113,6 +113,13 @@ def _keep_interior(spec: PotentialSpec) -> bool:
     return isinstance(spec, Riesz) and spec.alpha <= 1
 
 
+def _inside_by(body, p: np.ndarray, margin: float) -> bool:
+    """Whether ``p`` lies inside the body, more than ``margin`` from its
+    boundary.  The margin exceeds every body's membership slack, so the
+    unbanded ``contains_many`` decides once the distance has been measured."""
+    return boundary_distance(body, p) > margin and bool(contains_many(body, p[None, :])[0])
+
+
 def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None):
     """Damped Newton ascent from ``x0``; returns (point, value, grad_norm, iterations).
 
@@ -128,7 +135,7 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     margin = INTERIOR_MARGIN_REL * diam
 
     def feasible(p):
-        return (not keep_in) or (contains(body, p) and boundary_distance(body, p) > margin)
+        return (not keep_in) or _inside_by(body, p, margin)
 
     if not feasible(x):
         raise NoInteriorSeed(f"infeasible start {x!r}")
@@ -237,7 +244,7 @@ def multistart_seeds(body) -> list[np.ndarray]:
 
     def push(p):
         p = as_point(p)
-        if contains(body, p) and boundary_distance(body, p) > margin and \
+        if _inside_by(body, p, margin) and \
                 all(float(np.hypot(*(p - q))) > 1e-12 * diam for q in seeds):
             seeds.append(p)
 
@@ -305,9 +312,8 @@ def find_center(body, spec: PotentialSpec,
         y, _, _, iters = best
     else:
         start = centroid(nbody)
-        if _keep_interior(nspec) and not (
-                contains(nbody, start)
-                and boundary_distance(nbody, start) > INTERIOR_MARGIN_REL * diameter(nbody)):
+        if _keep_interior(nspec) and not _inside_by(nbody, start,
+                                                    INTERIOR_MARGIN_REL * diameter(nbody)):
             start = incenter(nbody).center
         y, _, _, iters = ascend(nbody, nspec, start, cfg)
 

@@ -5,12 +5,13 @@ Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
 ``boundary_distance_many``, ``radial_function`` / ``radial_function_many``,
 ``circle_clip``, ``balance_residuals``, ``angular_breakpoints``,
 ``radius_breakpoints``, ``reach``, ``route``, ``boundary_polyline``,
-``boundary_pieces``, ``circumcenter``, ``incenter`` and ``to_dict``.
-Simple polygons (counterclockwise) and disks live here; the radially
-parameterized balanced body lives in the balance module.  Bodies are
-immutable and prepare their derived geometry once, at construction.  The
-module-level functions of the same names delegate to the methods; points
-are numpy arrays of shape (2,).
+``boundary_pieces``, ``circumcenter``, ``incenter`` and ``to_dict``; a
+body whose ``route`` can name ``edges`` (polygons) also answers
+``edge_frame``.  Simple polygons (counterclockwise) and disks live here;
+the radially parameterized balanced body lives in the balance module.
+Bodies are immutable and prepare their derived geometry once, at
+construction.  The module-level functions of the same names delegate to
+the methods; points are numpy arrays of shape (2,).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from scipy.optimize import linprog
 from .errors import InvalidBody, NotStarShaped
 
 __all__ = [
-    "Polygon", "Disk", "ArcSet", "UnfoldedRegion", "Segment", "CircleArc",
+    "Polygon", "Disk", "ArcSet", "UnfoldedRegion", "Segment", "CircleArc", "EdgeFrame",
     "CircumCenter", "InCenter",
     "area", "centroid", "diameter", "contains", "boundary_distance",
     "classify_location", "is_convex", "convex_hull",
@@ -46,7 +47,7 @@ REL_TOL = 1e-12
 
 def as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=float).reshape(2)
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise InvalidBody(f"non-finite point {p!r}")
     return q
 
@@ -62,7 +63,9 @@ def _cross(a, b) -> float:
 def _segment_distances(p, a, b) -> np.ndarray:
     """Distances from points ``p`` to segments [a, b]; leading axes broadcast."""
     e = b - a
-    t = np.clip(np.sum((p - a) * e, axis=-1) / np.sum(e * e, axis=-1), 0.0, 1.0)
+    d = p - a
+    t = np.minimum(np.maximum((d[..., 0] * e[..., 0] + d[..., 1] * e[..., 1])
+                              / (e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]), 0.0), 1.0)
     foot = a + t[..., None] * e
     return np.hypot(p[..., 0] - foot[..., 0], p[..., 1] - foot[..., 1])
 
@@ -122,6 +125,20 @@ class Segment(NamedTuple):
         """The foot of the perpendicular from ``x``, clipped to the segment."""
         e = self.e
         return float(np.clip(np.dot(x - self.a, e) / np.dot(e, e), 0.0, 1.0))
+
+
+class EdgeFrame(NamedTuple):
+    """A polygon's edges seen from a point x, one entry per edge.
+
+    ``p`` is the signed distance from x to the edge's line, positive on the
+    inner side; the rows of ``s`` are the edge's ends s_a < s_b along its
+    unit tangent, measured from the foot of the perpendicular from x.
+    """
+
+    p: np.ndarray
+    s: np.ndarray
+    normals: np.ndarray
+    tangents: np.ndarray
 
 
 class CircleArc(NamedTuple):
@@ -197,6 +214,11 @@ class Polygon:
         normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
         object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_offsets", np.sum(normals * arr, axis=1))
+        # the edge frame's dot products: normals with the starts, tangents
+        # with the starts and the ends
+        object.__setattr__(self, "_frame_dirs", np.vstack([normals, self._tangents,
+                                                           self._tangents]))
+        object.__setattr__(self, "_frame_points", np.vstack([arr, arr, nxt]))
         object.__setattr__(self, "_pieces", tuple(Segment(a, e) for a, e in zip(arr, edges)))
         object.__setattr__(self, "_convex", bool(np.all(crosses > 0)))
         object.__setattr__(self, "_diameter", _point_set_diameter(arr))
@@ -236,9 +258,9 @@ class Polygon:
         x, y = pts[:, :1], pts[:, 1:]              # (N, 1) against the n edges
         (x1, y1), (x2, y2) = self.vertices.T, self._next.T
         crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            return np.count_nonzero(crosses & (x < xi), axis=1) % 2 == 1
+        run = np.divide((y - y1) * (x2 - x1), y2 - y1, out=np.zeros(crosses.shape),
+                        where=crosses)
+        return np.count_nonzero(crosses & (x < x1 + run), axis=1) % 2 == 1
 
     def boundary_distance(self, p) -> float:
         return float(self.boundary_distance_many(as_point(p))[0])
@@ -368,9 +390,16 @@ class Polygon:
         return float(np.max(np.hypot(v[:, 0] - x[0], v[:, 1] - x[1])))
 
     def route(self, loc: str) -> str:
-        """Quadrature route for a point at location ``loc``: the angular route
-        where the whole body is visible, signed edge sectors everywhere else."""
-        return "angular" if loc == "interior" and self._convex else "fan"
+        """Route for a point at location ``loc``: closed-form edge sums
+        (``edge_frame``) off the boundary band, signed edge sectors in it."""
+        return "fan" if loc == "boundary" else "edges"
+
+    def edge_frame(self, x) -> EdgeFrame:
+        """Every edge seen from ``x``, for the closed forms of the edges route."""
+        w = self._frame_dirs * (self._frame_points - as_point(x))
+        w = w[:, 0] + w[:, 1]
+        n = self.n
+        return EdgeFrame(w[:n], w[n:].reshape(2, n), self._normals, self._tangents)
 
     def boundary_polyline(self, n: int = 512) -> np.ndarray:
         pts = []
@@ -663,11 +692,15 @@ def boundary_distance(body: Body, p) -> float:
 
 
 def classify_location(body: Body, p) -> str:
-    """'interior' | 'exterior' | 'boundary', with a band of ``BOUNDARY_BAND`` diameters."""
+    """'interior' | 'exterior' | 'boundary', with a band of ``BOUNDARY_BAND`` diameters.
+
+    Outside the band every body's ``contains`` agrees with its unbanded
+    ``contains_many``, so the boundary distance is measured once.
+    """
     p = as_point(p)
     if body.boundary_distance(p) <= BOUNDARY_BAND * body.diameter():
         return "boundary"
-    return "interior" if body.contains(p) else "exterior"
+    return "interior" if body.contains_many(p[None, :])[0] else "exterior"
 
 
 def is_convex(body: Body) -> bool:

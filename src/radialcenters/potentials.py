@@ -7,14 +7,25 @@ potential at time ``t``.  Planar bodies (``m = 2``) get full support; balls
 in arbitrary ambient dimension are evaluated semi-analytically for testing
 dimension-generic constants.
 
-Evaluation strategy: the singularity (if any) is absorbed into an exact
-radial antiderivative and the remaining smooth angular integral is done by
-adaptive quadrature along the one route the body names for the base point's
-location, the same for all three families: about the base point where the
-whole body is visible from it, sector-by-sector over polygon edges at every
-other polygon point, and chord-by-chord for points outside a disk.
-Hessians, and Riesz gradients at exterior points, are one-dimensional
-integrals over the body's boundary pieces instead.
+Evaluation strategy: each body names one route for the base point's
+location.  A polygon names ``edges`` off its boundary band: values,
+gradients and Hessians are then closed-form sums over the edges, in one
+vectorized pass (``edges`` module).  Everywhere else the singularity (if
+any) is absorbed into an exact radial antiderivative and the remaining
+smooth angular integral is done by adaptive quadrature: about the base point
+where the whole body is visible from it (``angular``), sector by sector over
+polygon edges (``fan``), or chord by chord for points outside a disk
+(``disk_exterior``).  Hessians, and Riesz gradients at exterior points, are
+one-dimensional quadratures over the body's boundary pieces there.
+
+Quadrature stays the production path for disks and the radially
+parameterized body, for polygon points in the boundary band, and for the
+polygon values that have no closed form here: Riesz orders 0 and 2 (a log
+or a Clausen function) and Poisson and heat values outside the body (the
+sector sum loses relative accuracy in the far tail).  Those polygon values
+take the fan route.  On polygons off the band, the angular and fan routes,
+the boundary-piece quadratures (``riesz_gradient_boundary``) and the
+explicit-``eps`` forms are test oracles.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from typing import Union
 import numpy as np
 from scipy.special import erf, erfc
 
+from . import edges
 from .errors import BoundaryPoint
 from .geometry import BOUNDARY_BAND, Disk, as_point, classify_location
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, adaptive_gk,
@@ -204,20 +216,22 @@ def _location(body, x) -> str:
     return classify_location(body, x)
 
 
-def _integrate(body, x, profile, loc: str, cfg, vector: bool = False):
-    """Kernel integral over the body along the route the body names for ``loc``.
+def _integrate(body, x, profile, route: str, cfg, vector: bool = False):
+    """Kernel integral over the body by quadrature along ``route``; a
+    polygon's ``edges`` route falls back to its signed sectors (``fan``).
 
     ``profile`` is the radial antiderivative of the kernel, which gives the
     finite-part convention at interior points.  With ``vector`` the
     integrand is weighted by the unit direction, as gradients need.
     """
-    route = body.route(loc)
     if route == "angular":
         fn = integrate_angular_vector if vector else integrate_angular
-    elif route == "fan":
+    elif route in ("fan", "edges"):
         fn = fan_integral_vector if vector else fan_integral
-    else:
+    elif route == "disk_exterior":
         fn = disk_exterior_integral_vector if vector else disk_exterior_integral
+    else:
+        raise ValueError(f"no quadrature route for this point of {type(body).__name__}")
     return fn(body, x, profile, cfg)
 
 
@@ -245,10 +259,13 @@ def riesz_value(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     loc = _location(body, x)
     if loc == "boundary" and alpha <= 0:
         raise BoundaryPoint("finite-part value undefined on the boundary for alpha <= 0")
-    profile = _riesz_profile(alpha)
-    raw = _integrate(body, x, profile, loc, cfg)
-    sign = 1.0 if alpha == 2 else math.copysign(1.0, 2 - alpha)
-    return PotentialValue(sign * raw, _riesz_regime(alpha, 2), loc)
+    route = body.route(loc)
+    if route == "edges" and alpha not in (0, 2):
+        val = edges.riesz_value(body.edge_frame(x), alpha)
+    else:
+        sign = 1.0 if alpha == 2 else math.copysign(1.0, 2 - alpha)
+        val = sign * _integrate(body, x, _riesz_profile(alpha), route, cfg)
+    return PotentialValue(val, _riesz_regime(alpha, 2), loc)
 
 
 def riesz_value_finite_part_eps(body, x, alpha: float, eps: float,
@@ -268,7 +285,7 @@ def riesz_value_finite_part_eps(body, x, alpha: float, eps: float,
         raise BoundaryPoint("finite-part assembly needs an interior point")
     if not (0 < eps < body.boundary_distance(x)):
         raise ValueError("eps must lie in (0, dist(x, boundary))")
-    total = _integrate(body, x, _riesz_profile(alpha), loc, cfg)
+    total = _integrate(body, x, _riesz_profile(alpha), body.route(loc), cfg)
     if alpha == 0:
         annulus = total - 2 * math.pi * math.log(eps)
         counterterm = -2 * math.pi * math.log(1.0 / eps)
@@ -355,11 +372,12 @@ def _riesz_value_ball(disk: Disk, x, alpha: float, m: int,
 def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Gradient of the order-``alpha`` potential.
 
-    Exterior points use the boundary-integral form; every other point uses
-    the volume form along the body's route, whose profile drops the
-    antiderivative's value at zero and so equals the excluded-ball (annulus)
-    form for ``alpha <= 1``.  Boundary points are refused for ``alpha <= 1``
-    where the potential is not differentiable.
+    On the edges route a closed form; otherwise exterior points use the
+    boundary-integral form and every other point the volume form along the
+    body's route, whose profile drops the antiderivative's value at zero and
+    so equals the excluded-ball (annulus) form for ``alpha <= 1``.  Boundary
+    points are refused for ``alpha <= 1`` where the potential is not
+    differentiable.
     """
     x = as_point(x)
     alpha = spec.alpha
@@ -368,17 +386,16 @@ def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG)
     loc = _location(body, x)
     if loc == "boundary" and alpha <= 1:
         raise BoundaryPoint("potential not differentiable on the boundary for alpha <= 1")
+    route = body.route(loc)
+    if route == "edges":
+        frame = body.edge_frame(x)
+        return edges.gradient(frame, edges.riesz_flux(frame, alpha))
     if loc == "exterior":
         return riesz_gradient_boundary(body, x, alpha, cfg)
-    return _riesz_gradient_volume(body, x, alpha, loc, cfg)
-
-
-def _riesz_gradient_volume(body, x, alpha: float, loc: str,
-                           cfg: QuadratureConfig) -> np.ndarray:
     if alpha == 2:
-        return _integrate(body, x, lambda r: r, loc, cfg, vector=True)
-    vec = _integrate(body, x, _riesz_grad_profile(alpha), loc, cfg, vector=True)
-    return abs(2 - alpha) * vec
+        return _integrate(body, x, lambda r: r, route, cfg, vector=True)
+    return abs(2 - alpha) * _integrate(body, x, _riesz_grad_profile(alpha), route, cfg,
+                                       vector=True)
 
 
 def riesz_gradient_annulus(body, x, alpha: float, eps: float,
@@ -450,7 +467,11 @@ def poisson_value(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CONFIG
     if m != 2:
         return _smooth_value_ball(_ball(body), x, m, "poisson", _poisson_radial_density(h, m), cfg)
     loc = _location(body, x)
-    return PotentialValue(_integrate(body, x, _poisson_profile(h, loc), loc, cfg), "poisson", loc)
+    route = body.route(loc)
+    if route == "edges" and loc == "interior":
+        return PotentialValue(edges.poisson_value(body.edge_frame(x), h), "poisson", loc)
+    return PotentialValue(_integrate(body, x, _poisson_profile(h, loc), route, cfg),
+                          "poisson", loc)
 
 
 def _poisson_radial_density(h: float, m: int):
@@ -468,7 +489,11 @@ def poisson_gradient(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CON
     if spec.m != 2:
         raise ValueError("gradients are implemented for the planar case only")
     loc = _location(body, x)
-    return _integrate(body, x, _poisson_grad_profile(spec.h, loc), loc, cfg, vector=True)
+    route = body.route(loc)
+    if route == "edges":
+        frame = body.edge_frame(x)
+        return edges.gradient(frame, edges.poisson_flux(frame, spec.h))
+    return _integrate(body, x, _poisson_grad_profile(spec.h, loc), route, cfg, vector=True)
 
 
 def heat_value(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PotentialValue:
@@ -477,7 +502,10 @@ def heat_value(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
     if m != 2:
         return _smooth_value_ball(_ball(body), x, m, "heat", _heat_radial_density(t, m), cfg)
     loc = _location(body, x)
-    return PotentialValue(_integrate(body, x, _heat_profile(t, loc), loc, cfg), "heat", loc)
+    route = body.route(loc)
+    if route == "edges" and loc == "interior":
+        return PotentialValue(edges.heat_value(body.edge_frame(x), t), "heat", loc)
+    return PotentialValue(_integrate(body, x, _heat_profile(t, loc), route, cfg), "heat", loc)
 
 
 def heat_gradient(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -485,7 +513,11 @@ def heat_gradient(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -
     if spec.m != 2:
         raise ValueError("gradients are implemented for the planar case only")
     loc = _location(body, x)
-    return _integrate(body, x, _heat_grad_profile(spec.t, loc), loc, cfg, vector=True)
+    route = body.route(loc)
+    if route == "edges":
+        frame = body.edge_frame(x)
+        return edges.gradient(frame, edges.heat_flux(frame, spec.t))
+    return _integrate(body, x, _heat_grad_profile(spec.t, loc), route, cfg, vector=True)
 
 
 def _smooth_value_ball(disk: Disk, x, m: int, regime: str, radial_density, cfg) -> PotentialValue:
@@ -521,22 +553,37 @@ def _hessian_kernel(spec: PotentialSpec):
     raise TypeError(f"unknown potential spec {spec!r}")
 
 
+def _edge_moments(frame, spec: PotentialSpec):
+    if isinstance(spec, Riesz):
+        return edges.riesz_moments(frame, spec.alpha)
+    if isinstance(spec, Poisson):
+        return edges.poisson_moments(frame, spec.h)
+    if isinstance(spec, Heat):
+        return edges.heat_moments(frame, spec.t)
+    raise TypeError(f"unknown potential spec {spec!r}")
+
+
 def potential_hessian(body, x, spec: PotentialSpec,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Hessian of the potential, ``-int over the boundary of d_i K(x - y) n_j ds``.
 
     Differentiating the boundary form of the gradient once more leaves a
     smooth one-dimensional integral at any point off the boundary, for every
-    family and order (the finite-part counterterm does not depend on ``x``).
-    In the boundary band the integral diverges for Riesz orders
-    ``alpha <= 2``, which are refused there.
+    family and order (the finite-part counterterm does not depend on ``x``);
+    on the edges route it is in closed form.  In the boundary band the
+    integral diverges for Riesz orders ``alpha <= 2``, which are refused
+    there.
     """
     x = as_point(x)
     if spec.m != 2:
         raise ValueError("Hessians are implemented for the planar case only")
-    dk = _hessian_kernel(spec)
-    if isinstance(spec, Riesz) and spec.alpha <= 2 and _location(body, x) == "boundary":
+    loc = _location(body, x)
+    if isinstance(spec, Riesz) and spec.alpha <= 2 and loc == "boundary":
         raise BoundaryPoint("Hessian diverges on the boundary for alpha <= 2")
+    if body.route(loc) == "edges":
+        frame = body.edge_frame(x)
+        return edges.hessian(frame, _edge_moments(frame, spec))
+    dk = _hessian_kernel(spec)
 
     def integrand(d, n_ds):
         w = dk(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])

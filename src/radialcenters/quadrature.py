@@ -7,13 +7,14 @@ Three routes are provided:
   where ``profile`` is the exact radial antiderivative of the kernel.
   Singular kernels are absorbed analytically this way.
 * ``fan_integral`` / ``fan_integral_vector`` -- signed-sector decomposition
-  of a polygon about an arbitrary base point (used for exterior points and
-  non-star-shaped interiors).
+  of a polygon about an arbitrary base point (used in the boundary band and
+  for the polygon values that have no closed form on the edges route).
 * ``integrate_polygon`` -- triangulation plus degree-5 Gauss rules with
   recursive subdivision, for general smooth integrands.  No potential is
   computed this way; tests use it as an independent oracle.
 
-Each body names the route for a base point through its ``route`` method.
+Each body names the route for a base point through its ``route`` method;
+a polygon's ``edges`` route is closed form (``edges`` module).
 """
 
 from __future__ import annotations
