@@ -7,7 +7,8 @@ Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
 ``radius_breakpoints``, ``reach``, ``route``, ``boundary_polyline``,
 ``boundary_pieces``, ``circumcenter``, ``incenter`` and ``to_dict``; a
 body whose ``route`` can name ``edges`` (polygons) also answers
-``edge_frame``.  Simple polygons (counterclockwise) and disks live here;
+``edge_frame``, and one whose ``route`` can name ``disk`` has a ``center``
+and a ``radius``.  Simple polygons (counterclockwise) and disks live here;
 the radially parameterized balanced body lives in the balance module.
 Bodies are immutable and prepare their derived geometry once, at
 construction.  The module-level functions of the same names delegate to
@@ -532,8 +533,9 @@ class Disk:
         return float(np.hypot(*(self.center - as_point(x)))) + self.radius
 
     def route(self, loc: str) -> str:
-        """Chords seen from outside; the angular route everywhere else."""
-        return "disk_exterior" if loc == "exterior" else "angular"
+        """Closed forms in the distance to the center (``disks``) off the
+        boundary band, the angular route in it."""
+        return "angular" if loc == "boundary" else "disk"
 
     def boundary_polyline(self, n: int = 512) -> np.ndarray:
         t = np.linspace(0, 2 * math.pi, n, endpoint=False)

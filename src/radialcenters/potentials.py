@@ -8,24 +8,26 @@ in arbitrary ambient dimension are evaluated semi-analytically for testing
 dimension-generic constants.
 
 Evaluation strategy: each body names one route for the base point's
-location.  A polygon names ``edges`` off its boundary band: values,
+location.  Off its boundary band a polygon names ``edges``: values,
 gradients and Hessians are then closed-form sums over the edges, in one
-vectorized pass (``edges`` module).  Everywhere else the singularity (if
-any) is absorbed into an exact radial antiderivative and the remaining
-smooth angular integral is done by adaptive quadrature: about the base point
-where the whole body is visible from it (``angular``), sector by sector over
-polygon edges (``fan``), or chord by chord for points outside a disk
-(``disk_exterior``).  Hessians, and Riesz gradients at exterior points, are
+vectorized pass (``edges`` module).  A disk names ``disk`` there: all three
+are closed-form functions of the distance to its center (``disks``
+module).  Everywhere else the singularity (if any) is absorbed into an
+exact radial antiderivative and the remaining smooth angular integral is
+done by adaptive quadrature: about the base point where the whole body is
+visible from it (``angular``), or sector by sector over polygon edges
+(``fan``).  Hessians, and Riesz gradients at exterior points, are
 one-dimensional quadratures over the body's boundary pieces there.
 
-Quadrature stays the production path for disks and the radially
-parameterized body, for polygon points in the boundary band, and for the
-polygon values that have no closed form here: Riesz orders 0 and 2 (a log
-or a Clausen function) and Poisson and heat values outside the body (the
-sector sum loses relative accuracy in the far tail).  Those polygon values
-take the fan route.  On polygons off the band, the angular and fan routes,
-the boundary-piece quadratures (``riesz_gradient_boundary``) and the
-explicit-``eps`` forms are test oracles.
+Quadrature stays the production path for the radially parameterized body,
+for points in a boundary band, and for the polygon values that have no
+closed form here: Riesz orders 0 and 2 (a log or a Clausen function) and
+Poisson and heat values outside the body (the sector sum loses relative
+accuracy in the far tail).  Those polygon values take the fan route.  Off
+the band, the angular and fan routes, the chord route outside a disk
+(``quadrature.disk_exterior_integral``), the boundary-piece quadratures
+(``riesz_gradient_boundary``) and the explicit-``eps`` forms are test
+oracles.
 """
 
 from __future__ import annotations
@@ -37,13 +39,11 @@ from typing import Union
 import numpy as np
 from scipy.special import erf, erfc
 
-from . import edges
+from . import disks, edges
 from .errors import BoundaryPoint
 from .geometry import BOUNDARY_BAND, Disk, as_point, classify_location
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, adaptive_gk,
-                         disk_exterior_integral, disk_exterior_integral_vector,
-                         fan_integral, fan_integral_vector, integrate_angular,
-                         integrate_angular_vector)
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, adaptive_gk, fan_integral,
+                         fan_integral_vector, integrate_angular, integrate_angular_vector)
 
 __all__ = [
     "Riesz", "Poisson", "Heat", "PotentialSpec", "PotentialValue",
@@ -218,21 +218,26 @@ def _location(body, x) -> str:
 
 def _integrate(body, x, profile, route: str, cfg, vector: bool = False):
     """Kernel integral over the body by quadrature along ``route``; a
-    polygon's ``edges`` route falls back to its signed sectors (``fan``).
+    polygon's ``edges`` route falls back to its signed sectors (``fan``),
+    a disk's ``disk`` route about interior points to the angular one.
 
     ``profile`` is the radial antiderivative of the kernel, which gives the
     finite-part convention at interior points.  With ``vector`` the
     integrand is weighted by the unit direction, as gradients need.
     """
-    if route == "angular":
+    if route in ("angular", "disk"):
         fn = integrate_angular_vector if vector else integrate_angular
     elif route in ("fan", "edges"):
         fn = fan_integral_vector if vector else fan_integral
-    elif route == "disk_exterior":
-        fn = disk_exterior_integral_vector if vector else disk_exterior_integral
     else:
         raise ValueError(f"no quadrature route for this point of {type(body).__name__}")
     return fn(body, x, profile, cfg)
+
+
+def _disk_frame(body, x):
+    """(x - c, |x - c|, R) for a body on the ``disk`` route."""
+    delta = x - body.center
+    return delta, math.hypot(delta[0], delta[1]), body.radius
 
 
 def _ball(body) -> Disk:
@@ -262,6 +267,8 @@ def riesz_value(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     route = body.route(loc)
     if route == "edges" and alpha not in (0, 2):
         val = edges.riesz_value(body.edge_frame(x), alpha)
+    elif route == "disk":
+        val = disks.riesz_value(_disk_frame(body, x)[1], body.radius, alpha)
     else:
         sign = 1.0 if alpha == 2 else math.copysign(1.0, 2 - alpha)
         val = sign * _integrate(body, x, _riesz_profile(alpha), route, cfg)
@@ -372,7 +379,7 @@ def _riesz_value_ball(disk: Disk, x, alpha: float, m: int,
 def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Gradient of the order-``alpha`` potential.
 
-    On the edges route a closed form; otherwise exterior points use the
+    On the edges and disk routes a closed form; otherwise exterior points use the
     boundary-integral form and every other point the volume form along the
     body's route, whose profile drops the antiderivative's value at zero and
     so equals the excluded-ball (annulus) form for ``alpha <= 1``.  Boundary
@@ -390,6 +397,9 @@ def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG)
     if route == "edges":
         frame = body.edge_frame(x)
         return edges.gradient(frame, edges.riesz_flux(frame, alpha))
+    if route == "disk":
+        delta, d, R = _disk_frame(body, x)
+        return disks.riesz_slope(d, R, alpha) * delta
     if loc == "exterior":
         return riesz_gradient_boundary(body, x, alpha, cfg)
     if alpha == 2:
@@ -470,6 +480,9 @@ def poisson_value(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CONFIG
     route = body.route(loc)
     if route == "edges" and loc == "interior":
         return PotentialValue(edges.poisson_value(body.edge_frame(x), h), "poisson", loc)
+    if route == "disk":
+        return PotentialValue(disks.poisson_value(_disk_frame(body, x)[1], body.radius, h),
+                              "poisson", loc)
     return PotentialValue(_integrate(body, x, _poisson_profile(h, loc), route, cfg),
                           "poisson", loc)
 
@@ -493,6 +506,9 @@ def poisson_gradient(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CON
     if route == "edges":
         frame = body.edge_frame(x)
         return edges.gradient(frame, edges.poisson_flux(frame, spec.h))
+    if route == "disk":
+        delta, d, R = _disk_frame(body, x)
+        return disks.poisson_slope(d, R, spec.h) * delta
     return _integrate(body, x, _poisson_grad_profile(spec.h, loc), route, cfg, vector=True)
 
 
@@ -505,6 +521,9 @@ def heat_value(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
     route = body.route(loc)
     if route == "edges" and loc == "interior":
         return PotentialValue(edges.heat_value(body.edge_frame(x), t), "heat", loc)
+    if route == "disk":
+        return PotentialValue(disks.heat_value(_disk_frame(body, x)[1], body.radius, t),
+                              "heat", loc)
     return PotentialValue(_integrate(body, x, _heat_profile(t, loc), route, cfg), "heat", loc)
 
 
@@ -517,6 +536,9 @@ def heat_gradient(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -
     if route == "edges":
         frame = body.edge_frame(x)
         return edges.gradient(frame, edges.heat_flux(frame, spec.t))
+    if route == "disk":
+        delta, d, R = _disk_frame(body, x)
+        return disks.heat_slope(d, R, spec.t) * delta
     return _integrate(body, x, _heat_grad_profile(spec.t, loc), route, cfg, vector=True)
 
 
@@ -563,6 +585,16 @@ def _edge_moments(frame, spec: PotentialSpec):
     raise TypeError(f"unknown potential spec {spec!r}")
 
 
+def _disk_slopes(d: float, R: float, spec: PotentialSpec):
+    if isinstance(spec, Riesz):
+        return disks.riesz_slope(d, R, spec.alpha), disks.riesz_curvature(d, R, spec.alpha)
+    if isinstance(spec, Poisson):
+        return disks.poisson_slope(d, R, spec.h), disks.poisson_curvature(d, R, spec.h)
+    if isinstance(spec, Heat):
+        return disks.heat_slope(d, R, spec.t), disks.heat_curvature(d, R, spec.t)
+    raise TypeError(f"unknown potential spec {spec!r}")
+
+
 def potential_hessian(body, x, spec: PotentialSpec,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Hessian of the potential, ``-int over the boundary of d_i K(x - y) n_j ds``.
@@ -570,7 +602,7 @@ def potential_hessian(body, x, spec: PotentialSpec,
     Differentiating the boundary form of the gradient once more leaves a
     smooth one-dimensional integral at any point off the boundary, for every
     family and order (the finite-part counterterm does not depend on ``x``);
-    on the edges route it is in closed form.  In the boundary band the
+    on the edges and disk routes it is in closed form.  In the boundary band the
     integral diverges for Riesz orders ``alpha <= 2``, which are refused
     there.
     """
@@ -580,9 +612,13 @@ def potential_hessian(body, x, spec: PotentialSpec,
     loc = _location(body, x)
     if isinstance(spec, Riesz) and spec.alpha <= 2 and loc == "boundary":
         raise BoundaryPoint("Hessian diverges on the boundary for alpha <= 2")
-    if body.route(loc) == "edges":
+    route = body.route(loc)
+    if route == "edges":
         frame = body.edge_frame(x)
         return edges.hessian(frame, _edge_moments(frame, spec))
+    if route == "disk":
+        delta, d, R = _disk_frame(body, x)
+        return disks.hessian(delta, d, *_disk_slopes(d, R, spec))
     dk = _hessian_kernel(spec)
 
     def integrand(d, n_ds):

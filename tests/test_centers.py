@@ -207,13 +207,16 @@ def test_limit_diagnostics_rectangle_center():
 
 
 # ---------------------------------------------------------------------------
-# cost of a search: Newton steps take the exact Hessian, and polygon values,
-# gradients and Hessians are closed-form edge sums
+# cost of a search: Newton steps take the exact Hessian, and polygon and disk
+# values, gradients and Hessians are in closed form
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", [Heat(1.25), Riesz(0.5), Poisson(0.5)],
-                         ids=["heat", "riesz", "poisson"])
-def test_center_integrand_calls(monkeypatch, spec):
+@pytest.mark.parametrize("make,spec", [
+    (make_tri345, Heat(1.25)), (make_tri345, Riesz(0.5)), (make_tri345, Poisson(0.5)),
+    (lambda: Disk([1.0, 3.0], 1.5), Heat(1.25)), (lambda: Disk([1.0, 3.0], 1.5), Riesz(0.5)),
+    (lambda: Disk([1.0, 3.0], 1.5), Poisson(0.5)),
+], ids=["heat", "riesz", "poisson", "disk-heat", "disk-riesz", "disk-poisson"])
+def test_center_integrand_calls(monkeypatch, make, spec):
     calls = 0
     panel = quadrature._gk15_panel
 
@@ -223,7 +226,7 @@ def test_center_integrand_calls(monkeypatch, spec):
         return panel(*args)
 
     monkeypatch.setattr(quadrature, "_gk15_panel", counted)
-    find_center(make_tri345(), spec)
+    find_center(make(), spec)
     assert calls == 0
 
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import radialcenters
+from radialcenters import quadrature
 from radialcenters.cli import main
 from radialcenters.geometry import body_from_dict
 
@@ -180,6 +181,26 @@ def test_concavity_check(capsys, scalene_file):
     payload = json.loads(out)
     assert payload["all_passed"] is True
     assert len(payload["checks"]) >= 6
+
+
+def test_concavity_check_on_the_disk_is_closed_form(capsys, tmp_path, monkeypatch):
+    # the unit-disk battery took 11,660 GK15 panels on quadrature
+    calls = 0
+    panel = quadrature._gk15_panel
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return panel(*args)
+
+    monkeypatch.setattr(quadrature, "_gk15_panel", counted)
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps({"type": "disk", "center": [0, 0], "radius": 1}))
+    code, out, _ = run_cli(capsys, ["concavity-check", "--body", str(path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_passed"] is True and len(payload["checks"]) == 8
+    assert calls == 0
 
 
 @pytest.mark.parametrize("argv", [

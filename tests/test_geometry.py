@@ -448,8 +448,9 @@ def test_body_protocol(make):
     reach = body.reach(x)
     assert reach >= float(np.max(np.hypot(*(outline - x).T))) - 1e-12
     assert min(body.radius_breakpoints(x)) >= 0
-    # closed-form edge sums off a polygon's boundary band, the angular route otherwise
-    assert body.route("interior") == ("edges" if isinstance(body, Polygon) else "angular")
+    # closed forms off a polygon's or a disk's boundary band, the angular route otherwise
+    assert body.route("interior") == {make_tri345: "edges", make_unit_disk: "disk"}.get(
+        make, "angular")
     assert np.array_equal(outline, boundary_polyline(body, 512))
     assert body.to_dict() == body_to_dict(body)
     assert body_from_dict(body.to_dict()).diameter() == pytest.approx(body.diameter(),

@@ -45,7 +45,7 @@ def _fd_gradient(fun, x, h):
 ])
 def test_disk_center_closed_forms(alpha, expected):
     got = riesz_value(make_unit_disk(), [0, 0], Riesz(alpha)).value
-    assert got == pytest.approx(expected, abs=1e-10)
+    assert got == pytest.approx(expected, abs=1e-14)
 
 
 def test_disk_exterior_log_potential_matches_point_mass():
@@ -53,7 +53,7 @@ def test_disk_exterior_log_potential_matches_point_mass():
     d = make_unit_disk()
     for dist in (1.5, 2.5, 4.0):
         got = riesz_value(d, [dist, 0], Riesz(2.0)).value
-        assert got == pytest.approx(-math.pi * math.log(dist), abs=1e-9)
+        assert got == pytest.approx(-math.pi * math.log(dist), abs=1e-14)
 
 
 def test_square_finite_part_closed_form():
@@ -110,7 +110,7 @@ def test_gradient_zero_by_symmetry():
     assert np.hypot(*riesz_gradient(sq, [0, 0], Riesz(3.0))) < 1e-10
     d = make_unit_disk()
     for alpha in (-1.0, 0.0, 0.5, 1.0, 3.0, 5.0):
-        assert np.hypot(*riesz_gradient(d, [0, 0], Riesz(alpha))) < 1e-10
+        assert np.all(riesz_gradient(d, [0, 0], Riesz(alpha)) == 0)
 
 
 def test_gradient_matches_finite_differences_alpha4():
@@ -260,7 +260,7 @@ def test_poisson_gauss_integral_identity():
 def test_poisson_disk_center_closed_form():
     for h in (0.5, 1.0, 2.0):
         got = poisson_value(make_unit_disk(), [0, 0], Poisson(h)).value
-        assert got == pytest.approx(1.0 - h / math.sqrt(1 + h * h), abs=1e-12)
+        assert got == pytest.approx(1.0 - h / math.sqrt(1 + h * h), abs=1e-15)
         assert 0.0 < got < 1.0
 
 
@@ -282,7 +282,7 @@ def test_poisson_flatness_for_large_height():
 def test_poisson_gradient_symmetry_and_fd():
     sq = make_square()
     assert np.hypot(*poisson_gradient(sq, [0, 0], Poisson(0.5))) < 1e-10
-    assert np.hypot(*poisson_gradient(make_unit_disk(), [0, 0], Poisson(2.0))) < 1e-10
+    assert np.all(poisson_gradient(make_unit_disk(), [0, 0], Poisson(2.0)) == 0)
     tri = make_tri345()
     x = np.array([1.0, 1.0])
     got = poisson_gradient(tri, x, Poisson(1.0))
@@ -297,21 +297,21 @@ def test_poisson_gradient_symmetry_and_fd():
 def test_heat_disk_center_closed_form():
     for t in (0.1, 0.25, 2.0):
         got = heat_value(make_unit_disk(), [0, 0], Heat(t)).value
-        assert got == pytest.approx(1.0 - math.exp(-1.0 / (4 * t)), abs=1e-12)
+        assert got == pytest.approx(1.0 - math.exp(-1.0 / (4 * t)), abs=1e-15)
     assert heat_value(make_unit_disk(), [0, 0], Heat(0.25)).value == pytest.approx(
-        1 - math.exp(-1), abs=1e-12)
+        1 - math.exp(-1), abs=1e-15)
 
 
 def test_heat_small_time_limit():
     got = heat_value(make_unit_disk(), [0, 0], Heat(1e-4)).value
-    assert abs(got - 1.0) < 1e-6
+    assert abs(got - 1.0) < 1e-15
 
 
 def test_heat_large_time_flatness():
     d = make_unit_disk()
     t = 1e6
     got = heat_value(d, [0, 0], Heat(t)).value
-    assert got == pytest.approx(area(d) / (4 * math.pi * t), rel=1e-4)
+    assert got == pytest.approx(area(d) / (4 * math.pi * t), rel=1e-6)
 
 
 def test_heat_gradient_symmetry_and_fd():
