@@ -28,7 +28,7 @@ from .potentials import (Heat, Poisson, PotentialSpec, PotentialValue, Riesz,
                          heat_gradient, heat_value, poisson_gradient,
                          poisson_kernel, poisson_kernel_gauss_integral,
                          poisson_value, potential, potential_gradient,
-                         potential_hessian, riesz_gradient, riesz_value,
+                         potential_hessian, potential_jet, riesz_gradient, riesz_value,
                          weierstrass_kernel)
 from .quadrature import QuadratureConfig, integrate_angular, integrate_polygon
 
@@ -48,7 +48,8 @@ __all__ = [
     "integrate_angular", "integrate_polygon", "is_convex", "limit_diagnostics",
     "maximal_folding", "poisson_gradient", "poisson_kernel",
     "poisson_kernel_gauss_integral", "poisson_value", "potential",
-    "potential_gradient", "potential_hessian", "power_mean", "radial_function", "riesz_gradient",
+    "potential_gradient", "potential_hessian", "potential_jet", "power_mean",
+    "radial_function", "riesz_gradient",
     "riesz_value", "scalar_residual", "second_derivative_criterion",
     "segment_concavity", "stationary_candidate", "symmetry_search", "trace_locus",
     "transformed", "unfolded_region", "vector_residual", "weierstrass_kernel",

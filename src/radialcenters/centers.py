@@ -18,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BoundaryPoint, NoInteriorSeed, NonConvergence
+from .errors import NoInteriorSeed, NonConvergence
 from .geometry import (Disk, Polygon, as_point, boundary_distance, centroid,
                        circumcenter, contains_many, diameter, incenter, is_convex,
                        transformed)
-from .potentials import (Heat, Poisson, PotentialSpec, Riesz, potential, potential_gradient,
-                         potential_hessian)
+from .potentials import (Heat, Poisson, PotentialSpec, Riesz, potential_jet,
+                         refused_on_boundary)
 from .quadrature import QuadratureConfig
 
 __all__ = ["CenterResult", "LocusTrace", "LimitDiagnostics", "find_center",
@@ -108,11 +108,6 @@ def _value_resolution(cfg: QuadratureConfig, val: float) -> float:
     return 32 * max(cfg.abs_tol, (cfg.rel_tol + 4e-16) * abs(val))
 
 
-def _keep_interior(spec: PotentialSpec) -> bool:
-    # the potential diverges or loses differentiability at the boundary
-    return isinstance(spec, Riesz) and spec.alpha <= 1
-
-
 def _inside_by(body, p: np.ndarray, margin: float) -> bool:
     """Whether ``p`` lies inside the body, more than ``margin`` from its
     boundary.  The margin exceeds every body's membership slack, so the
@@ -126,11 +121,13 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     Convergence at ``|grad| < 1e-9 * max(|value at start|, 1)``.  When the
     family requires interior iterates, trial points must keep a relative
     margin of 1e-6 diameters inside the body; backtracking shrinks steps
-    until they do.
+    until they do.  Each point evaluated is routed once: one jet gives the
+    parts of its value, gradient and Hessian that the ascent reads.
     """
     cfg = cfg or _family_cfg(spec)
     x = as_point(x0).astype(float)
-    keep_in = _keep_interior(spec)
+    # the potential diverges or loses differentiability at the boundary
+    keep_in = refused_on_boundary(spec, 1)
     diam = diameter(body)
     margin = INTERIOR_MARGIN_REL * diam
 
@@ -140,18 +137,19 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     if not feasible(x):
         raise NoInteriorSeed(f"infeasible start {x!r}")
 
-    val = potential(body, x, spec, cfg).value
+    jet = potential_jet(body, x, spec, 2, cfg)
+    val = jet.value()
     scale = max(abs(val), 1.0)
     gtol = GRAD_TOL_REL * scale
 
-    grad = potential_gradient(body, x, spec, cfg)
+    grad = jet.gradient()
     gnorm = float(np.hypot(*grad))
     iterations = 0
     while iterations < MAX_ITERATIONS:
         if gnorm < gtol:
             return x, val, gnorm, iterations
         iterations += 1
-        direction = _newton_direction(body, spec, x, grad, cfg)
+        direction = _newton_direction(jet.hessian(), grad)
         if direction is None:
             direction = grad / gnorm * min(0.2 * diam, gnorm)
         slope = float(np.dot(grad, direction))
@@ -166,53 +164,53 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
             for _ in range(20):
                 trial = x + step * direction
                 if feasible(trial):
-                    gt = potential_gradient(body, trial, spec, cfg)
+                    there = potential_jet(body, trial, spec, 2, cfg)
+                    gt = there.gradient()
                     gtn = float(np.hypot(*gt))
                     if gtn < gnorm:
-                        x, grad, gnorm = trial, gt, gtn
+                        x, jet, grad, gnorm = trial, there, gt, gtn
                         accepted = True
                         break
                 step *= 0.5
             if not accepted:
                 # gradient floor reached: flat to quadrature resolution
                 if gnorm < max(gtol, 1e4 * cfg.abs_tol):
-                    return x, potential(body, x, spec, cfg).value, gnorm, iterations
+                    return x, val, gnorm, iterations
                 raise NonConvergence(x, gnorm, iterations,
                                      "gradient stagnated above tolerance")
-            val = potential(body, x, spec, cfg).value
+            val = jet.value()
             continue
         step, moved = 1.0, False
         for _ in range(60):
             trial = x + step * direction
             if feasible(trial):
-                tval = potential(body, trial, spec, cfg).value
+                there = potential_jet(body, trial, spec, 2, cfg)
+                tval = there.value()
                 if tval >= val + 1e-4 * step * slope:
-                    x, val = trial, tval
+                    x, jet, val = trial, there, tval
                     moved = True
                     break
             step *= 0.5
-        grad = potential_gradient(body, x, spec, cfg)
-        gnorm = float(np.hypot(*grad))
         if not moved:
             # step underflow: flat to machine precision around the iterate
             if gnorm < max(gtol, 1e3 * cfg.abs_tol):
                 return x, val, gnorm, iterations
             raise NonConvergence(x, gnorm, iterations,
                                  "line search stalled above gradient tolerance")
+        grad = jet.gradient()
+        gnorm = float(np.hypot(*grad))
     if gnorm < gtol:
         return x, val, gnorm, iterations
     raise NonConvergence(x, gnorm, iterations)
 
 
-def _newton_direction(body, spec, x, grad, cfg) -> Optional[np.ndarray]:
-    """Solve -H d = g with the exact Hessian from ``potential_hessian``.
+def _newton_direction(H: Optional[np.ndarray], grad) -> Optional[np.ndarray]:
+    """Solve -H d = g with the exact Hessian of the iterate's jet.
 
     Returns None, and so a gradient step, where the Hessian is not negative
     definite or diverges (Riesz orders alpha <= 2 in the boundary band).
     """
-    try:
-        H = potential_hessian(body, x, spec, cfg)
-    except BoundaryPoint:
+    if H is None:
         return None
     eig = np.linalg.eigvalsh(H)
     if eig.max() >= -1e-300:        # not negative definite: reject
@@ -312,15 +310,14 @@ def find_center(body, spec: PotentialSpec,
         y, _, _, iters = best
     else:
         start = centroid(nbody)
-        if _keep_interior(nspec) and not _inside_by(nbody, start,
-                                                    INTERIOR_MARGIN_REL * diameter(nbody)):
+        if refused_on_boundary(nspec, 1) and not _inside_by(
+                nbody, start, INTERIOR_MARGIN_REL * diameter(nbody)):
             start = incenter(nbody).center
         y, _, _, iters = ascend(nbody, nspec, start, cfg)
 
     point = norm.to_original(y)
-    final_val = potential(body, point, spec, cfg).value
-    final_grad = potential_gradient(body, point, spec, cfg)
-    return CenterResult(point, final_val, float(np.hypot(*final_grad)),
+    final = potential_jet(body, point, spec, 1, cfg)
+    return CenterResult(point, final.value(), float(np.hypot(*final.gradient())),
                         iters, regime, unique)
 
 

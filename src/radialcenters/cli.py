@@ -21,7 +21,6 @@ import numpy as np
 
 from . import balance as bal
 from . import centers as ctr
-from . import concavity as conc
 from . import geometry as geo
 from . import potentials as pot
 from . import svg as svgmod
@@ -172,6 +171,9 @@ def _cmd_potential(args):
     kwargs = {} if cfg is None else {"cfg": cfg}
     value = pot.potential(body, x, spec, **kwargs)
     grad = pot.potential_gradient(body, x, spec, **kwargs)
+    if not (math.isfinite(value.value) and np.isfinite(grad).all()):
+        raise ValueError(f"potential or gradient not finite at {_point_list(x)}: "
+                         f"value {value.value}, gradient {_point_list(grad)}")
     return {"json": {
         "family": args.family, "param": args.param, "at": _point_list(x),
         "value": value.value, "regime": value.regime, "location": value.location,

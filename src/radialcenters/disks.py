@@ -32,7 +32,9 @@ __all__ = ["riesz_value", "riesz_slope", "riesz_curvature", "poisson_value",
 
 
 # ---------------------------------------------------------------------------
-# Riesz: k(r) = sign(2 - alpha) r^(alpha - 2), and -log r at alpha = 2
+# Riesz: k(r) = sign(2 - alpha) r^(alpha - 2), and -log r at alpha = 2.
+# Powers are numpy's, so that a result beyond the double range is inf with a
+# RuntimeWarning, as on the polygon route, not an OverflowError.
 # ---------------------------------------------------------------------------
 
 def _f21(a: float, b: float, c: float, p: float, q: float) -> float:
@@ -59,11 +61,12 @@ def riesz_value(d: float, R: float, alpha: float) -> float:
             return math.pi * (R - d) * (R + d) / 2 - math.pi * R * R * math.log(R)
         return -math.pi * R * R * math.log(d)
     s = math.copysign(1.0, 2 - alpha)
+    d, R = np.float64(d), np.float64(R)
     if d < R:
-        return s * 2 * math.pi / alpha * R ** alpha \
-            * _f21(1 - alpha / 2, -alpha / 2, 1.0, d, R)
-    return s * math.pi * R * R * d ** (alpha - 2) \
-        * _f21(1 - alpha / 2, 1 - alpha / 2, 2.0, R, d)
+        return float(s * 2 * math.pi / alpha * R ** alpha
+                     * _f21(1 - alpha / 2, -alpha / 2, 1.0, d, R))
+    return float(s * math.pi * R * R * d ** (alpha - 2)
+                 * _f21(1 - alpha / 2, 1 - alpha / 2, 2.0, R, d))
 
 
 def _riesz_scale(alpha: float) -> float:
@@ -74,22 +77,24 @@ def _riesz_scale(alpha: float) -> float:
 def riesz_slope(d: float, R: float, alpha: float) -> float:
     """-pi |alpha - 2| R^(alpha - 2) 2F1(2 - alpha/2, 1 - alpha/2; 2; d^2/R^2)
     inside, -pi |alpha - 2| R^2 d^(alpha - 4) 2F1(..; R^2/d^2) outside."""
+    d, R = np.float64(d), np.float64(R)
     a, b = 2 - alpha / 2, 1 - alpha / 2
     c = -math.pi * _riesz_scale(alpha)
     if d < R:
-        return c * R ** (alpha - 2) * _f21(a, b, 2.0, d, R)
-    return c * R * R * d ** (alpha - 4) * _f21(a, b, 2.0, R, d)
+        return float(c * R ** (alpha - 2) * _f21(a, b, 2.0, d, R))
+    return float(c * R * R * d ** (alpha - 4) * _f21(a, b, 2.0, R, d))
 
 
 def riesz_curvature(d: float, R: float, alpha: float) -> float:
     """d g'(d) for the slope g above.  Inside it is 2z times the z-derivative
     of g, z = d^2/R^2; outside g is a multiple of w^a 2F1(a, b; 2; w),
     w = R^2/d^2, whose w-derivative is a w^(a - 1) 2F1(a + 1, b; 2; w)."""
+    d, R = np.float64(d), np.float64(R)
     a, b = 2 - alpha / 2, 1 - alpha / 2
     c = -math.pi * _riesz_scale(alpha)
     if d < R:
-        return c * R ** (alpha - 2) * a * b * (d / R) ** 2 * _f21(a + 1, b + 1, 3.0, d, R)
-    return -2 * a * c * R * R * d ** (alpha - 4) * _f21(a + 1, b, 2.0, R, d)
+        return float(c * R ** (alpha - 2) * a * b * (d / R) ** 2 * _f21(a + 1, b + 1, 3.0, d, R))
+    return float(-2 * a * c * R * R * d ** (alpha - 4) * _f21(a + 1, b, 2.0, R, d))
 
 
 # ---------------------------------------------------------------------------

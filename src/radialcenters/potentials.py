@@ -7,17 +7,20 @@ potential at time ``t``.  Planar bodies (``m = 2``) get full support; balls
 in arbitrary ambient dimension are evaluated semi-analytically for testing
 dimension-generic constants.
 
-Evaluation strategy: each body names one route for the base point's
-location.  Off its boundary band a polygon names ``edges``: values,
-gradients and Hessians are then closed-form sums over the edges, in one
-vectorized pass (``edges`` module).  A disk names ``disk`` there: all three
-are closed-form functions of the distance to its center (``disks``
-module).  Everywhere else the singularity (if any) is absorbed into an
-exact radial antiderivative and the remaining smooth angular integral is
-done by adaptive quadrature: about the base point where the whole body is
-visible from it (``angular``), or sector by sector over polygon edges
-(``fan``).  Hessians, and Riesz gradients at exterior points, are
-one-dimensional quadratures over the body's boundary pieces there.
+Evaluation strategy: ``potential_jet`` is the one place where a point is
+routed.  It classifies the point, refuses it where the family's derivatives
+diverge on the boundary, and takes the body's route for that location; the
+families differ only in data that it reads (``_FAMILIES``), and the other
+public functions are views of it.  Off its boundary band a polygon names
+``edges``: values, gradients and Hessians are closed-form sums over one edge
+frame (``edges`` module).  A disk names ``disk`` there: all three are
+closed-form functions of the distance to its center (``disks`` module).
+Everywhere else the singularity (if any) is absorbed into an exact radial
+antiderivative and the remaining smooth angular integral is done by adaptive
+quadrature: about the base point where the whole body is visible from it
+(``angular``), or sector by sector over polygon edges (``fan``).  Hessians,
+and Riesz gradients at exterior points, are one-dimensional quadratures over
+the body's boundary pieces there.
 
 Quadrature stays the production path for the radially parameterized body,
 for points in a boundary band, and for the polygon values that have no
@@ -34,7 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.special import erf, erfc
@@ -53,6 +57,7 @@ __all__ = [
     "riesz_gradient", "riesz_gradient_boundary", "riesz_gradient_annulus",
     "poisson_value", "poisson_gradient", "heat_value", "heat_gradient",
     "potential", "potential_gradient", "potential_hessian",
+    "PotentialJet", "potential_jet", "refused_on_boundary",
 ]
 
 
@@ -100,7 +105,7 @@ class PotentialValue:
     location: str
 
 
-def _riesz_regime(alpha: float, m: int) -> str:
+def _riesz_regime(alpha: float, m: int = 2) -> str:
     if alpha == 0:
         return "alpha_zero_finite_part"
     if alpha < 0:
@@ -165,7 +170,8 @@ def weierstrass_kernel(z, t: float, m: int = 2) -> float:
 # between O(1) sector integrals.
 # ---------------------------------------------------------------------------
 
-def _riesz_profile(alpha: float):
+def _riesz_profile(alpha: float, loc: str = "interior"):
+    """The same about every point: Riesz kernels have no limit at infinity to drop."""
     if alpha == 2:
         # encodes -int log|x-y| directly
         return lambda rho: rho * rho * 0.25 - 0.5 * rho * rho * np.log(rho)
@@ -174,7 +180,7 @@ def _riesz_profile(alpha: float):
     return lambda rho: rho ** alpha / alpha
 
 
-def _riesz_grad_profile(alpha: float):
+def _riesz_grad_profile(alpha: float, loc: str = "interior"):
     """G with gradient = |2 - alpha| * int u(theta) [G(rho) - G(eps)] dtheta."""
     if alpha == 1:
         return lambda r: np.log(r)
@@ -212,10 +218,6 @@ def _heat_grad_profile(t: float, loc: str):
 # routing helpers
 # ---------------------------------------------------------------------------
 
-def _location(body, x) -> str:
-    return classify_location(body, x)
-
-
 def _integrate(body, x, profile, route: str, cfg, vector: bool = False):
     """Kernel integral over the body by quadrature along ``route``; a
     polygon's ``edges`` route falls back to its signed sectors (``fan``),
@@ -232,12 +234,6 @@ def _integrate(body, x, profile, route: str, cfg, vector: bool = False):
     else:
         raise ValueError(f"no quadrature route for this point of {type(body).__name__}")
     return fn(body, x, profile, cfg)
-
-
-def _disk_frame(body, x):
-    """(x - c, |x - c|, R) for a body on the ``disk`` route."""
-    delta = x - body.center
-    return delta, math.hypot(delta[0], delta[1]), body.radius
 
 
 def _ball(body) -> Disk:
@@ -257,22 +253,7 @@ def riesz_value(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     boundary points are refused there (the value diverges).  Balls in
     ambient dimension other than two are handled semi-analytically.
     """
-    x = as_point(x)
-    alpha, m = spec.alpha, spec.m
-    if m != 2:
-        return _riesz_value_ball(_ball(body), x, alpha, m, cfg)
-    loc = _location(body, x)
-    if loc == "boundary" and alpha <= 0:
-        raise BoundaryPoint("finite-part value undefined on the boundary for alpha <= 0")
-    route = body.route(loc)
-    if route == "edges" and alpha not in (0, 2):
-        val = edges.riesz_value(body.edge_frame(x), alpha)
-    elif route == "disk":
-        val = disks.riesz_value(_disk_frame(body, x)[1], body.radius, alpha)
-    else:
-        sign = 1.0 if alpha == 2 else math.copysign(1.0, 2 - alpha)
-        val = sign * _integrate(body, x, _riesz_profile(alpha), route, cfg)
-    return PotentialValue(val, _riesz_regime(alpha, 2), loc)
+    return _value(body, x, spec, cfg)
 
 
 def riesz_value_finite_part_eps(body, x, alpha: float, eps: float,
@@ -287,7 +268,7 @@ def riesz_value_finite_part_eps(body, x, alpha: float, eps: float,
     x = as_point(x)
     if alpha > 0:
         raise ValueError("explicit-eps assembly is for alpha <= 0")
-    loc = _location(body, x)
+    loc = classify_location(body, x)
     if loc != "interior":
         raise BoundaryPoint("finite-part assembly needs an interior point")
     if not (0 < eps < body.boundary_distance(x)):
@@ -313,7 +294,7 @@ def riesz_value_complement(body, x, alpha: float,
     x = as_point(x)
     if alpha >= 0:
         raise ValueError("complement identity holds for alpha < 0")
-    if _location(body, x) != "interior":
+    if classify_location(body, x) != "interior":
         raise BoundaryPoint("complement identity needs an interior point")
     r_far = body.reach(x) * (1 + 1e-12)
     # tail beyond the circumscribed circle, closed form
@@ -386,26 +367,7 @@ def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG)
     points are refused for ``alpha <= 1`` where the potential is not
     differentiable.
     """
-    x = as_point(x)
-    alpha = spec.alpha
-    if spec.m != 2:
-        raise ValueError("gradients are implemented for the planar case only")
-    loc = _location(body, x)
-    if loc == "boundary" and alpha <= 1:
-        raise BoundaryPoint("potential not differentiable on the boundary for alpha <= 1")
-    route = body.route(loc)
-    if route == "edges":
-        frame = body.edge_frame(x)
-        return edges.gradient(frame, edges.riesz_flux(frame, alpha))
-    if route == "disk":
-        delta, d, R = _disk_frame(body, x)
-        return disks.riesz_slope(d, R, alpha) * delta
-    if loc == "exterior":
-        return riesz_gradient_boundary(body, x, alpha, cfg)
-    if alpha == 2:
-        return _integrate(body, x, lambda r: r, route, cfg, vector=True)
-    return abs(2 - alpha) * _integrate(body, x, _riesz_grad_profile(alpha), route, cfg,
-                                       vector=True)
+    return potential_jet(body, x, spec, 1, cfg).gradient()
 
 
 def riesz_gradient_annulus(body, x, alpha: float, eps: float,
@@ -417,7 +379,7 @@ def riesz_gradient_annulus(body, x, alpha: float, eps: float,
     expression ``eps``-independent.
     """
     x = as_point(x)
-    if _location(body, x) != "interior":
+    if classify_location(body, x) != "interior":
         raise BoundaryPoint("annulus form needs an interior point")
     if not (0 < eps < body.boundary_distance(x)):
         raise ValueError("eps must lie in (0, dist(x, boundary))")
@@ -435,8 +397,12 @@ def riesz_gradient_boundary(body, x, alpha: float,
     route for exterior points and an independent cross-check inside.
     """
     x = as_point(x)
-    if _location(body, x) == "boundary":
+    if classify_location(body, x) == "boundary":
         raise BoundaryPoint("boundary-integral gradient needs a point off the boundary")
+    return _riesz_boundary_gradient(body, x, alpha, cfg)
+
+
+def _riesz_boundary_gradient(body, x: np.ndarray, alpha: float, cfg) -> np.ndarray:
     if alpha == 2:
         kern = lambda r: np.log(r)
         pref = 1.0
@@ -472,19 +438,7 @@ def _boundary_integral(body, x: np.ndarray, integrand, cfg: QuadratureConfig) ->
 # ---------------------------------------------------------------------------
 
 def poisson_value(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PotentialValue:
-    x = as_point(x)
-    h, m = spec.h, spec.m
-    if m != 2:
-        return _smooth_value_ball(_ball(body), x, m, "poisson", _poisson_radial_density(h, m), cfg)
-    loc = _location(body, x)
-    route = body.route(loc)
-    if route == "edges" and loc == "interior":
-        return PotentialValue(edges.poisson_value(body.edge_frame(x), h), "poisson", loc)
-    if route == "disk":
-        return PotentialValue(disks.poisson_value(_disk_frame(body, x)[1], body.radius, h),
-                              "poisson", loc)
-    return PotentialValue(_integrate(body, x, _poisson_profile(h, loc), route, cfg),
-                          "poisson", loc)
+    return _value(body, x, spec, cfg)
 
 
 def _poisson_radial_density(h: float, m: int):
@@ -498,101 +452,207 @@ def _heat_radial_density(t: float, m: int):
 
 
 def poisson_gradient(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
-    x = as_point(x)
-    if spec.m != 2:
-        raise ValueError("gradients are implemented for the planar case only")
-    loc = _location(body, x)
-    route = body.route(loc)
-    if route == "edges":
-        frame = body.edge_frame(x)
-        return edges.gradient(frame, edges.poisson_flux(frame, spec.h))
-    if route == "disk":
-        delta, d, R = _disk_frame(body, x)
-        return disks.poisson_slope(d, R, spec.h) * delta
-    return _integrate(body, x, _poisson_grad_profile(spec.h, loc), route, cfg, vector=True)
+    return potential_jet(body, x, spec, 1, cfg).gradient()
 
 
 def heat_value(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PotentialValue:
-    x = as_point(x)
-    t, m = spec.t, spec.m
-    if m != 2:
-        return _smooth_value_ball(_ball(body), x, m, "heat", _heat_radial_density(t, m), cfg)
-    loc = _location(body, x)
-    route = body.route(loc)
-    if route == "edges" and loc == "interior":
-        return PotentialValue(edges.heat_value(body.edge_frame(x), t), "heat", loc)
-    if route == "disk":
-        return PotentialValue(disks.heat_value(_disk_frame(body, x)[1], body.radius, t),
-                              "heat", loc)
-    return PotentialValue(_integrate(body, x, _heat_profile(t, loc), route, cfg), "heat", loc)
+    return _value(body, x, spec, cfg)
 
 
 def heat_gradient(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
-    x = as_point(x)
-    if spec.m != 2:
-        raise ValueError("gradients are implemented for the planar case only")
-    loc = _location(body, x)
-    route = body.route(loc)
-    if route == "edges":
-        frame = body.edge_frame(x)
-        return edges.gradient(frame, edges.heat_flux(frame, spec.t))
-    if route == "disk":
-        delta, d, R = _disk_frame(body, x)
-        return disks.heat_slope(d, R, spec.t) * delta
-    return _integrate(body, x, _heat_grad_profile(spec.t, loc), route, cfg, vector=True)
+    return potential_jet(body, x, spec, 1, cfg).gradient()
 
 
-def _smooth_value_ball(disk: Disk, x, m: int, regime: str, radial_density, cfg) -> PotentialValue:
+def _smooth_value_ball(regime: str, radial_density, disk: Disk, x, p: float, m: int,
+                       cfg) -> PotentialValue:
     """Smooth-kernel value on a general-m ball, center only (test support)."""
     d = float(np.hypot(*(as_point(x) - disk.center)))
     if d > BOUNDARY_BAND * disk.radius:
         raise ValueError("general-m smooth-kernel values are supported at the center only")
     R = disk.radius
-    val, _ = adaptive_gk(lambda r: sphere_area(m - 1) * radial_density(r),
-                         [0.0, R / 2, R], cfg)
+    density = radial_density(p, m)
+    val, _ = adaptive_gk(lambda r: sphere_area(m - 1) * density(r), [0.0, R / 2, R], cfg)
     return PotentialValue(float(val), regime, "interior")
 
 
 # ---------------------------------------------------------------------------
-# Hessians
+# the families as data
 # ---------------------------------------------------------------------------
 
-def _hessian_kernel(spec: PotentialSpec):
+def _riesz_hessian_kernel(alpha: float):
     """k'(r) / r as a function of r^2, for the kernel k in the sign convention
-    of ``potential``."""
-    if isinstance(spec, Riesz):
-        alpha = spec.alpha
-        if alpha == 2:
-            return lambda r2: -1.0 / r2
-        c, p = -abs(alpha - 2), 0.5 * (alpha - 4)
-        return lambda r2: c * r2 ** p
-    if isinstance(spec, Poisson):
-        h2, c = spec.h * spec.h, -3 * spec.h / (2 * math.pi)
-        return lambda r2: c / (r2 + h2) ** 2.5
-    if isinstance(spec, Heat):
-        t = spec.t
-        return lambda r2: np.exp(-r2 / (4 * t)) / (-8 * math.pi * t * t)
-    raise TypeError(f"unknown potential spec {spec!r}")
+    of ``potential``; likewise for the other two families."""
+    if alpha == 2:
+        return lambda r2: -1.0 / r2
+    c, p = -abs(alpha - 2), 0.5 * (alpha - 4)
+    return lambda r2: c * r2 ** p
 
 
-def _edge_moments(frame, spec: PotentialSpec):
-    if isinstance(spec, Riesz):
-        return edges.riesz_moments(frame, spec.alpha)
-    if isinstance(spec, Poisson):
-        return edges.poisson_moments(frame, spec.h)
-    if isinstance(spec, Heat):
-        return edges.heat_moments(frame, spec.t)
-    raise TypeError(f"unknown potential spec {spec!r}")
+def _poisson_hessian_kernel(h: float):
+    h2, c = h * h, -3 * h / (2 * math.pi)
+    return lambda r2: c / (r2 + h2) ** 2.5
 
 
-def _disk_slopes(d: float, R: float, spec: PotentialSpec):
-    if isinstance(spec, Riesz):
-        return disks.riesz_slope(d, R, spec.alpha), disks.riesz_curvature(d, R, spec.alpha)
-    if isinstance(spec, Poisson):
-        return disks.poisson_slope(d, R, spec.h), disks.poisson_curvature(d, R, spec.h)
-    if isinstance(spec, Heat):
-        return disks.heat_slope(d, R, spec.t), disks.heat_curvature(d, R, spec.t)
-    raise TypeError(f"unknown potential spec {spec!r}")
+def _heat_hessian_kernel(t: float):
+    return lambda r2: np.exp(-r2 / (4 * t)) / (-8 * math.pi * t * t)
+
+
+class _Family(NamedTuple):
+    """What sets one family apart, as data ``potential_jet`` reads: functions
+    of the spec's parameter ``p``, the point's location ``loc`` and an order
+    of differentiation ``k``.  The defaults are those of the Poisson and heat
+    potentials, which are smooth up to the boundary."""
+
+    param: str                  # the spec field that holds p
+    regime: Callable            # p -> regime label
+    profile: Callable           # (p, loc) -> the value's radial antiderivative F
+    gradient_profile: Callable  # (p, loc) -> the gradient's G
+    hessian_kernel: Callable    # p -> k'(r) / r as a function of r^2
+    edges: tuple                # value, flux and moments on an edge frame
+    disks: tuple                # value, slope and curvature in the distance to the center
+    ball: Callable              # (disk, x, p, m, cfg) -> the value off the plane
+    scales: Callable = lambda p: (1.0, 1.0)   # p -> factors of the integrals of F and G
+    refused: Callable = lambda p, k: False    # (p, k) -> order k diverges on the boundary
+    closed_value: Callable = lambda p, loc: loc == "interior"   # on the edges route
+    exterior_gradient: Optional[Callable] = None   # (body, x, p, cfg) off the closed forms
+
+
+_FAMILIES = {
+    Riesz: _Family(
+        "alpha", _riesz_regime, _riesz_profile, _riesz_grad_profile, _riesz_hessian_kernel,
+        (edges.riesz_value, edges.riesz_flux, edges.riesz_moments),
+        (disks.riesz_value, disks.riesz_slope, disks.riesz_curvature), _riesz_value_ball,
+        scales=lambda a: (math.copysign(1.0, 2 - a), 1.0 if a == 2 else abs(2 - a)),
+        # V is finite on the boundary for alpha > 0, C^1 for alpha > 1 and
+        # has a bounded Hessian for alpha > 2
+        refused=lambda a, k: a <= k,
+        closed_value=lambda a, loc: a not in (0, 2),
+        exterior_gradient=_riesz_boundary_gradient),
+    Poisson: _Family(
+        "h", lambda h: "poisson", _poisson_profile, _poisson_grad_profile,
+        _poisson_hessian_kernel, (edges.poisson_value, edges.poisson_flux, edges.poisson_moments),
+        (disks.poisson_value, disks.poisson_slope, disks.poisson_curvature),
+        partial(_smooth_value_ball, "poisson", _poisson_radial_density)),
+    Heat: _Family(
+        "t", lambda t: "heat", _heat_profile, _heat_grad_profile, _heat_hessian_kernel,
+        (edges.heat_value, edges.heat_flux, edges.heat_moments),
+        (disks.heat_value, disks.heat_slope, disks.heat_curvature),
+        partial(_smooth_value_ball, "heat", _heat_radial_density)),
+}
+
+
+def _family(spec: PotentialSpec) -> tuple[_Family, float]:
+    fam = _FAMILIES.get(type(spec))
+    if fam is None:
+        raise TypeError(f"unknown potential spec {spec!r}")
+    return fam, getattr(spec, fam.param)
+
+
+def refused_on_boundary(spec: PotentialSpec, order: int) -> bool:
+    """Whether derivatives of order ``order`` of the potential diverge or do
+    not exist on the boundary: Riesz orders ``alpha <= order``."""
+    fam, p = _family(spec)
+    return fam.refused(p, order)
+
+
+def _refusal(order: int) -> BoundaryPoint:
+    part = ("value", "gradient", "Hessian")[order]
+    return BoundaryPoint(f"{part} undefined on the boundary for alpha <= {order}")
+
+
+# ---------------------------------------------------------------------------
+# the jet: the one place where a point is routed
+# ---------------------------------------------------------------------------
+
+class PotentialJet(NamedTuple):
+    """One potential at one routed point.  ``value``, ``gradient`` and
+    ``hessian`` are functions of no arguments that compute their part when
+    called, so a caller pays only for the parts it calls; parts above the
+    jet's order are None.  ``hessian()`` returns None in the boundary band,
+    where the Hessian diverges (Riesz orders ``alpha <= 2``)."""
+
+    regime: str
+    location: str
+    value: Callable[[], float]
+    gradient: Optional[Callable[[], np.ndarray]]
+    hessian: Optional[Callable[[], Optional[np.ndarray]]]
+
+
+def potential_jet(body, x, spec: PotentialSpec, order: int,
+                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> PotentialJet:
+    """The potential at ``x`` with its derivatives up to ``order`` (0, 1 or 2).
+
+    The point is classified once.  In the boundary band a value or gradient
+    that the family refuses raises ``BoundaryPoint``.  The body's route for
+    the location then gives one edge frame (``edges``), one distance to the
+    disk's center (``disk``), or quadrature along the route.  Off the plane
+    only values on balls are supported.
+    """
+    x = as_point(x)
+    fam, p = _family(spec)
+    if spec.m != 2:
+        if order:
+            raise ValueError("derivatives are implemented for the planar case only")
+        pv = fam.ball(_ball(body), x, p, spec.m, cfg)
+        return PotentialJet(pv.regime, pv.location, lambda: pv.value, None, None)
+    loc = classify_location(body, x)
+    # refusals grow with the order: a diverging value has no gradient either
+    if loc == "boundary" and fam.refused(p, min(order, 1)):
+        raise _refusal(min(order, 1))
+    route = body.route(loc)
+    if route == "edges":
+        closed = fam.closed_value(p, loc)
+        frame = body.edge_frame(x) if closed or order else None   # the fan value needs none
+        value, flux, moments = fam.edges
+        parts = ((lambda: value(frame, p)) if closed
+                 else _quadrature_parts(body, x, fam, p, loc, "fan", cfg)[0],
+                 lambda: edges.gradient(frame, flux(frame, p)),
+                 lambda: edges.hessian(frame, moments(frame, p)))
+    elif route == "disk":
+        delta, R = x - body.center, body.radius
+        d = math.hypot(delta[0], delta[1])
+        value, slope, curvature = fam.disks
+        g = slope(d, R, p) if order else None     # serves the gradient and the Hessian
+        parts = (lambda: value(d, R, p), lambda: g * delta,
+                 lambda: disks.hessian(delta, d, g, curvature(d, R, p)))
+    else:
+        parts = _quadrature_parts(body, x, fam, p, loc, route, cfg)
+    if order == 2 and loc == "boundary" and fam.refused(p, 2):
+        parts = parts[:2] + (lambda: None,)
+    return PotentialJet(fam.regime(p), loc, parts[0], parts[1] if order else None,
+                        parts[2] if order == 2 else None)
+
+
+def _quadrature_parts(body, x, fam: _Family, p: float, loc: str, route: str, cfg):
+    """Volume forms along ``route`` for the value and gradient (outside the
+    body the family's boundary-integral gradient, where it has one), and the
+    Hessian as ``-int over the boundary of d_i K(x - y) n_j ds``."""
+    sign, scale = fam.scales(p)
+
+    def value():
+        return sign * _integrate(body, x, fam.profile(p, loc), route, cfg)
+
+    def gradient():
+        if loc == "exterior" and fam.exterior_gradient is not None:
+            return fam.exterior_gradient(body, x, p, cfg)
+        return scale * _integrate(body, x, fam.gradient_profile(p, loc), route, cfg, vector=True)
+
+    def hessian():
+        dk = fam.hessian_kernel(p)
+
+        def integrand(d, n_ds):
+            w = dk(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+            return (w[:, None, None] * d[:, :, None] * n_ds[:, None, :]).reshape(-1, 4)
+
+        H = -_boundary_integral(body, x, integrand, cfg).reshape(2, 2)
+        return 0.5 * (H + H.T)
+
+    return value, gradient, hessian
+
+
+def _value(body, x, spec: PotentialSpec, cfg) -> PotentialValue:
+    jet = potential_jet(body, x, spec, 0, cfg)
+    return PotentialValue(jet.value(), jet.regime, jet.location)
 
 
 def potential_hessian(body, x, spec: PotentialSpec,
@@ -606,31 +666,15 @@ def potential_hessian(body, x, spec: PotentialSpec,
     integral diverges for Riesz orders ``alpha <= 2``, which are refused
     there.
     """
-    x = as_point(x)
-    if spec.m != 2:
-        raise ValueError("Hessians are implemented for the planar case only")
-    loc = _location(body, x)
-    if isinstance(spec, Riesz) and spec.alpha <= 2 and loc == "boundary":
-        raise BoundaryPoint("Hessian diverges on the boundary for alpha <= 2")
-    route = body.route(loc)
-    if route == "edges":
-        frame = body.edge_frame(x)
-        return edges.hessian(frame, _edge_moments(frame, spec))
-    if route == "disk":
-        delta, d, R = _disk_frame(body, x)
-        return disks.hessian(delta, d, *_disk_slopes(d, R, spec))
-    dk = _hessian_kernel(spec)
-
-    def integrand(d, n_ds):
-        w = dk(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-        return (w[:, None, None] * d[:, :, None] * n_ds[:, None, :]).reshape(-1, 4)
-
-    H = -_boundary_integral(body, x, integrand, cfg).reshape(2, 2)
-    return 0.5 * (H + H.T)
+    H = potential_jet(body, x, spec, 2, cfg).hessian()
+    if H is None:
+        raise _refusal(2)
+    return H
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# dispatch: the family names stay the entry points, so that a tracer that
+# wraps them sees every single evaluation
 # ---------------------------------------------------------------------------
 
 def potential(body, x, spec: PotentialSpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PotentialValue:

@@ -155,6 +155,21 @@ def test_invalid_body_is_domain_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "InvalidBody"
 
 
+@pytest.mark.parametrize("body", [{"type": "disk", "center": [0, 0], "radius": 1},
+                                  {"vertices": [[0, 0], [4, 0], [0, 3]]}],
+                         ids=["disk", "tri345"])
+def test_overflowing_potential_is_domain_error(capsys, tmp_path, body):
+    # Riesz(40) at distance 1e10 is about 1e380, beyond the double range
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(body))
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run_cli(capsys, ["potential", "--family", "riesz", "--param", "40",
+                                          "--at", "1e10,0", "--body", str(path)])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_bad_arguments_exit_two():
     assert run_module("bogus-command").returncode == 2
     assert run_module("center", "--family", "riesz").returncode == 2

@@ -113,8 +113,9 @@ def _volume_oracles(disk, x, spec, cfg):
 
 
 def _boundary_hessian(disk, x, spec):
-    """The boundary integral ``potential_hessian`` takes off the closed-form routes."""
-    dk = pot._hessian_kernel(spec)
+    """The boundary integral ``potential_jet`` takes off the closed-form routes."""
+    family, p = pot._family(spec)
+    dk = family.hessian_kernel(p)
 
     def integrand(d, n_ds):
         w = dk(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])

@@ -471,10 +471,14 @@ def test_boundary_distance_many_matches_scalar(make):
 
 
 # ---------------------------------------------------------------------------
-# ratchet on type dispatch: new body behaviour belongs in the body protocol
+# ratchets on type dispatch: new body behaviour belongs in the body protocol,
+# new family behaviour in the family data that ``potential_jet`` reads
 # ---------------------------------------------------------------------------
 
 SPEC_TYPES = {"Riesz", "Poisson", "Heat"}
+
+# module: the type checks on potential specs that remain
+ALLOWED_SPEC_CHECKS = {"centers": 5, "potentials": 6}
 
 # (module, enclosing function): the type checks on bodies that remain
 ALLOWED_TYPE_CHECKS = {
@@ -488,10 +492,12 @@ ALLOWED_TYPE_CHECKS = {
 }
 
 
-def _type_check_sites() -> dict:
+def _type_check_sites() -> tuple[dict, dict]:
     """Counts of isinstance/hasattr calls per (module, innermost enclosing
-    function), leaving out the checks on potential specs."""
+    function), leaving out the checks on potential specs, and counts of the
+    isinstance checks on potential specs per module."""
     sites: dict = {}
+    spec_sites: dict = {}
 
     def visit(node, module, owner):
         for child in ast.iter_child_nodes(node):
@@ -501,18 +507,52 @@ def _type_check_sites() -> dict:
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
                     and child.func.id in ("isinstance", "hasattr")):
                 names = {n.id for n in ast.walk(child.args[1]) if isinstance(n, ast.Name)}
-                if not (child.func.id == "isinstance" and names and names <= SPEC_TYPES):
+                if child.func.id == "isinstance" and names and names <= SPEC_TYPES:
+                    spec_sites[module] = spec_sites.get(module, 0) + 1
+                else:
                     sites[module, owner] = sites.get((module, owner), 0) + 1
             visit(child, module, owner)
 
-    for path in sorted(pathlib.Path(radialcenters.__file__).parent.glob("*.py")):
+    for path in _modules():
         visit(ast.parse(path.read_text()), path.stem, "<module>")
-    return sites
+    return sites, spec_sites
+
+
+def _modules() -> list:
+    return sorted(pathlib.Path(radialcenters.__file__).parent.glob("*.py"))
 
 
 def test_body_type_checks_do_not_grow():
-    sites = _type_check_sites()
+    sites = _type_check_sites()[0]
     extra = {k: v for k, v in sites.items() if v > ALLOWED_TYPE_CHECKS.get(k, 0)}
     assert not extra, (f"body type checks outside the allowed sites {ALLOWED_TYPE_CHECKS}: "
                        f"{extra}; add a body method instead")
     assert sum(sites.values()) <= 9
+
+
+def test_spec_type_checks_do_not_grow():
+    spec_sites = _type_check_sites()[1]
+    extra = {k: v for k, v in spec_sites.items() if v > ALLOWED_SPEC_CHECKS.get(k, 0)}
+    assert not extra, (f"spec type checks beyond {ALLOWED_SPEC_CHECKS}: {extra}; "
+                       f"add to the family data in potentials instead")
+
+
+def test_no_unused_imports():
+    # a name counts as used where the module reads it or re-exports it in __all__
+    unused = {}
+    for path in _modules():
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        if bound - used:
+            unused[path.stem] = sorted(bound - used)
+    assert not unused, f"imported but never used: {unused}"

@@ -10,8 +10,8 @@ from radialcenters.balance import generate_asymmetric_balanced
 from radialcenters.centers import CENTER_CFG, SHARP_CFG, _normalize
 from radialcenters.errors import BoundaryPoint
 from radialcenters.geometry import Disk, Polygon
-from radialcenters.potentials import (Heat, Poisson, Riesz, potential_gradient,
-                                      potential_hessian)
+from radialcenters.potentials import (Heat, Poisson, Riesz, potential, potential_gradient,
+                                      potential_hessian, potential_jet)
 from radialcenters.quadrature import adaptive_gk
 
 from conftest import make_square, make_tri345
@@ -156,3 +156,20 @@ def test_hessian_refused_on_boundary_for_low_orders():
     # integrable there for higher orders and the smooth families
     for spec in (Riesz(4.0), Heat(0.5)):
         assert np.all(np.isfinite(potential_hessian(tri, (2.0, 0.0), spec)))
+
+
+def test_jet_parts_are_the_views_and_the_band_has_no_hessian():
+    tri = make_tri345()
+    for x in ((1.0, 0.9), (5.0, 4.0)):
+        for spec in (Riesz(0.5), Riesz(2.0), Riesz(3.0), Poisson(0.5), Heat(0.2)):
+            jet = potential_jet(tri, x, spec, 2)
+            assert jet.value() == potential(tri, x, spec).value
+            assert np.array_equal(jet.gradient(), potential_gradient(tri, x, spec))
+            assert np.array_equal(jet.hessian(), potential_hessian(tri, x, spec))
+    jet = potential_jet(tri, (1.0, 0.9), Riesz(3.0), 0)
+    assert jet.gradient is None and jet.hessian is None
+    # in the band the Hessian diverges for alpha <= 2: no Hessian, no raise
+    jet = potential_jet(tri, (2.0, 0.0), Riesz(1.5), 2)
+    assert jet.location == "boundary"
+    assert jet.hessian() is None
+    assert np.all(np.isfinite(jet.gradient()))

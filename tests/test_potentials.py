@@ -9,11 +9,12 @@ from radialcenters.balance import generate_asymmetric_balanced
 from radialcenters.centers import CENTER_CFG
 from radialcenters.errors import BoundaryPoint
 from radialcenters.geometry import Disk, Polygon, area, boundary_distance, centroid, \
-    diameter, transformed
+    classify_location, diameter, transformed
 from radialcenters.potentials import (Heat, Poisson, Riesz, heat_gradient, heat_value,
                                       poisson_gradient, poisson_kernel,
                                       poisson_kernel_gauss_integral, poisson_value,
-                                      potential, potential_gradient, riesz_gradient,
+                                      potential, potential_gradient, potential_hessian,
+                                      riesz_gradient,
                                       riesz_gradient_annulus, riesz_gradient_boundary,
                                       riesz_value, riesz_value_complement,
                                       riesz_value_finite_part_eps, sphere_area,
@@ -99,6 +100,76 @@ def test_boundary_point_refused_for_nonpositive_alpha():
         riesz_value(sq, [1.0, 0.0], Riesz(-1.0))
     with pytest.raises(BoundaryPoint):
         riesz_gradient(sq, [1.0, 0.0], Riesz(0.5))
+
+
+# Outcome of the value, gradient and Hessian at a boundary point: finite
+# ("ok"), refused as diverging ("BP", Riesz orders alpha <= k at order k) or
+# without a route ("VE").  The square and the disk have quadrature routes in
+# their boundary band; the asymmetric body has none there, only the
+# boundary-piece Hessian.
+BOUNDARY_OUTCOMES = [
+    # spec          square, disk     asym
+    (Riesz(-1.0), "BP BP BP", "BP BP BP"),
+    (Riesz(0.0), "BP BP BP", "BP BP BP"),
+    (Riesz(0.5), "ok BP BP", "VE BP BP"),
+    (Riesz(1.0), "ok BP BP", "VE BP BP"),
+    (Riesz(1.5), "ok ok BP", "VE VE BP"),
+    (Riesz(2.0), "ok ok BP", "VE VE BP"),
+    (Riesz(4.0), "ok ok ok", "VE VE ok"),
+    (Poisson(0.5), "ok ok ok", "VE VE ok"),
+    (Heat(0.5), "ok ok ok", "VE VE ok"),
+]
+
+BOUNDARY_POINTS = {
+    "square": (make_square, (1.0, 0.3)),
+    "disk": (make_unit_disk, (0.6, 0.8)),
+    # the tip of the lobe at angle 0; (1, 0) lies 0.04 inside it
+    "asym": (generate_asymmetric_balanced, (1.04, 0.0)),
+}
+
+
+def _boundary_cases():
+    for spec, near, asym in BOUNDARY_OUTCOMES:
+        for where, want in (("square", near), ("disk", near), ("asym", asym)):
+            marks = ()
+            if where == "disk" and spec == Riesz(2.0):
+                # the angular route samples the log profile at rho = 0 there
+                marks = pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                                          reason="log(0) in the order-2 profile")
+            yield pytest.param(where, spec, want.split(), marks=marks, id=f"{where}-{spec}")
+
+
+@pytest.mark.parametrize("where, spec, want", _boundary_cases())
+def test_boundary_refusal_matrix(where, spec, want):
+    make, x = BOUNDARY_POINTS[where]
+    body = make()
+    assert classify_location(body, x) == "boundary"
+    got = []
+    for fn in (potential, potential_gradient, potential_hessian):
+        try:
+            out = fn(body, x, spec)
+        except BoundaryPoint:
+            got.append("BP")
+            continue
+        except ValueError:
+            got.append("VE")
+            continue
+        out = out.value if fn is potential else out
+        got.append("ok" if np.all(np.isfinite(out)) else "not finite")
+    assert got == want
+
+
+@pytest.mark.parametrize("make", [make_unit_disk, make_tri345], ids=["disk", "tri345"])
+def test_overflow_is_not_finite_on_either_route(make):
+    # Riesz(40) at distance 1e10 is about 1e380: the disk route overflows as
+    # the polygon route does, to a non-finite result with a RuntimeWarning
+    body = make()
+    with pytest.warns(RuntimeWarning):
+        value = potential(body, (1e10, 0.0), Riesz(40)).value
+    with pytest.warns(RuntimeWarning):
+        grad = potential_gradient(body, (1e10, 0.0), Riesz(40))
+    assert not math.isfinite(value)
+    assert not np.isfinite(grad).all()
 
 
 # ---------------------------------------------------------------------------
