@@ -9,10 +9,9 @@ origin yet has no symmetry at all.
 
 A residual spectrum is one ``balance_residuals(x, radii)`` call on the body:
 a polygon sums signed circle-edge crossings over the whole radius grid at
-once, a disk uses its closed form, and ``RadialArcBody`` integrates its
-``circle_clip`` arc sets radius by radius.  ``vector_residual_of_arcs`` of a
-``circle_clip`` stays as the reference for tests and for the decomposition
-identities.
+once, ``RadialArcBody`` does the same over its boundary pieces, and a disk
+uses its closed form.  ``vector_residual_of_arcs`` of a ``circle_clip``
+stays as the reference for tests and for the decomposition identities.
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (ConstructionFailed, ContinuumContact, InvalidBody, NotInterior,
                      TheoremViolation)
 from .geometry import (ArcSet, CircleArc, CircumCenter, Disk, InCenter, Polygon, as_point,
-                       circle_clip, _angle_breakpoints, _angle_within, _arcs_between,
-                       _build_arcset, _polyline_distances)
+                       circle_clip, _angle_breakpoints, _arcs_between)
 
 __all__ = [
     "BalanceReport", "WeightedBodyFunction", "ContactSet", "RadialArcBody",
@@ -42,6 +39,14 @@ __all__ = [
 
 BALANCED_TOL = 1e-8          # normalized residual threshold
 CLASSIFY_TOL = 1e-6          # relative geometric tolerance for shape tests
+
+
+def brentq(f, a: float, b: float, **kwargs) -> float:
+    """``scipy.optimize.brentq``, imported on the first call: the module
+    costs about 24 MB and a third of a second to import, and only the test
+    oracle ``RadialArcBody._circle_clip_offcenter`` calls it."""
+    from scipy.optimize import brentq as scipy_brentq
+    return scipy_brentq(f, a, b, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +315,8 @@ def _frame_coefficients(angles) -> tuple[float, float]:
 
 
 class _LobeCurve(NamedTuple):
-    """Half of lobe ``which`` of a RadialArcBody: y(t) = R(t) u(t), t in [t0, t1].
+    """Half ``half`` (of six) of a RadialArcBody's boundary, on lobe ``which``:
+    y(t) = R(t) u(t), t in [t0, t1].
 
     ``side`` is -1 on the half before the apex direction ``apex`` and +1 on
     the half after it.  With u' = (-sin t, cos t), the outward normal scaled
@@ -323,18 +329,91 @@ class _LobeCurve(NamedTuple):
     side: float
     t0: float
     t1: float
+    half: int
 
     def curve(self, t: np.ndarray):
-        delta = self.side * (t - self.apex)
-        rad = self.body._lobe_radius_many(delta, self.which)
-        slope = self.side * self.body._lobe_slope_many(delta, self.which)
+        rad, slope, _ = self.body._lobe_profile(t, self.half)
         u = np.stack([np.cos(t), np.sin(t)], axis=1)
         y = rad[:, None] * u
         return y, y - slope[:, None] * np.stack([-u[:, 1], u[:, 0]], axis=1)
 
     def nearest(self, x) -> float:
-        """The direction of ``x``, clipped to the piece."""
-        return _angle_within(math.atan2(x[1], x[0]), self.t0, self.t1)
+        """The foot of the perpendicular from ``x``: where |y(t) - x| is least
+        on the piece."""
+        return self.body._cut(as_point(x)).nearest[self.half]
+
+    def chord(self, t: np.ndarray, t_ref: float) -> np.ndarray:
+        """y(t) - y(t_ref) = (R - R_ref) u + R_ref (u - u_ref), from differences
+        that keep their digits for t near t_ref: with sigma = sin(delta) / c,
+        R - R_ref = (r_max - 1)(q - q_ref)(q + q_ref), where amplitude (q_ref - q)
+        = asin(sigma) - asin(sigma_ref) = asin((sigma^2 - sigma_ref^2) /
+        (sigma sqrt(1 - sigma_ref^2) + sigma_ref sqrt(1 - sigma^2))), and
+        sigma - sigma_ref = 2 cos((delta + delta_ref) / 2) sin((delta - delta_ref) / 2) / c."""
+        body = self.body
+        c = body._c[self.which]
+        delta, d_ref = self.side * (t - self.apex), self.side * (t_ref - self.apex)
+        s, s_ref = np.sin(delta) / c, math.sin(d_ref) / c
+        ds = 2 * np.cos(0.5 * (delta + d_ref)) * np.sin(0.5 * (delta - d_ref)) / c
+        den = s * math.sqrt(1 - s_ref * s_ref) + s_ref * np.sqrt(1 - s * s)
+        num = ds * (s + s_ref)
+        dq = -np.arcsin(np.divide(num, den, out=np.zeros_like(num), where=den > 0)) \
+            / body.amplitude
+        q, q_ref = 1 - np.arcsin(s) / body.amplitude, 1 - math.asin(s_ref) / body.amplitude
+        rad_ref = 1 + (body.r_max - 1) * q_ref * q_ref
+        u = np.stack([np.cos(t), np.sin(t)], axis=1)
+        return ((body.r_max - 1) * dq * (q + q_ref))[:, None] * u \
+            + CircleArc(np.zeros(2), rad_ref, self.t0, self.t1).chord(t, t_ref)
+
+
+class _Cut(NamedTuple):
+    """The boundary of a RadialArcBody seen from one point x, cut into parts
+    on which |y - x| is monotone: the pieces' ends and the points where
+    |y - x| is stationary, counterclockwise, with their parameters ``t`` and
+    distances ``dist``, the first repeated at the end.  ``kind`` names the
+    lobe half of each part, or -1 on the unit circle; ``nearest`` is the foot
+    on each lobe half."""
+
+    t: np.ndarray
+    dist: np.ndarray
+    kind: np.ndarray
+    nearest: tuple
+
+
+FOOT_NODES = 24      # samples of the foot-point equation on each lobe half
+
+
+def _newton(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Roots of ``fn`` in the brackets [lo, hi], all at once; ``f_lo`` and
+    ``f_hi`` are its values at the ends, one negative and one not.
+
+    Safeguarded Newton steps from the secant point: a step that would leave
+    the bracket is replaced by bisection, and each trial point becomes the
+    end of its sign.  ``fn(t, live)`` returns the function and its
+    derivative at ``t`` for the brackets ``live``.  A bracket stops when its
+    Newton step or its width falls to four ulps or its value is zero.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    neg_lo = f_lo < 0
+    t = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    tiny = 4 * np.finfo(float).eps
+    live = np.arange(len(t))
+    for _ in range(100):
+        if not live.size:
+            break
+        tl = t[live]
+        f, df = fn(tl, live)
+        low = (f < 0) == neg_lo[live]
+        a = lo[live] = np.where(low, tl, lo[live])
+        b = hi[live] = np.where(low, hi[live], tl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+        new = tl - step
+        newton = (new >= a) & (new <= b)
+        scale = tiny * np.maximum(np.abs(tl), 1.0)
+        done = (f == 0) | (newton & (np.abs(step) <= scale)) | (b - a <= scale)
+        t[live] = np.where(f == 0, tl, np.where(newton, new, 0.5 * (a + b)))
+        live = live[~done]
+    return t
 
 
 @dataclass(frozen=True)
@@ -348,9 +427,14 @@ class RadialArcBody:
     ``a_u(r) = amplitude * (1 - sqrt((r - 1) / (r_max - 1)))``; the companion
     half-widths are recovered exactly from the balance constraint at
     evaluation time so the slice centroids vanish to machine precision at
-    every radius.  The lobe junction half-widths, convexity, the diameter and
-    the boundary outlines used by ``boundary_distance`` (2048 points) and
-    ``reach`` (1024 points) are computed once here.
+    every radius.
+
+    The boundary is nine pieces: three unit-circle arcs and six lobe halves.
+    Distances, reaches, circle crossings and the potentials' boundary
+    integrals are answered on them exactly, from the points where the
+    distance to a query point is stationary on each piece.  The lobe
+    junction half-widths, convexity, the diameter and the lobe samples of
+    the foot-point equation are computed once here.
     """
 
     direction_angles: tuple
@@ -380,6 +464,7 @@ class RadialArcBody:
         if not (0 < c_v and 0 < c_w):
             raise InvalidBody("frame directions must make both sine ratios positive")
         object.__setattr__(self, "_c", (1.0, c_v, c_w))
+        object.__setattr__(self, "_cs", np.array(self._c))
         w = tuple(math.asin(min(1.0, c * math.sin(amplitude))) for c in self._c)
         object.__setattr__(self, "_junctions", w)
         # the exact incenter needs unit-circle arcs within 60 degrees of every direction
@@ -387,11 +472,27 @@ class RadialArcBody:
             gap = abs((angles[i] - angles[j] + math.pi) % (2 * math.pi) - math.pi)
             if max(w[i], w[j]) > math.pi / 3 or w[i] + w[j] >= gap:
                 raise InvalidBody("lobes must be disjoint and at most 120 degrees wide")
-        object.__setattr__(self, "_pieces", self._split_boundary())
-        outline = self.boundary_polyline(2048)
-        object.__setattr__(self, "_outline", outline)
-        object.__setattr__(self, "_outline_next", np.roll(outline, -1, axis=0))
-        object.__setattr__(self, "_reach_outline", self.boundary_polyline(1024))
+        pieces = self._split_boundary()
+        object.__setattr__(self, "_pieces", pieces)
+        halves = [p for i, p in enumerate(pieces) if i % 3 != 2]
+        for name in ("which", "apex", "side"):
+            object.__setattr__(self, "_h_" + name, np.array([getattr(h, name) for h in halves]))
+        # the lobes' ends on the unit circle (starts, then ends) and their apexes
+        ends = np.array([p.t0 for p in pieces[0::3]] + [p.t1 for p in pieces[1::3]])
+        object.__setattr__(self, "_junction_u", np.stack([np.cos(ends), np.sin(ends)], 1))
+        apex = np.array([p.t0 for p in pieces[1::3]])
+        rad = self._lobe_profile(apex, np.array([p.half for p in pieces[1::3]]))[0]
+        object.__setattr__(self, "_apex_points", rad[:, None] * np.stack(
+            [np.cos(apex), np.sin(apex)], 1))
+        # the foot-point equation's samples: f = R R' - x . y' at each node
+        nodes = np.array([h.t0 + (h.t1 - h.t0) * np.linspace(0.0, 1.0, FOOT_NODES)
+                          for h in halves])
+        rad, r1, _ = self._lobe_profile(nodes, np.arange(6)[:, None])
+        c, s = np.cos(nodes), np.sin(nodes)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_node_f0", rad * r1)
+        object.__setattr__(self, "_node_yt", (r1 * c - rad * s, r1 * s + rad * c))
+        object.__setattr__(self, "_last_cut", (None, None))
         t = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
         object.__setattr__(self, "_diameter", float(np.max(
             self.boundary_radius(t) + self.boundary_radius(t + math.pi))))
@@ -424,13 +525,28 @@ class RadialArcBody:
         q = np.clip(1.0 - targets / self.amplitude, 0.0, 1.0)
         return 1.0 + (self.r_max - 1.0) * q * q
 
-    def _lobe_slope_many(self, half_angles: np.ndarray, which: int) -> np.ndarray:
-        """Derivative of ``_lobe_radius_many`` in the half-width, inside the lobe."""
-        c = self._c[which]
-        s = np.sin(half_angles)
+    def _lobe_profile(self, t: np.ndarray, half: np.ndarray):
+        """R, dR/dt and d2R/dt2 on the lobe halves ``half`` at parameters
+        ``t`` (broadcast together).
+
+        With delta the angle from the apex, s = sin(delta) and the sine
+        ratio c, R = 1 + (r_max - 1) q^2 for q = 1 - asin(s / c) / amplitude,
+        q' = -cos(delta) / (amplitude sqrt(c^2 - s^2)) and
+        q'' = -s (1 - c^2) / (amplitude (c^2 - s^2)^(3/2)).
+        """
+        side = self._h_side[half]
+        delta = side * (t - self._h_apex[half])
+        c = self._cs[self._h_which[half]]
+        s = np.sin(delta)
+        root = np.sqrt(c * c - s * s)
         q = 1.0 - np.arcsin(s / c) / self.amplitude
-        return (-2.0 * (self.r_max - 1.0) / self.amplitude * q * np.cos(half_angles)
-                / np.sqrt(c * c - s * s))
+        dq = -np.cos(delta) / (self.amplitude * root)
+        ddq = -s * (1.0 - c * c) / (self.amplitude * root ** 3)
+        k = self.r_max - 1.0
+        return 1.0 + k * q * q, 2 * k * side * q * dq, 2 * k * (dq * dq + q * ddq)
+
+    def _lobe_points(self, t: np.ndarray, half: np.ndarray) -> np.ndarray:
+        return self._lobe_profile(t, half)[0][:, None] * np.stack([np.cos(t), np.sin(t)], 1)
 
     def boundary_radius(self, phi) -> np.ndarray:
         """Radial function about the origin."""
@@ -442,6 +558,124 @@ class RadialArcBody:
             if np.any(mask):
                 out[mask] = np.maximum(out[mask], self._lobe_radius_many(delta[mask], k))
         return out
+
+    # -- the boundary seen from a point ---------------------------------------
+
+    def _feet(self, x: np.ndarray):
+        """Where |y - x| is stationary inside the lobe halves: the roots of
+        the foot-point equation f(t) = (y(t) - x) . y'(t) = 0 (Hu and Wallner,
+        CAGD 22, 2005), bracketed by the sign changes of f between
+        ``FOOT_NODES`` samples of each half.  Two roots closer than the
+        samples' spacing can go unseen; |y - x| then varies between them by
+        far less than the spacing squared.  Returns the half, the parameter
+        and the distance of each root.
+
+        In polar form, with y = R u, u = (cos t, sin t), u' = (-sin t, cos t),
+        a = x . u and b = x . u', f = R R' - R' a - R b, and its derivative
+        is R'^2 + R R'' - (R'' - R) a - 2 R' b.
+        """
+        ytx, yty = self._node_yt
+        f = self._node_f0 - (x[0] * ytx + x[1] * yty)
+        neg = f < 0
+        h, j = np.nonzero(neg[:, :-1] != neg[:, 1:])
+
+        def foot(t, live):
+            rad, r1, r2 = self._lobe_profile(t, h[live])
+            c, s = np.cos(t), np.sin(t)
+            a, b = x[0] * c + x[1] * s, x[1] * c - x[0] * s
+            return rad * r1 - r1 * a - rad * b, r1 * r1 + rad * r2 - (r2 - rad) * a - 2 * r1 * b
+
+        t = _newton(foot, self._nodes[h, j], self._nodes[h, j + 1], f[h, j], f[h, j + 1])
+        d = self._lobe_points(t, h) - x
+        return h, t, np.hypot(d[:, 0], d[:, 1])
+
+    def _cut(self, x: np.ndarray) -> _Cut:
+        """The boundary seen from ``x``; the last point's cut is kept, since
+        a potential, its boundary integrals and a balance spectrum all ask
+        for the same point in turn."""
+        key = x.tobytes()
+        if self._last_cut[0] != key:
+            object.__setattr__(self, "_last_cut", (key, self._cut_at(x)))
+        return self._last_cut[1]
+
+    def _cut_at(self, x: np.ndarray) -> _Cut:
+        half, roots, dist = self._feet(x)
+        d0 = math.hypot(x[0], x[1])
+        psi = math.atan2(x[1], x[0])
+        # to the lobes' ends on the unit circle as sqrt((1 - |x|)^2 + 2 (|x| - x.u)),
+        # which is exactly 1 about the origin
+        junction = np.sqrt(np.maximum((1 - d0) ** 2 + 2 * (d0 - self._junction_u @ x), 0.0))
+        apex = np.hypot(self._apex_points[:, 0] - x[0], self._apex_points[:, 1] - x[1])
+        t, dd, kind, nearest = [], [], [], []
+        for i, piece in enumerate(self._pieces):
+            lobe, part = divmod(i, 3)        # a lobe's two halves, then an arc
+            t.append(piece.t0)
+            dd.append((junction[lobe], apex[lobe], junction[3 + lobe])[part])
+            if part == 2:
+                # on the unit circle |y - x| is least at psi and greatest at psi + pi
+                for off, d in sorted((((psi - piece.t0) % (2 * math.pi), abs(1 - d0)),
+                                      ((psi + math.pi - piece.t0) % (2 * math.pi), 1 + d0))):
+                    if 0 < off < piece.t1 - piece.t0:
+                        t.append(piece.t0 + off)
+                        dd.append(d)
+                kind += [-1] * (len(t) - len(kind))
+            else:
+                mine = half == 2 * lobe + part
+                t += roots[mine].tolist()
+                dd += dist[mine].tolist()
+                kind += [2 * lobe + part] * (len(t) - len(kind))
+                # the foot: the least distance on the half, its end included
+                ts = t[-1 - int(mine.sum()):] + [piece.t1]
+                ds = dd[-1 - int(mine.sum()):] + [(apex[lobe], junction[3 + lobe])[part]]
+                nearest.append(ts[ds.index(min(ds))])
+        t.append(self._pieces[0].t0 + 2 * math.pi)
+        dd.append(dd[0])
+        return _Cut(np.array(t), np.array(dd), np.array(kind), tuple(nearest))
+
+    def _crossings(self, x: np.ndarray, radii: np.ndarray):
+        """Where the circles of ``radii`` about ``x`` cross the boundary: the
+        radius index of each crossing, its offset d = y - x from the center,
+        and whether the counterclockwise circle leaves the body there, which
+        is where |y - x| falls through r along the boundary.
+
+        One status per vertex of the cut, |y - x| < r, decides both of its
+        parts, so a crossing at a vertex is counted once or not at all.  A
+        part whose ends differ in status is crossed once: on a lobe half at
+        the root of |y - x| - r, on the unit circle at the intersection point
+        a u + sigma h u', with u the direction of x, a = (1 + |x|^2 - r^2) /
+        (2 |x|), h = sqrt(1 - a^2) and sigma = +1 where |y - x| rises.
+        """
+        cut = self._cut(x)
+        inside = cut.dist < radii[:, None]
+        ri, part = np.nonzero(inside[:, :-1] != inside[:, 1:])
+        leave = inside[ri, part + 1]
+        r, kind = radii[ri], cut.kind[part]
+        d = np.empty((len(ri), 2))
+        arc = kind < 0
+        if arc.any():         # then x is off the origin: the circle's distances vary
+            d0 = math.hypot(x[0], x[1])
+            u, ra = x / d0, r[arc]
+            a = (1 + d0 * d0 - ra * ra) / (2 * d0)
+            # 1 - a^2 as a product of the gaps to the two tangent radii, which
+            # keeps its digits where the circles touch
+            h = np.sqrt(np.maximum((ra - (1 - d0)) * (ra + (1 - d0)) * ((1 + d0) - ra)
+                                   * ((1 + d0) + ra), 0.0)) / (2 * d0)
+            d[arc] = np.outer(a, u) + np.outer(np.where(leave[arc], -h, h), [-u[1], u[0]]) - x
+        lobe = np.flatnonzero(~arc)
+        if lobe.size:
+            half, rl = kind[lobe], r[lobe]
+
+            def gap(t, live):     # |y - x| - r, and its derivative (y - x) . y' / |y - x|
+                rad, r1, _ = self._lobe_profile(t, half[live])
+                c, s = np.cos(t), np.sin(t)
+                dist = np.hypot(rad * c - x[0], rad * s - x[1])
+                a, b = x[0] * c + x[1] * s, x[1] * c - x[0] * s
+                return dist - rl[live], (rad * r1 - r1 * a - rad * b) / dist
+
+            lo, hi = part[lobe], part[lobe] + 1
+            t = _newton(gap, cut.t[lo], cut.t[hi], cut.dist[lo] - rl, cut.dist[hi] - rl)
+            d[lobe] = self._lobe_points(t, half) - x
+        return ri, d, leave
 
     # -- generic body protocol ------------------------------------------------
 
@@ -474,12 +708,12 @@ class RadialArcBody:
         return self._diameter
 
     def boundary_distance(self, p) -> float:
-        return float(self.boundary_distance_many(as_point(p))[0])
+        """The least distance over the vertices of the cut about ``p``."""
+        return float(self._cut(as_point(p)).dist.min())
 
     def boundary_distance_many(self, pts) -> np.ndarray:
-        """Distances to the 2048-chord outline, short of the true ones by up to
-        the outline's sagitta (about 1.2e-6 for the generated body)."""
-        return _polyline_distances(pts, self._outline, self._outline_next)
+        return np.array([self.boundary_distance(p)
+                         for p in np.asarray(pts, dtype=float).reshape(-1, 2)])
 
     def boundary_polyline(self, n: int = 512) -> np.ndarray:
         t = np.linspace(0, 2 * math.pi, n, endpoint=False)
@@ -499,8 +733,8 @@ class RadialArcBody:
             a_next, w_next, _ = lobes[(i + 1) % 3]
             if i == 2:
                 a_next += 2 * math.pi
-            pieces += [_LobeCurve(self, k, a, -1.0, a - w, a),
-                       _LobeCurve(self, k, a, 1.0, a, a + w),
+            pieces += [_LobeCurve(self, k, a, -1.0, a - w, a, 2 * i),
+                       _LobeCurve(self, k, a, 1.0, a, a + w, 2 * i + 1),
                        CircleArc(np.zeros(2), 1.0, a + w, a_next - w_next)]
         return tuple(pieces)
 
@@ -508,7 +742,8 @@ class RadialArcBody:
         return float(self.radial_function_many(x, theta)[0])
 
     def radial_function_many(self, x, thetas) -> np.ndarray:
-        """Exit distances from ``x`` along ``thetas``.
+        """Exit distances from ``x`` along ``thetas``, for the angular route
+        that serves as the test oracle of the boundary-piece integrals.
 
         Off the origin, all rays are solved at once for the root of
         |p| - R(arg p) by the Illinois variant of regula falsi (Dowell and
@@ -569,23 +804,13 @@ class RadialArcBody:
 
     def circle_clip(self, x, r: float) -> ArcSet:
         x = as_point(x)
-        r = float(r)
-        if float(np.hypot(*x)) <= 1e-12:
-            if r <= 1.0:
-                return ArcSet(x, r, ((0.0, 2 * math.pi),))
-            if r > self.r_max:
-                return ArcSet(x, r, ())
-            arcs = []
-            widths = self.half_widths(r)
-            for ang, hw in zip(self.direction_angles, widths):
-                if hw > 1e-15:
-                    arcs.append((ang - hw, ang + hw))
-            return _build_arcset(x, r, arcs)
-        return self._circle_clip_offcenter(x, r)
+        _, d, _ = self._crossings(x, np.array([float(r)]))
+        angles = np.arctan2(d[:, 1], d[:, 0]) % (2 * math.pi)
+        return _arcs_between(x, float(r), sorted(angles.tolist()), self.contains)
 
     def _circle_clip_offcenter(self, x, r) -> ArcSet:
         """Sign changes of |p| - R(arg p) among 2048 circle samples, each
-        bracket refined by ``brentq``."""
+        bracket refined by ``brentq``: the test oracle of ``circle_clip``."""
         ts = np.linspace(0, 2 * math.pi, 2048, endpoint=False)
         rad, rb = self._polar(x + r * np.stack([np.cos(ts), np.sin(ts)], axis=1))
         vals = rad - rb
@@ -606,9 +831,15 @@ class RadialArcBody:
         return _arcs_between(x, r, sorted(crossings), self.contains)
 
     def balance_residuals(self, x, radii) -> np.ndarray:
-        """The moments of the ``circle_clip`` arc sets, one radius at a time."""
-        return np.array([vector_residual_of_arcs(circle_clip(self, x, float(r)))
-                         for r in radii]).reshape(-1, 2)
+        """A signed sum over the circle crossings, as for a polygon: with
+        d = y - x at a crossing y, the counterclockwise circle adds (d_y, -d_x)
+        where it leaves the body and subtracts it where it enters."""
+        x = as_point(x)
+        radii = np.asarray(radii, dtype=float).reshape(-1)
+        ri, d, leave = self._crossings(x, radii)
+        out = np.zeros((len(radii), 2))
+        np.add.at(out, ri, np.where(leave, 1.0, -1.0)[:, None] * np.stack([d[:, 1], -d[:, 0]], 1))
+        return out
 
     def radius_breakpoints(self, x) -> list[float]:
         x = as_point(x)
@@ -616,8 +847,8 @@ class RadialArcBody:
         return [abs(1.0 - d), 1.0 + d, abs(self.r_max - d), self.r_max + d]
 
     def reach(self, x) -> float:
-        pts = self._reach_outline
-        return float(np.max(np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1])))
+        """The greatest distance from ``x`` to the boundary, at a vertex of its cut."""
+        return float(self._cut(as_point(x)).dist.max())
 
     def circumcenter(self) -> CircumCenter:
         """The origin with radius ``r_max``, exactly.
@@ -644,9 +875,10 @@ class RadialArcBody:
         return InCenter(np.zeros(2), 1.0, False)
 
     def route(self, loc: str) -> str:
-        """The angular route about interior points, and no route (``none``)
-        elsewhere: only the boundary-piece quadratures serve those points."""
-        return "angular" if loc == "interior" and self._convex else "none"
+        """Boundary-piece integrals (``pieces``) about interior points, and no
+        route (``none``) elsewhere: only the boundary-piece gradients and
+        Hessians serve those points."""
+        return "pieces" if loc == "interior" else "none"
 
     # -- serialization --------------------------------------------------------
 
@@ -661,6 +893,7 @@ class RadialArcBody:
     @classmethod
     def from_dict(cls, data: dict) -> "RadialArcBody":
         return cls(data["direction_angles"], data["r_max"], data["amplitude"])
+
 
 
 def generate_asymmetric_balanced(r_max: float = 1.04,
@@ -732,7 +965,8 @@ def symmetry_search(body, tol_rel: float = 1e-6) -> list[Isometry]:
 
     found: list[Isometry] = []
     for ang in _rotation_candidates():
-        if not prefilter("rotation", ang):
+        # the identity always passes, and it is added below only with others
+        if ang == 0.0 or not prefilter("rotation", ang):
             continue
         c, s = math.cos(ang), math.sin(ang)
         if h_dist(np.array([[c, -s], [s, c]])) < tol:
@@ -743,12 +977,9 @@ def symmetry_search(body, tol_rel: float = 1e-6) -> list[Isometry]:
         c, s = math.cos(2 * ax), math.sin(2 * ax)
         if h_dist(np.array([[c, s], [s, -c]])) < tol:
             found.append(Isometry("reflection", ax, g))
-    nontrivial = [iso for iso in found
-                  if not (iso.kind == "rotation" and abs(iso.angle) < 1e-15)]
-    if not nontrivial:
+    if not found:
         return []
-    identity = Isometry("rotation", 0.0, g)
-    return [identity] + nontrivial
+    return [Isometry("rotation", 0.0, g)] + found
 
 
 def _signature_prefilter(body, g: np.ndarray, scale: float):

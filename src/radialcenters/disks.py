@@ -111,7 +111,17 @@ def poisson_value(d: float, R: float, h: float) -> float:
     1 - m and 1 - n they would cancel near the rim.  Outside, the bracket is
     (2R / s)(K - (2 d g / 3 s^2) R_J), whose terms cancel to O(R / d) where
     K and (g / s) Pi cancel to O(R^2 / d^2).
+
+    Inside, 1 - (h / pi sqrt(s^2 + h^2))(K - (g / s) Pi) cancels to
+    O(R^2 / h^2) when h is large.  At the center the value is
+    1 - h / sqrt(R^2 + h^2) = R^2 / (sqrt(R^2 + h^2) (sqrt(R^2 + h^2) + h)),
+    and for h >= 2 (d + R) a series in (|y - x| / h)^2 (``_poisson_far``).
     """
+    if d == 0:
+        q = math.hypot(R, h)
+        return R * R / (q * (q + h))
+    if d < R and h >= 2 * (d + R):
+        return _poisson_far(d, R, h)
     s, g = d + R, d - R
     q2 = s * s + h * h
     m1 = (g * g + h * h) / q2
@@ -121,6 +131,26 @@ def poisson_value(d: float, R: float, h: float) -> float:
         Pi = K + 4 * d * R / (3 * s * s) * rj
         return 1 - h / (math.pi * math.sqrt(q2)) * (K - g / s * Pi)
     return -2 * h * R / (math.pi * s * math.sqrt(q2)) * (K - 2 * d * g / (3 * s * s) * rj)
+
+
+def _poisson_far(d: float, R: float, h: float) -> float:
+    """The value inside the disk, (h / 2 pi) times the integral over the disk
+    of (r^2 + h^2)^(-3/2), r = |y - x|, with the kernel expanded as
+    h^(-3) sum_k binom(-3/2, k) (r / h)^(2k).  Over the disk r^(2k) integrates
+    to pi R^2 sum_j C(k, j)^2 R^(2j) d^(2(k - j)) / (j + 1), so with u = R^2 / h^2
+    and v = d^2 / h^2 the value is (u / 2) sum_k binom(-3/2, k) sum_j
+    C(k, j)^2 u^j v^(k - j) / (j + 1).  The terms alternate in sign and fall
+    by at least (d + R)^2 / h^2 <= 1/4 each, so nothing cancels."""
+    u, v = (R / h) ** 2, (d / h) ** 2
+    total, c, k = 0.0, 1.0, 0
+    while True:
+        term = c * math.fsum(math.comb(k, j) ** 2 * u ** j * v ** (k - j) / (j + 1)
+                             for j in range(k + 1))
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return 0.5 * u * total
+        c *= -(2 * k + 3) / (2 * k + 2)
+        k += 1
 
 
 def poisson_slope(d: float, R: float, h: float) -> float:

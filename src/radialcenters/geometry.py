@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InvalidBody, NotStarShaped
 
@@ -127,6 +126,10 @@ class Segment(NamedTuple):
         e = self.e
         return float(np.clip(np.dot(x - self.a, e) / np.dot(e, e), 0.0, 1.0))
 
+    def chord(self, t: np.ndarray, t_ref: float) -> np.ndarray:
+        """y(t) - y(t_ref), shape (n, 2)."""
+        return (t - t_ref)[:, None] * self.e
+
 
 class EdgeFrame(NamedTuple):
     """A polygon's edges seen from a point x, one entry per edge.
@@ -159,6 +162,12 @@ class CircleArc(NamedTuple):
         c = self.center
         return _angle_within(math.atan2(x[1] - c[1], x[0] - c[0]), self.t0, self.t1)
 
+    def chord(self, t: np.ndarray, t_ref: float) -> np.ndarray:
+        """y(t) - y(t_ref) = 2 radius sin((t - t_ref) / 2) u'((t + t_ref) / 2),
+        which keeps its digits for t near t_ref."""
+        m, h = 0.5 * (t + t_ref), self.radius * 2 * np.sin(0.5 * (t - t_ref))
+        return np.stack([-h * np.sin(m), h * np.cos(m)], axis=1)
+
 
 # ---------------------------------------------------------------------------
 # body types
@@ -186,17 +195,12 @@ class Polygon:
         if scale <= 0:
             raise InvalidBody("polygon has zero extent")
         n = arr.shape[0]
-        nxt = np.roll(arr, -1, axis=0)
-        edges = nxt - arr
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        outline = _outline(arr)
+        nxt, edges, lengths, w, crosses = outline
         if np.any(lengths <= REL_TOL * scale):
             raise InvalidBody("consecutive vertices coincide")
-        w = arr[:, 0] * nxt[:, 1] - nxt[:, 0] * arr[:, 1]
-        area2 = float(np.sum(w))
-        if area2 <= 0:
+        if float(np.sum(w)) <= 0:
             raise InvalidBody("vertices must be counterclockwise with positive area")
-        prv = np.roll(edges, 1, axis=0)
-        crosses = prv[:, 0] * edges[:, 1] - prv[:, 1] * edges[:, 0]
         if np.any(np.abs(crosses) <= REL_TOL * scale * scale):
             raise InvalidBody("collinear vertex triple")
         for i in range(n - 2):
@@ -204,7 +208,18 @@ class Polygon:
             j = slice(i + 2, n if i else n - 1)
             if np.any(_segments_cross(arr[i], nxt[i], arr[j], nxt[j], REL_TOL * scale)):
                 raise InvalidBody("polygon is self-intersecting")
-        arr = arr.copy()
+        self._prepare(arr.copy(), *outline)
+
+    @classmethod
+    def _similar(cls, vertices: np.ndarray) -> "Polygon":
+        """The polygon of ``vertices``, the image of a valid polygon under a
+        similarity with positive scale: that keeps it simple and
+        counterclockwise, so it is prepared without validation."""
+        poly = object.__new__(cls)
+        poly._prepare(vertices, *_outline(vertices))
+        return poly
+
+    def _prepare(self, arr, nxt, edges, lengths, w, crosses):
         arr.setflags(write=False)
         nxt.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
@@ -223,7 +238,7 @@ class Polygon:
         object.__setattr__(self, "_pieces", tuple(Segment(a, e) for a, e in zip(arr, edges)))
         object.__setattr__(self, "_convex", bool(np.all(crosses > 0)))
         object.__setattr__(self, "_diameter", _point_set_diameter(arr))
-        a = 0.5 * area2
+        a = 0.5 * float(np.sum(w))
         object.__setattr__(self, "_area", a)
         object.__setattr__(self, "_centroid", np.array(
             [float(np.sum((arr[:, 0] + nxt[:, 0]) * w)) / (6 * a),
@@ -420,9 +435,9 @@ class Polygon:
         return CircumCenter(np.array([c[0], c[1]]), c[2])
 
     def incenter(self) -> InCenter:
-        """Linear programming over the edge half-planes when convex, grid
-        search plus local refinement otherwise."""
-        return _incenter_lp(self) if self._convex else _incenter_grid(self)
+        """The straight-skeleton wavefront when convex, grid search plus local
+        refinement otherwise."""
+        return _incenter_convex(self) if self._convex else _incenter_grid(self)
 
     def to_dict(self) -> dict:
         return {"vertices": [[float(x), float(y)] for x, y in self.vertices]}
@@ -557,6 +572,17 @@ class Disk:
 
 
 Body = Union[Polygon, Disk, "RadialArcBody"]  # noqa: F821  (radial-arc lives in balance)
+
+
+def _outline(arr: np.ndarray):
+    """A polygon's next vertices, edges, edge lengths, shoelace terms and the
+    cross products of consecutive edges."""
+    nxt = np.roll(arr, -1, axis=0)
+    edges = nxt - arr
+    prv = np.roll(edges, 1, axis=0)
+    return (nxt, edges, np.hypot(edges[:, 0], edges[:, 1]),
+            arr[:, 0] * nxt[:, 1] - nxt[:, 0] * arr[:, 1],
+            prv[:, 0] * edges[:, 1] - prv[:, 1] * edges[:, 0])
 
 
 def _segments_cross(a, b, c, d, tol):
@@ -864,8 +890,8 @@ def _in_circle(c, p, eps=1e-12):
 def incenter(body: Body) -> InCenter:
     """A deepest interior point (Chebyshev center) and the inradius.
 
-    Convex polygons are solved exactly by linear programming over edge
-    half-planes; when the optimal set is a segment (e.g. long rectangles) the
+    Convex polygons are solved exactly by the wavefront of their straight
+    skeleton; when the optimal set is a segment (e.g. long rectangles) the
     canonical midpoint of that face is returned and ``ambiguous`` is set.
     Non-convex polygons fall back to grid search plus local refinement and
     are always flagged ambiguous.  Disks and radial-arc bodies answer in
@@ -874,17 +900,9 @@ def incenter(body: Body) -> InCenter:
     return body.incenter()
 
 
-def _incenter_lp(poly: Polygon) -> InCenter:
+def _incenter_convex(poly: Polygon) -> InCenter:
     normals, offsets = poly._normals, poly._offsets
-    m = len(offsets)
-    # maximize r  s.t.  n_i . x + r <= b_i   (normals are unit outward)
-    res = linprog(c=[0.0, 0.0, -1.0],
-                  A_ub=np.hstack([normals, np.ones((m, 1))]),
-                  b_ub=offsets, bounds=[(None, None), (None, None), (0, None)],
-                  method="highs")
-    if not res.success:
-        raise InvalidBody("incenter LP failed; polygon may be degenerate")
-    r = float(res.x[2])
+    p, r = _wavefront_collapse(normals, offsets)
     # canonical point: midpoint (vertex mean) of the optimal face
     face = halfplane_intersection(normals, offsets - r + 1e-12 * poly.diameter(),
                                   _bounding_box(poly, pad=1.0))
@@ -892,9 +910,41 @@ def _incenter_lp(poly: Polygon) -> InCenter:
         point = face.mean(axis=0)
         amb = float(np.max(np.ptp(face, axis=0))) > 1e-9 * poly.diameter()
     else:
-        point = np.array([res.x[0], res.x[1]])
+        point = p
         amb = False
     return InCenter(point, r, amb)
+
+
+def _wavefront_collapse(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, float]:
+    """The last event of a convex polygon's straight-skeleton wavefront
+    (Aichholzer, Aurenhammer, Alberts and Gaertner, J. UCS 1, 1995): the
+    point and time at which it collapses, which are an incenter and the
+    inradius.
+
+    Every edge line n . p = b moves inward at unit speed, to n . p + t = b.
+    Edge i vanishes where the moving lines i - 1, i and i + 1 meet, at the
+    (p, t) that solves those three equations.  The earliest event drops its
+    edge, and its two neighbours, now adjacent, get new events; with three
+    lines left their common event is the last.
+    """
+    live = list(range(len(offsets)))
+
+    def event(k):
+        i, j, l = live[k - 1], live[k], live[(k + 1) % len(live)]
+        # subtract the middle equation from the outer two: a 2x2 system for p
+        a, b = normals[i] - normals[j], normals[l] - normals[j]
+        e, f = offsets[i] - offsets[j], offsets[l] - offsets[j]
+        det = a[0] * b[1] - a[1] * b[0]
+        p = np.array([e * b[1] - f * a[1], a[0] * f - b[0] * e]) / det
+        return p, float(offsets[j] - normals[j] @ p)
+
+    points, times = map(list, zip(*(event(k) for k in range(len(live)))))
+    while len(live) > 3:
+        k = times.index(min(times))
+        del live[k], points[k], times[k]
+        for m in (k - 1, k % len(live)):
+            points[m], times[m] = event(m)
+    return points[0], times[0]
 
 
 _PATTERN = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)],
@@ -1064,12 +1114,16 @@ def unfolded_region(poly: Polygon, n_dirs: int) -> UnfoldedRegion:
 # ---------------------------------------------------------------------------
 
 def transformed(body: Body, angle: float = 0.0, shift=(0.0, 0.0), scale: float = 1.0) -> Body:
-    """Rotate about the origin, scale, then translate."""
+    """Rotate about the origin, scale, then translate.  A polygon's image
+    under a positive scale skips the validation of its vertices."""
     shift = as_point(shift)
     c, s = math.cos(angle), math.sin(angle)
     R = np.array([[c, -s], [s, c]]) * scale
     if isinstance(body, Polygon):
-        return Polygon(body.vertices @ R.T + shift)
+        vertices = body.vertices @ R.T + shift
+        if scale > 0 and np.isfinite(vertices).all():
+            return Polygon._similar(vertices)
+        return Polygon(vertices)
     if isinstance(body, Disk):
         return Disk(R @ body.center + shift, body.radius * scale)
     raise TypeError(f"cannot transform body of type {type(body).__name__}")

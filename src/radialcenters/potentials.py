@@ -18,8 +18,10 @@ closed-form functions of the distance to its center (``disks`` module).
 Everywhere else the singularity (if any) is absorbed into an exact radial
 antiderivative and the remaining smooth angular integral is done by adaptive
 quadrature: about the base point where the whole body is visible from it
-(``angular``), or sector by sector over polygon edges (``fan``).  Hessians,
-and Riesz gradients at exterior points, are one-dimensional quadratures over
+(``angular``), sector by sector over polygon edges (``fan``), or over the
+boundary pieces, each point y subtending (y - x).n ds / |y - x|^2
+(``pieces``, the radially parameterized body's interior).  Hessians, and
+Riesz gradients at exterior points, are one-dimensional quadratures over
 the body's boundary pieces there.
 
 Quadrature stays the production path for the radially parameterized body,
@@ -170,11 +172,16 @@ def weierstrass_kernel(z, t: float, m: int = 2) -> float:
 # between O(1) sector integrals.
 # ---------------------------------------------------------------------------
 
+_TINY = np.finfo(float).tiny
+
+
 def _riesz_profile(alpha: float, loc: str = "interior"):
     """The same about every point: Riesz kernels have no limit at infinity to drop."""
     if alpha == 2:
-        # encodes -int log|x-y| directly
-        return lambda rho: rho * rho * 0.25 - 0.5 * rho * rho * np.log(rho)
+        # encodes -int log|x-y| directly; rho = 0, where a ray leaves at once
+        # from a boundary point, gives 0 (the log's argument leaves every
+        # normal rho > 0 unchanged)
+        return lambda rho: rho * rho * 0.25 - 0.5 * rho * rho * np.log(np.maximum(rho, _TINY))
     if alpha == 0:
         return lambda rho: np.log(rho)
     return lambda rho: rho ** alpha / alpha
@@ -227,6 +234,8 @@ def _integrate(body, x, profile, route: str, cfg, vector: bool = False):
     finite-part convention at interior points.  With ``vector`` the
     integrand is weighted by the unit direction, as gradients need.
     """
+    if route == "pieces":
+        return _piece_integral(body, x, profile, cfg, vector)
     if route in ("angular", "disk"):
         fn = integrate_angular_vector if vector else integrate_angular
     elif route in ("fan", "edges"):
@@ -234,6 +243,23 @@ def _integrate(body, x, profile, route: str, cfg, vector: bool = False):
     else:
         raise ValueError(f"no quadrature route for this point of {type(body).__name__}")
     return fn(body, x, profile, cfg)
+
+
+def _piece_integral(body, x: np.ndarray, profile, cfg, vector: bool):
+    """The angular integral of ``profile(rho)`` over the body's boundary
+    pieces: seen from x, a boundary point y subtends d theta = (y - x).n ds /
+    |y - x|^2, so the integral is that of profile(|y - x|) (y - x).n / |y - x|^2
+    in ds, and with ``vector`` of the same weighted by (y - x) / |y - x|.
+    About a point that sees the whole body this is the angular route; about
+    any other, the signed sum of the chords that a ray crosses."""
+    def integrand(d, n_ds):           # d = x - y
+        r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        r = np.sqrt(r2)
+        w = -np.asarray(profile(r)) * (d[:, 0] * n_ds[:, 0] + d[:, 1] * n_ds[:, 1]) / r2
+        return (-d / r[:, None]) * w[:, None] if vector else w
+
+    total = _boundary_integral(body, x, integrand, cfg)
+    return total if vector else float(total)
 
 
 def _ball(body) -> Disk:
@@ -419,16 +445,21 @@ def _riesz_boundary_gradient(body, x: np.ndarray, alpha: float, cfg) -> np.ndarr
 def _boundary_integral(body, x: np.ndarray, integrand, cfg: QuadratureConfig) -> np.ndarray:
     """Sum over the body's boundary pieces of the integral of
     ``integrand(x - y, n_ds)`` in the piece parameter, with ``n_ds`` the
-    outward normal scaled by |dy/dt|.  Each piece is split at its parameter
-    nearest to ``x``, where the kernel peaks when ``x`` is near the boundary.
+    outward normal scaled by |dy/dt|.  Each piece is split at the foot of
+    ``x``, where the kernel peaks when ``x`` is near the boundary, and
+    x - y is formed as (x - y(foot)) - (y - y(foot)) with the piece's
+    ``chord``: formed directly, its rounding would be a noise of one ulp of
+    the body's size, which near the boundary swamps the tolerance.
     """
     total = 0.0
     for piece in body.boundary_pieces():
-        def f(t, piece=piece):
-            y, n_ds = piece.curve(t)
-            return integrand(x - y, n_ds)
+        foot = piece.nearest(x)
+        gap = x - piece.curve(np.array([foot]))[0][0]
 
-        val, _ = adaptive_gk(f, [piece.t0, piece.nearest(x), piece.t1], cfg)
+        def f(t, piece=piece, foot=foot, gap=gap):
+            return integrand(gap - piece.chord(t, foot), piece.curve(t)[1])
+
+        val, _ = adaptive_gk(f, [piece.t0, foot, piece.t1], cfg)
         total = total + np.asarray(val)
     return total
 

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,11 +18,13 @@ from radialcenters.balance import (BALANCED_TOL, PolygonClass, RadialArcBody,
 from radialcenters.centers import CENTER_CFG, ascend, limit_diagnostics
 from radialcenters.errors import (ConstructionFailed, ContinuumContact, InvalidBody,
                                   NotInterior)
-from radialcenters.geometry import (Disk, Polygon, centroid, circle_clip, circumcenter,
-                                    contains, contains_many, diameter, incenter, transformed)
-from radialcenters.potentials import Heat, Poisson, Riesz, _riesz_profile, \
-    poisson_gradient, potential, riesz_gradient
-from radialcenters.quadrature import adaptive_gk, integrate_angular
+from radialcenters.geometry import (ArcSet, CircleArc, Disk, Polygon, centroid, circle_clip,
+                                    circumcenter, contains, contains_many, diameter, incenter,
+                                    transformed)
+from radialcenters.potentials import Heat, Poisson, Riesz, _family, _riesz_profile, \
+    poisson_gradient, potential, potential_gradient, potential_hessian, riesz_gradient
+from radialcenters.quadrature import (DEFAULT_CONFIG, adaptive_gk, integrate_angular,
+                                      integrate_angular_vector)
 
 from conftest import (make_equilateral, make_square, make_tri345,
                       make_unit_disk, random_convex_polygon, random_convex_quadrangle,
@@ -540,6 +543,157 @@ def test_asym_body_membership_near_boundary(asym_body):
         got = asym_body.contains_many(pts)
         assert np.all(got == want)
         assert [asym_body.contains(p) for p in pts] == got.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the asymmetric body answers on its boundary pieces; the ray exits (angular
+# route) and the sampled circle clip are the oracles
+# ---------------------------------------------------------------------------
+
+PIECE_SPECS = [Riesz(a) for a in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0)] + [Poisson(0.5),
+                                                                           Heat(0.1)]
+
+
+def _piece_route_points(body):
+    """The origin, 20 seeded interior points, and three points 1e-6 diameters
+    inside the boundary: on the inner normals at the middles of a lobe half,
+    an arc and the other half of the next lobe."""
+    rng = np.random.default_rng(41)
+    phi = rng.uniform(0, 2 * math.pi, 20)
+    rad = 0.95 * np.sqrt(rng.uniform(0, 1, 20)) * body.boundary_radius(phi)
+    pts = [np.zeros(2)] + list(rad[:, None] * np.stack([np.cos(phi), np.sin(phi)], 1))
+    for piece in np.array(body.boundary_pieces(), dtype=object)[[0, 2, 4]]:
+        y, n_ds = piece.curve(np.array([0.5 * (piece.t0 + piece.t1)]))
+        pts.append(y[0] - 1e-6 * body.diameter() * n_ds[0] / np.hypot(*n_ds[0]))
+    return pts
+
+
+@pytest.mark.parametrize("spec", PIECE_SPECS, ids=str)
+def test_asym_piece_route_matches_angular_oracle(asym_body, spec):
+    # Near the boundary the oracle's ray exits carry a rounding of one ulp of
+    # the body's size, 5e-11 of the distance there, which keeps it from the
+    # strict tolerance: it runs at the default 1e-10 there, with a tolerance
+    # ten times that.
+    fam, p = _family(spec)
+    sign, scale = fam.scales(p)
+    pts = _piece_route_points(asym_body)
+    for x, cfg, tol in ([(x, CENTER_CFG, 1e-11) for x in pts[:-3]]
+                        + [(x, DEFAULT_CONFIG, 1e-9) for x in pts[-3:]]):
+        value = potential(asym_body, x, spec, CENTER_CFG).value
+        want = sign * integrate_angular(asym_body, x, fam.profile(p, "interior"), cfg)
+        assert abs(value - want) <= tol * max(abs(want), 1.0), x
+        g = potential_gradient(asym_body, x, spec, CENTER_CFG)
+        g_want = scale * integrate_angular_vector(asym_body, x,
+                                                  fam.gradient_profile(p, "interior"), cfg)
+        assert np.abs(g - g_want).max() <= tol * max(np.abs(g_want).max(), abs(want), 1.0), x
+
+
+@pytest.mark.parametrize("spec", PIECE_SPECS, ids=str)
+def test_asym_piece_hessian_matches_gradient_differences(asym_body, spec):
+    # fourth-order central differences of the gradient, which the test above
+    # holds to the angular oracle, with steps well inside the distance to the
+    # boundary
+    for x in _piece_route_points(asym_body):
+        dist = asym_body.boundary_distance(x)
+        h = 0.004 * min(dist, 0.05)
+        H = np.empty((2, 2))
+        for j in range(2):
+            e = h * np.eye(2)[j]
+            g = [potential_gradient(asym_body, x + k * e, spec, CENTER_CFG) for k in (2, 1, -1, -2)]
+            H[:, j] = (-g[0] + 8 * g[1] - 8 * g[2] + g[3]) / (12 * h)
+        got = potential_hessian(asym_body, x, spec, CENTER_CFG)
+        assert np.abs(got - H).max() <= 1e-7 * np.abs(H).max(), x
+
+
+def _narrow_moment(arcs, width):
+    """The moment of the arcs of a set narrower than ``width``."""
+    return vector_residual_of_arcs(ArcSet(arcs.center, arcs.radius,
+                                          tuple(a for a in arcs.arcs if a[1] - a[0] < width)))
+
+
+@pytest.mark.parametrize("x", [(0.3, -0.2), (0.12, -0.05), (0.0, 0.95)])
+def test_asym_crossings_match_sampled_clip(asym_body, x):
+    # The oracle scans 2048 samples of the circle, so it cannot see an arc or
+    # a gap narrower than their spacing; near a tangency to a unit-circle arc
+    # the grid has such radii (one per point here), where the oracle's answer
+    # is the crossings' without the narrow arcs and with the narrow gaps
+    # filled.  Its brentq roots there are conditioned by the square root of
+    # the distance to the tangency, whence the tolerance.
+    x = np.array(x)
+    width = 2 * math.pi / 2048
+    rep = balance_report(asym_body, x)
+    assert not rep.balanced
+    for r, res in zip(rep.radii, rep.residual_vectors):
+        clip = circle_clip(asym_body, x, r)
+        assert np.abs(vector_residual_of_arcs(clip) - res).max() <= 1e-14 * r
+        want = vector_residual_of_arcs(asym_body._circle_clip_offcenter(x, r))
+        blind = res - _narrow_moment(clip, width) + _narrow_moment(clip.complement(), width)
+        assert min(np.abs(res - want).max(), np.abs(blind - want).max()) <= 1e-11 * r, r
+        for arcs, inside in ((clip, True), (clip.complement(), False)):
+            for t1, t2 in arcs.arcs:
+                if t2 - t1 < width:     # a narrow arc or gap is where it is said to be
+                    mid = x + r * np.array([math.cos(0.5 * (t1 + t2)), math.sin(0.5 * (t1 + t2))])
+                    assert asym_body.contains(mid, tol=0) == inside
+
+
+def _mp_lobe_feet(body, x, piece):
+    """The least distance from x to a lobe half in 30-digit arithmetic: the
+    profile R = 1 + (r_max - 1)(1 - asin(sin(delta) / c) / amplitude)^2 from
+    its definition, the candidates from a 2000-sample scan of the piece and
+    each one refined by mpmath's root finder on the derivative of |y - x|^2."""
+    c = mp.mpf(body._c[piece.which])
+
+    def y(t):
+        q = 1 - mp.asin(mp.sin(piece.side * (t - piece.apex)) / c) / body.amplitude
+        rad = 1 + (body.r_max - 1) * q * q
+        return rad * mp.cos(t), rad * mp.sin(t)
+
+    def d2(t):
+        yx, yy = y(t)
+        return (yx - x[0]) ** 2 + (yy - x[1]) ** 2
+
+    ts = np.linspace(piece.t0, piece.t1, 2000)
+    pts, _ = piece.curve(ts)
+    samples = np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1])
+    best = min(mp.sqrt(d2(mp.mpf(piece.t0))), mp.sqrt(d2(mp.mpf(piece.t1))))
+    for k in np.flatnonzero((samples[1:-1] <= samples[:-2]) & (samples[1:-1] <= samples[2:])):
+        t = mp.findroot(lambda t: mp.diff(d2, t), mp.mpf(ts[k + 1]))
+        if piece.t0 <= t <= piece.t1:
+            best = min(best, mp.sqrt(d2(t)))
+    return best
+
+
+def test_asym_boundary_distance_matches_mpmath_feet(asym_body):
+    mp.mp.dps = 30
+    rng = np.random.default_rng(43)
+    pts = rng.uniform(-1.6, 1.6, (50, 2))
+    many = asym_body.boundary_distance_many(pts)
+    for p, got in zip(pts, many):
+        want = min(_mp_lobe_feet(asym_body, p, piece) for piece in asym_body.boundary_pieces()
+                   if piece.__class__ is not CircleArc)
+        for arc in asym_body.boundary_pieces()[2::3]:
+            ends = [mp.sqrt((mp.cos(t) - p[0]) ** 2 + (mp.sin(t) - p[1]) ** 2)
+                    for t in (arc.t0, arc.t1)]
+            if arc.t0 <= arc.nearest(p) < arc.t1 and arc.nearest(p) != arc.t0:
+                ends.append(abs(1 - mp.sqrt(mp.mpf(p[0]) ** 2 + mp.mpf(p[1]) ** 2)))
+            want = min([want] + ends)
+        assert abs(got - want) <= 1e-15 * max(1.0, float(want)), p
+        assert got == asym_body.boundary_distance(p)
+
+
+def test_asym_distances_about_the_origin_are_exact(asym_body):
+    assert abs(asym_body.boundary_distance(np.zeros(2)) - 1.0) <= 1e-14
+    assert abs(asym_body.reach(np.zeros(2)) - asym_body.r_max) <= 1e-14
+
+
+def test_asym_symmetry_search_skips_the_identity(asym_body, monkeypatch):
+    # the radial-signature screen rejects every other candidate, so no
+    # Hausdorff distance is measured at all
+    def fail(*args):
+        raise AssertionError("Hausdorff test on the asymmetric body")
+
+    monkeypatch.setattr(RadialArcBody, "boundary_distance_many", fail)
+    assert symmetry_search(asym_body) == []
 
 
 def test_generator_fails_honestly_beyond_tangent_bound():

@@ -73,6 +73,30 @@ def test_far_values_match_references(spec, x, reference):
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def _poisson_inside_reference(d, h):
+    """(1 / 2 pi) int_0^(2 pi) of 1 - h / sqrt(rho^2 + h^2) over the unit disk's
+    radial function rho about (d, 0), each term written without cancellation."""
+    d, h = mp.mpf(d), mp.mpf(h)
+
+    def f(th):
+        rho = -d * mp.cos(th) + mp.sqrt(1 - (d * mp.sin(th)) ** 2)
+        q = mp.sqrt(rho * rho + h * h)
+        return rho * rho / (q * (q + h))
+
+    return mp.quad(f, [0, mp.pi / 2, mp.pi]) / mp.pi
+
+
+@pytest.mark.parametrize("d", [0.0, 0.3, 0.9, 0.999])
+@pytest.mark.parametrize("h", [1.0, 3.9, 100.0, 1e4])
+def test_poisson_value_inside_keeps_its_digits_at_large_heights(d, h):
+    # the solid-angle form cancelled as (h / R)^2: at the center it was 3e-12
+    # off at h = 100 and 2.4e-8 off at h = 1e4
+    with mp.workdps(30):
+        want = float(_poisson_inside_reference(d, h))
+    got = potential(make_unit_disk(), (d, 0.0), Poisson(h)).value
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_far_heat_value_does_not_underflow_early():
     # about 1.6e-138: the chord quadrature was 5.8e-7 off, and the noncentral
     # chi-square distribution (scipy's chndtr) flushes it to zero

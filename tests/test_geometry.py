@@ -2,7 +2,10 @@
 
 import ast
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +171,58 @@ def test_incenter_grid_refines_with_batched_queries(monkeypatch):
     ic = incenter(lshape)
     assert ic.radius == pytest.approx(2 - math.sqrt(2), abs=1e-12)
     assert set(calls[1:]) == {8}
+
+
+def _lp_inradius(poly):
+    """The Chebyshev radius by linear programming: max r with n_i . x + r <= b_i."""
+    from scipy.optimize import linprog
+    m = len(poly._offsets)
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.hstack([poly._normals, np.ones((m, 1))]),
+                  b_ub=poly._offsets, bounds=[(None, None), (None, None), (0, None)],
+                  method="highs")
+    assert res.success
+    return float(res.x[2])
+
+
+def test_wavefront_inradius_matches_linear_programming():
+    rng = np.random.default_rng(47)
+    for k in range(200):
+        if k % 10 == 0:         # rectangles: the deepest points form a segment
+            w, h = rng.uniform(0.1, 3.0, 2)
+            poly = Polygon(np.array([[0, 0], [w, 0], [w, h], [0, h]]) + rng.uniform(-2, 2, 2))
+        else:
+            poly = random_convex_polygon(rng, n_points=int(rng.integers(3, 41)))
+        ic = incenter(poly)
+        assert abs(ic.radius - _lp_inradius(poly)) <= 1e-12 * poly.diameter()
+        assert abs(boundary_distance(poly, ic.center) - ic.radius) <= 1e-9 * poly.diameter()
+
+
+def test_import_and_convex_centers_leave_scipy_optimize_unloaded():
+    # scipy.optimize costs about 24 MB and a third of a second to import
+    code = ("import sys\n"
+            "import radialcenters as rc\n"
+            "sq = rc.Polygon([[-1, -1], [1, -1], [1, 1], [-1, 1]])\n"
+            "rc.incenter(sq)\n"
+            "rc.find_center(sq, rc.Riesz(0.5))\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n")
+    src = pathlib.Path(radialcenters.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_transformed_polygon_is_prepared_as_constructed(rng):
+    poly = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+    for angle, shift, scale in ((0.7, (1.5, -2.0), 0.3), (0.0, (-0.5, 0.25), 2.0)):
+        moved = transformed(poly, angle=angle, shift=shift, scale=scale)
+        fresh = Polygon(moved.vertices)
+        for name in ("vertices", "_next", "_lengths", "_tangents", "_normals", "_offsets",
+                     "_frame_dirs", "_frame_points", "_centroid"):
+            assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
+        for name in ("_convex", "_diameter", "_area"):
+            assert getattr(moved, name) == getattr(fresh, name), name
+    with pytest.raises(InvalidBody):
+        transformed(poly, scale=0.0)
 
 
 def test_circumradius_at_least_inradius(rng):
@@ -448,9 +503,10 @@ def test_body_protocol(make):
     reach = body.reach(x)
     assert reach >= float(np.max(np.hypot(*(outline - x).T))) - 1e-12
     assert min(body.radius_breakpoints(x)) >= 0
-    # closed forms off a polygon's or a disk's boundary band, the angular route otherwise
+    # closed forms off a polygon's or a disk's boundary band, boundary-piece
+    # integrals on the radially parameterized body
     assert body.route("interior") == {make_tri345: "edges", make_unit_disk: "disk"}.get(
-        make, "angular")
+        make, "pieces")
     assert np.array_equal(outline, boundary_polyline(body, 512))
     assert body.to_dict() == body_to_dict(body)
     assert body_from_dict(body.to_dict()).diameter() == pytest.approx(body.diameter(),

@@ -72,9 +72,11 @@ def test_boundary_piece_nearest_parameters():
     assert arc.nearest(np.array([1.0, 0.0])) == pytest.approx(1.5 * math.pi)
     asym = generate_asymmetric_balanced()
     for piece in asym.boundary_pieces():
+        # the foot of a point on the inner normal at the middle of the piece
         mid = 0.5 * (piece.t0 + piece.t1)
-        y, _ = piece.curve(np.array([mid]))
-        assert piece.nearest(0.9 * y[0]) == pytest.approx(mid, abs=1e-12)
+        y, n_ds = piece.curve(np.array([mid]))
+        x = y[0] - 0.05 * n_ds[0] / np.hypot(*n_ds[0])
+        assert piece.nearest(x) == pytest.approx(mid, abs=1e-12)
         assert piece.t0 <= piece.nearest(-y[0]) <= piece.t1
 
 

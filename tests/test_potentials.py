@@ -131,12 +131,7 @@ BOUNDARY_POINTS = {
 def _boundary_cases():
     for spec, near, asym in BOUNDARY_OUTCOMES:
         for where, want in (("square", near), ("disk", near), ("asym", asym)):
-            marks = ()
-            if where == "disk" and spec == Riesz(2.0):
-                # the angular route samples the log profile at rho = 0 there
-                marks = pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                                          reason="log(0) in the order-2 profile")
-            yield pytest.param(where, spec, want.split(), marks=marks, id=f"{where}-{spec}")
+            yield pytest.param(where, spec, want.split(), id=f"{where}-{spec}")
 
 
 @pytest.mark.parametrize("where, spec, want", _boundary_cases())
