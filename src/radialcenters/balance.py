@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import (ConstructionFailed, ContinuumContact, InvalidBody, NotInterior,
                      TheoremViolation)
-from .geometry import (ArcSet, CircleArc, CircumCenter, Disk, InCenter, Polygon, as_point,
-                       circle_clip, _angle_breakpoints, _arcs_between)
+from .geometry import (ArcSet, CircleArc, CircumCenter, Disk, InCenter, Located, Polygon,
+                       as_point, circle_clip, _angle_breakpoints, _arcs_between, _foot,
+                       _located)
 
 __all__ = [
     "BalanceReport", "WeightedBodyFunction", "ContactSet", "RadialArcBody",
@@ -224,26 +225,17 @@ def contact_points(body, x) -> ContactSet:
         raise ContinuumContact("contact analysis requires a polygon boundary")
     if not body.is_convex():
         raise ValueError("contact analysis requires a convex polygon")
-    if not body.contains(x) or body.boundary_distance(x) <= 0:
+    where, r_star, frame = body.locate(x)
+    if where != "interior":
         raise NotInterior("contact analysis requires an interior point")
-    feet = []
-    for a, b in body.edges():
-        e = b - a
-        t = float(np.dot(x - a, e) / np.dot(e, e))
-        t = min(1.0, max(0.0, t))
-        p = a + t * e
-        feet.append((float(np.hypot(*(p - x))), p))
-    r_star = min(d for d, _ in feet)
-    scale = body.diameter()
+    along = _foot(frame.s)          # each edge's nearest point
+    feet = x + frame.p[:, None] * frame.normals + along[:, None] * frame.tangents
     pts = []
-    for d, p in feet:
-        if d <= r_star * (1 + 1e-9):
-            if all(float(np.hypot(*(p - q))) > 1e-9 * scale for q in pts):
-                pts.append(p)
-    s = np.zeros(2)
-    for p in pts:
-        s += p - x
-    return ContactSet(r_star, tuple(pts), s)
+    for d, p in zip(np.hypot(frame.p, along), feet):
+        if d <= r_star * (1 + 1e-9) and \
+                all(float(np.hypot(*(p - q))) > 1e-9 * body.diameter() for q in pts):
+            pts.append(p)
+    return ContactSet(r_star, tuple(pts), np.sum(np.array(pts) - x, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +332,7 @@ class _LobeCurve(NamedTuple):
     def nearest(self, x) -> float:
         """The foot of the perpendicular from ``x``: where |y(t) - x| is least
         on the piece."""
-        return self.body._cut(as_point(x)).nearest[self.half]
+        return self.body._cut(x).nearest[self.half]
 
     def chord(self, t: np.ndarray, t_ref: float) -> np.ndarray:
         """y(t) - y(t_ref) = (R - R_ref) u + R_ref (u - u_ref), from differences
@@ -706,6 +698,11 @@ class RadialArcBody:
 
     def diameter(self) -> float:
         return self._diameter
+
+    def locate(self, x) -> Located:
+        """From the cut about ``x``, which the boundary-piece integrals reuse."""
+        return _located(float(self._cut(x).dist.min()), self._diameter,
+                        lambda: bool(self.contains_many(x)[0]))
 
     def boundary_distance(self, p) -> float:
         """The least distance over the vertices of the cut about ``p``."""

@@ -18,10 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoInteriorSeed, NonConvergence
-from .geometry import (Disk, Polygon, as_point, boundary_distance, centroid,
-                       circumcenter, contains_many, diameter, incenter, is_convex,
-                       transformed)
+from .errors import BoundaryPoint, NoInteriorSeed, NonConvergence
+from .geometry import (Disk, Polygon, as_point, centroid, circumcenter, diameter, incenter,
+                       is_convex, transformed)
 from .potentials import (Heat, Poisson, PotentialSpec, Riesz, potential_jet,
                          refused_on_boundary)
 from .quadrature import QuadratureConfig
@@ -110,9 +109,9 @@ def _value_resolution(cfg: QuadratureConfig, val: float) -> float:
 
 def _inside_by(body, p: np.ndarray, margin: float) -> bool:
     """Whether ``p`` lies inside the body, more than ``margin`` from its
-    boundary.  The margin exceeds every body's membership slack, so the
-    unbanded ``contains_many`` decides once the distance has been measured."""
-    return boundary_distance(body, p) > margin and bool(contains_many(body, p[None, :])[0])
+    boundary; the margin exceeds the boundary band."""
+    loc, dist, _ = body.locate(p)
+    return loc == "interior" and dist > margin
 
 
 def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None):
@@ -121,7 +120,7 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     Convergence at ``|grad| < 1e-9 * max(|value at start|, 1)``.  When the
     family requires interior iterates, trial points must keep a relative
     margin of 1e-6 diameters inside the body; backtracking shrinks steps
-    until they do.  Each point evaluated is routed once: one jet gives the
+    until they do.  One jet per evaluated point gives its location and the
     parts of its value, gradient and Hessian that the ascent reads.
     """
     cfg = cfg or _family_cfg(spec)
@@ -131,13 +130,18 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     diam = diameter(body)
     margin = INTERIOR_MARGIN_REL * diam
 
-    def feasible(p):
-        return (not keep_in) or _inside_by(body, p, margin)
+    def jet_at(p):
+        """The jet at ``p``, or None where an iterate may not go."""
+        try:
+            there = potential_jet(body, p, spec, 2, cfg)
+        except BoundaryPoint:
+            return None
+        inside = there.location == "interior" and there.distance > margin
+        return there if inside or not keep_in else None
 
-    if not feasible(x):
+    jet = jet_at(x)
+    if jet is None:
         raise NoInteriorSeed(f"infeasible start {x!r}")
-
-    jet = potential_jet(body, x, spec, 2, cfg)
     val = jet.value()
     scale = max(abs(val), 1.0)
     gtol = GRAD_TOL_REL * scale
@@ -150,54 +154,31 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
             return x, val, gnorm, iterations
         iterations += 1
         direction = _newton_direction(jet.hessian(), grad)
-        if direction is None:
+        if direction is None or float(np.dot(grad, direction)) <= 0:
             direction = grad / gnorm * min(0.2 * diam, gnorm)
         slope = float(np.dot(grad, direction))
-        if slope <= 0:
-            direction = grad / gnorm * min(0.2 * diam, gnorm)
-            slope = float(np.dot(grad, direction))
         # once the predicted gain drops below the value's resolution the
-        # sufficient-decrease test only measures quadrature noise; accept
+        # sufficient-increase test only measures quadrature noise; accept
         # steps on gradient-norm decrease instead (Newton endgame)
-        if 1e-4 * slope <= _value_resolution(cfg, val):
-            step, accepted = 1.0, False
-            for _ in range(20):
-                trial = x + step * direction
-                if feasible(trial):
-                    there = potential_jet(body, trial, spec, 2, cfg)
-                    gt = there.gradient()
-                    gtn = float(np.hypot(*gt))
-                    if gtn < gnorm:
-                        x, jet, grad, gnorm = trial, there, gt, gtn
-                        accepted = True
-                        break
-                step *= 0.5
-            if not accepted:
-                # gradient floor reached: flat to quadrature resolution
-                if gnorm < max(gtol, 1e4 * cfg.abs_tol):
-                    return x, val, gnorm, iterations
-                raise NonConvergence(x, gnorm, iterations,
-                                     "gradient stagnated above tolerance")
-            val = jet.value()
-            continue
-        step, moved = 1.0, False
-        for _ in range(60):
+        endgame = 1e-4 * slope <= _value_resolution(cfg, val)
+        for k in range(20 if endgame else 60):
+            step = 0.5 ** k
             trial = x + step * direction
-            if feasible(trial):
-                there = potential_jet(body, trial, spec, 2, cfg)
-                tval = there.value()
-                if tval >= val + 1e-4 * step * slope:
-                    x, jet, val = trial, there, tval
-                    moved = True
+            there = jet_at(trial)
+            if there is not None:
+                part = there.gradient() if endgame else there.value()
+                if (float(np.hypot(*part)) < gnorm if endgame
+                        else part >= val + 1e-4 * step * slope):
                     break
-            step *= 0.5
-        if not moved:
-            # step underflow: flat to machine precision around the iterate
-            if gnorm < max(gtol, 1e3 * cfg.abs_tol):
+        else:
+            # flat to resolution: a gradient floor (endgame) or step underflow
+            if gnorm < max(gtol, (1e4 if endgame else 1e3) * cfg.abs_tol):
                 return x, val, gnorm, iterations
             raise NonConvergence(x, gnorm, iterations,
-                                 "line search stalled above gradient tolerance")
-        grad = jet.gradient()
+                                 "gradient stagnated above tolerance" if endgame
+                                 else "line search stalled above gradient tolerance")
+        x, jet = trial, there
+        val, grad = (jet.value(), part) if endgame else (part, jet.gradient())
         gnorm = float(np.hypot(*grad))
     if gnorm < gtol:
         return x, val, gnorm, iterations
@@ -241,7 +222,6 @@ def multistart_seeds(body) -> list[np.ndarray]:
     seeds: list[np.ndarray] = []
 
     def push(p):
-        p = as_point(p)
         if _inside_by(body, p, margin) and \
                 all(float(np.hypot(*(p - q))) > 1e-12 * diam for q in seeds):
             seeds.append(p)

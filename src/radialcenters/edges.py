@@ -3,7 +3,7 @@
 Seen from a point x, edge i of a polygon has a frame: its unit tangent e and
 unit outward normal n, the signed distance p = b - n.x from x to its line
 (positive on the inner side), q = |p|, and its ends at s_a < s_b along e,
-measured from the foot of the perpendicular from x (``Polygon.edge_frame``).
+measured from the foot of the perpendicular from x (``Polygon.locate``).
 With r = sqrt(q^2 + s^2), theta = atan2(s, q) and [f] = f(s_b) - f(s_a):
 
 * values are sums of signed sectors, the sector of edge i being the triangle

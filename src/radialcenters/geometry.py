@@ -1,18 +1,19 @@
 """Planar body representations and classical centers.
 
 Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
-``is_convex``, ``contains`` / ``contains_many``, ``boundary_distance`` /
-``boundary_distance_many``, ``radial_function`` / ``radial_function_many``,
-``circle_clip``, ``balance_residuals``, ``angular_breakpoints``,
-``radius_breakpoints``, ``reach``, ``route``, ``boundary_polyline``,
-``boundary_pieces``, ``circumcenter``, ``incenter`` and ``to_dict``; a
-body whose ``route`` can name ``edges`` (polygons) also answers
-``edge_frame``, and one whose ``route`` can name ``disk`` has a ``center``
-and a ``radius``.  Simple polygons (counterclockwise) and disks live here;
-the radially parameterized balanced body lives in the balance module.
-Bodies are immutable and prepare their derived geometry once, at
-construction.  The module-level functions of the same names delegate to
-the methods; points are numpy arrays of shape (2,).
+``is_convex``, ``locate``, ``contains`` / ``contains_many``,
+``boundary_distance`` / ``boundary_distance_many``, ``radial_function`` /
+``radial_function_many``, ``circle_clip``, ``balance_residuals``,
+``angular_breakpoints``, ``radius_breakpoints``, ``reach``, ``route``,
+``boundary_polyline``, ``boundary_pieces``, ``circumcenter``, ``incenter``
+and ``to_dict``.  ``locate(x)`` gives x's location and boundary distance
+with the view of x that the routes read: a polygon's ``EdgeFrame``, which
+also gives its distance and membership, or a disk's distance to its
+``center`` (a disk has a ``radius`` too).  Simple polygons and disks live
+here, the radially parameterized balanced body in the balance module.
+Bodies are immutable and prepare their derived geometry once.  The
+module-level functions of the same names delegate to the methods; points
+are arrays of shape (2,), checked by ``as_point`` once per public entry.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import InvalidBody, NotStarShaped
 
 __all__ = [
     "Polygon", "Disk", "ArcSet", "UnfoldedRegion", "Segment", "CircleArc", "EdgeFrame",
+    "Located",
     "CircumCenter", "InCenter",
     "area", "centroid", "diameter", "contains", "boundary_distance",
     "classify_location", "is_convex", "convex_hull",
@@ -47,7 +49,7 @@ REL_TOL = 1e-12
 
 def as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=float).reshape(2)
-    if not np.isfinite(q).all():
+    if not (math.isfinite(q[0]) and math.isfinite(q[1])):
         raise InvalidBody(f"non-finite point {p!r}")
     return q
 
@@ -58,27 +60,6 @@ def _unit(theta):
 
 def _cross(a, b) -> float:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def _segment_distances(p, a, b) -> np.ndarray:
-    """Distances from points ``p`` to segments [a, b]; leading axes broadcast."""
-    e = b - a
-    d = p - a
-    t = np.minimum(np.maximum((d[..., 0] * e[..., 0] + d[..., 1] * e[..., 1])
-                              / (e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]), 0.0), 1.0)
-    foot = a + t[..., None] * e
-    return np.hypot(p[..., 0] - foot[..., 0], p[..., 1] - foot[..., 1])
-
-
-def _polyline_distances(pts, a, b) -> np.ndarray:
-    """Distances from points of shape (N, 2) to the nearest of the segments
-    [a_i, b_i], in chunks of at most 2**18 point-segment pairs to bound memory."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 1, 2)
-    chunk = max(1, 2 ** 18 // len(pts))
-    out = _segment_distances(pts, a[:chunk], b[:chunk]).min(axis=1)
-    for i in range(chunk, len(a), chunk):
-        out = np.minimum(out, _segment_distances(pts, a[i:i + chunk], b[i:i + chunk]).min(axis=1))
-    return out
 
 
 def _point_set_diameter(v: np.ndarray) -> float:
@@ -143,6 +124,40 @@ class EdgeFrame(NamedTuple):
     s: np.ndarray
     normals: np.ndarray
     tangents: np.ndarray
+
+
+def _foot(s) -> np.ndarray:
+    """Where each edge is nearest to x: min(max(0, s_a), s_b) along it."""
+    return np.minimum(np.maximum(s[..., 0, :], 0.0), s[..., 1, :])
+
+
+def _distance(p, s) -> np.ndarray:
+    """The distance from x to the nearest edge."""
+    return np.hypot(p, _foot(s)).min(axis=-1)
+
+
+def _inside(p, s) -> np.ndarray:
+    """Whether x lies inside: its winding number, sum sign(p) [atan2(s, |p|)],
+    is 2 pi inside and 0 outside (Hormann and Agathos, Comput. Geom. 20, 2001)."""
+    turn = np.arctan2(s[..., 1, :], np.abs(p))
+    turn -= np.arctan2(s[..., 0, :], np.abs(p))
+    turn *= np.sign(p)
+    return turn.sum(axis=-1) > math.pi
+
+
+class Located(NamedTuple):
+    """Where a point lies, its boundary distance and the body's view of it."""
+
+    location: str
+    distance: float
+    view: object
+
+
+def _located(distance: float, diameter: float, inside, view=None) -> Located:
+    """``inside()`` decides off the band, where membership needs no slack."""
+    if distance <= BOUNDARY_BAND * diameter:
+        return Located("boundary", distance, view)
+    return Located("interior" if inside() else "exterior", distance, view)
 
 
 class CircleArc(NamedTuple):
@@ -230,11 +245,11 @@ class Polygon:
         normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
         object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_offsets", np.sum(normals * arr, axis=1))
-        # the edge frame's dot products: normals with the starts, tangents
-        # with the starts and the ends
-        object.__setattr__(self, "_frame_dirs", np.vstack([normals, self._tangents,
-                                                           self._tangents]))
-        object.__setattr__(self, "_frame_points", np.vstack([arr, arr, nxt]))
+        # the edge frame's dot products, by coordinate: normals with the
+        # starts, tangents with the starts and the ends
+        object.__setattr__(self, "_frame_dirs", np.hstack([normals.T, self._tangents.T,
+                                                           self._tangents.T]))
+        object.__setattr__(self, "_frame_points", np.hstack([arr.T, arr.T, nxt.T]))
         object.__setattr__(self, "_pieces", tuple(Segment(a, e) for a, e in zip(arr, edges)))
         object.__setattr__(self, "_convex", bool(np.all(crosses > 0)))
         object.__setattr__(self, "_diameter", _point_set_diameter(arr))
@@ -263,26 +278,26 @@ class Polygon:
     def is_convex(self) -> bool:
         return self._convex
 
+    def locate(self, x) -> Located:
+        """With the edge frame about ``x``, the view of the edges route."""
+        frame = EdgeFrame(*self._frames(x), self._normals, self._tangents)
+        return _located(float(_distance(frame.p, frame.s)), self._diameter,
+                        lambda: _inside(frame.p, frame.s), frame)
+
     def contains(self, p, tol: Optional[float] = None) -> bool:
         p = as_point(p)
         t = REL_TOL * self._diameter if tol is None else tol
         return self.boundary_distance(p) <= t or bool(self.contains_many(p[None, :])[0])
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        """Crossing-number membership of many points (no boundary band)."""
-        pts = np.asarray(pts, dtype=float)
-        x, y = pts[:, :1], pts[:, 1:]              # (N, 1) against the n edges
-        (x1, y1), (x2, y2) = self.vertices.T, self._next.T
-        crosses = (y1 > y) != (y2 > y)
-        run = np.divide((y - y1) * (x2 - x1), y2 - y1, out=np.zeros(crosses.shape),
-                        where=crosses)
-        return np.count_nonzero(crosses & (x < x1 + run), axis=1) % 2 == 1
+        """Winding-number membership of many points (no boundary band)."""
+        return self._over_frames(pts, _inside)
 
     def boundary_distance(self, p) -> float:
         return float(self.boundary_distance_many(as_point(p))[0])
 
     def boundary_distance_many(self, pts) -> np.ndarray:
-        return _polyline_distances(pts, self.vertices, self._next)
+        return self._over_frames(pts, _distance)
 
     def radial_function(self, x, theta: float) -> float:
         if self._convex:
@@ -394,10 +409,8 @@ class Polygon:
 
     def radius_breakpoints(self, x) -> list[float]:
         """Vertex and edge-foot distances, where circle arcs appear or vanish."""
-        x = as_point(x)
-        v = self.vertices
-        return (np.hypot(v[:, 0] - x[0], v[:, 1] - x[1]).tolist()
-                + _segment_distances(x, v, self._next).tolist())
+        p, s = self._frames(as_point(x))
+        return np.hypot(p, [s[0], _foot(s)]).ravel().tolist()
 
     def reach(self, x) -> float:
         """Largest distance from ``x`` to a point of the body."""
@@ -406,16 +419,24 @@ class Polygon:
         return float(np.max(np.hypot(v[:, 0] - x[0], v[:, 1] - x[1])))
 
     def route(self, loc: str) -> str:
-        """Route for a point at location ``loc``: closed-form edge sums
-        (``edge_frame``) off the boundary band, signed edge sectors in it."""
+        """Route for a point at location ``loc``: closed-form edge sums over
+        the frame from ``locate`` off the boundary band, signed edge sectors in it."""
         return "fan" if loc == "boundary" else "edges"
 
-    def edge_frame(self, x) -> EdgeFrame:
-        """Every edge seen from ``x``, for the closed forms of the edges route."""
-        w = self._frame_dirs * (self._frame_points - as_point(x))
-        w = w[:, 0] + w[:, 1]
+    def _frames(self, x):
+        """``p`` (..., n) and ``s`` (..., 2, n) of the frames about ``x`` (..., 2)."""
+        w = (self._frame_points[0] - x[..., 0, None]) * self._frame_dirs[0]
+        t = self._frame_points[1] - x[..., 1, None]
+        w += np.multiply(t, self._frame_dirs[1], out=t)   # in place: many points' frames are large
         n = self.n
-        return EdgeFrame(w[:n], w[n:].reshape(2, n), self._normals, self._tangents)
+        return w[..., :n], w[..., n:].reshape(w.shape[:-1] + (2, n))
+
+    def _over_frames(self, pts, fn) -> np.ndarray:
+        """``fn(p, s)`` on the frames about points (N, 2), 2**18 point-edge pairs at a time."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        rows = max(1, 2 ** 18 // self.n)
+        return np.concatenate([fn(*self._frames(pts[i:i + rows]))
+                               for i in range(0, max(len(pts), 1), rows)])
 
     def boundary_polyline(self, n: int = 512) -> np.ndarray:
         pts = []
@@ -470,6 +491,11 @@ class Disk:
 
     def is_convex(self) -> bool:
         return True
+
+    def locate(self, x) -> Located:
+        """With the distance from ``x`` to the center, the view of the disk route."""
+        d = math.hypot(x[0] - self.center[0], x[1] - self.center[1])
+        return _located(abs(d - self.radius), 2.0 * self.radius, lambda: d <= self.radius, d)
 
     def contains(self, p, tol: Optional[float] = None) -> bool:
         p = as_point(p)
@@ -720,15 +746,9 @@ def boundary_distance(body: Body, p) -> float:
 
 
 def classify_location(body: Body, p) -> str:
-    """'interior' | 'exterior' | 'boundary', with a band of ``BOUNDARY_BAND`` diameters.
-
-    Outside the band every body's ``contains`` agrees with its unbanded
-    ``contains_many``, so the boundary distance is measured once.
-    """
-    p = as_point(p)
-    if body.boundary_distance(p) <= BOUNDARY_BAND * body.diameter():
-        return "boundary"
-    return "interior" if body.contains_many(p[None, :])[0] else "exterior"
+    """'interior' | 'exterior' | 'boundary', with a band of ``BOUNDARY_BAND``
+    diameters: the location that ``body.locate`` reports."""
+    return body.locate(as_point(p)).location
 
 
 def is_convex(body: Body) -> bool:
@@ -952,24 +972,25 @@ _PATTERN = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1),
 
 
 def _incenter_grid(poly: Polygon, n: int = 96) -> InCenter:
+    def depth(p, s):         # the boundary distance inside, -inf outside
+        return np.where(_inside(p, s), _distance(p, s), -np.inf)
+
     xs = np.linspace(poly.vertices[:, 0].min(), poly.vertices[:, 0].max(), n)
     ys = np.linspace(poly.vertices[:, 1].min(), poly.vertices[:, 1].max(), n)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    pts = pts[poly.contains_many(pts)]
-    if not len(pts):
-        raise InvalidBody("no interior grid point found")
-    dist = poly.boundary_distance_many(pts)
+    dist = poly._over_frames(pts, depth)
     k = int(np.argmax(dist))        # the first deepest grid point
-    best, best_d = pts[k], float(dist[k])
+    p, best_d = pts[k], float(dist[k])
+    if best_d == -np.inf:
+        raise InvalidBody("no interior grid point found")
     # local refinement by shrinking pattern search: move to the deepest of
     # the eight neighbours when it improves, else halve the step; one move a
     # round, so 480 rounds allow the moves of 60 rounds of eight
     step = (xs[1] - xs[0])
-    p = best.copy()
     for _ in range(480):
         q = p + step * _PATTERN
-        d = np.where(poly.contains_many(q), poly.boundary_distance_many(q), -np.inf)
+        d = poly._over_frames(q, depth)
         k = int(np.argmax(d))
         if d[k] > best_d:
             p, best_d = q[k], float(d[k])

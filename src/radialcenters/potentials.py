@@ -8,13 +8,14 @@ in arbitrary ambient dimension are evaluated semi-analytically for testing
 dimension-generic constants.
 
 Evaluation strategy: ``potential_jet`` is the one place where a point is
-routed.  It classifies the point, refuses it where the family's derivatives
-diverge on the boundary, and takes the body's route for that location; the
-families differ only in data that it reads (``_FAMILIES``), and the other
-public functions are views of it.  Off its boundary band a polygon names
-``edges``: values, gradients and Hessians are closed-form sums over one edge
-frame (``edges`` module).  A disk names ``disk`` there: all three are
-closed-form functions of the distance to its center (``disks`` module).
+routed.  It locates the point (``body.locate``), refuses it where the
+family's derivatives diverge on the boundary, and takes the body's route for
+that location; the families differ only in data that it reads
+(``_FAMILIES``), and the other public functions are views of it.  Off its
+boundary band a polygon names ``edges``: values, gradients and Hessians are
+closed-form sums over the edge frame that located the point (``edges``
+module).  A disk names ``disk`` there: all three are closed-form functions
+of the distance to its center (``disks`` module).
 Everywhere else the singularity (if any) is absorbed into an exact radial
 antiderivative and the remaining smooth angular integral is done by adaptive
 quadrature: about the base point where the whole body is visible from it
@@ -47,7 +48,7 @@ from scipy.special import erf, erfc
 
 from . import disks, edges
 from .errors import BoundaryPoint
-from .geometry import BOUNDARY_BAND, Disk, as_point, classify_location
+from .geometry import BOUNDARY_BAND, Disk, as_point
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, adaptive_gk, fan_integral,
                          fan_integral_vector, integrate_angular, integrate_angular_vector)
 
@@ -294,10 +295,10 @@ def riesz_value_finite_part_eps(body, x, alpha: float, eps: float,
     x = as_point(x)
     if alpha > 0:
         raise ValueError("explicit-eps assembly is for alpha <= 0")
-    loc = classify_location(body, x)
+    loc, dist, _ = body.locate(x)
     if loc != "interior":
         raise BoundaryPoint("finite-part assembly needs an interior point")
-    if not (0 < eps < body.boundary_distance(x)):
+    if not (0 < eps < dist):
         raise ValueError("eps must lie in (0, dist(x, boundary))")
     total = _integrate(body, x, _riesz_profile(alpha), body.route(loc), cfg)
     if alpha == 0:
@@ -320,13 +321,13 @@ def riesz_value_complement(body, x, alpha: float,
     x = as_point(x)
     if alpha >= 0:
         raise ValueError("complement identity holds for alpha < 0")
-    if classify_location(body, x) != "interior":
+    loc, r_near, _ = body.locate(x)
+    if loc != "interior":
         raise BoundaryPoint("complement identity needs an interior point")
     r_far = body.reach(x) * (1 + 1e-12)
     # tail beyond the circumscribed circle, closed form
     tail = -2 * math.pi * r_far ** alpha / alpha
     # inside the circumscribed circle but outside the body
-    r_near = body.boundary_distance(x)
 
     def integrand(rs):
         out = np.empty_like(rs)
@@ -343,7 +344,7 @@ def _riesz_value_ball(disk: Disk, x, alpha: float, m: int,
                       cfg: QuadratureConfig) -> PotentialValue:
     """Ball in ambient dimension m; only |x - center| matters by symmetry."""
     R = disk.radius
-    d = float(np.hypot(*(as_point(x) - disk.center)))
+    d = float(np.hypot(*(x - disk.center)))
     sign = 1.0 if alpha == m else math.copysign(1.0, m - alpha)
     if alpha == m:
         F = lambda rho: rho ** m / m ** 2 - rho ** m * np.log(rho) / m
@@ -405,9 +406,10 @@ def riesz_gradient_annulus(body, x, alpha: float, eps: float,
     expression ``eps``-independent.
     """
     x = as_point(x)
-    if classify_location(body, x) != "interior":
+    loc, dist, _ = body.locate(x)
+    if loc != "interior":
         raise BoundaryPoint("annulus form needs an interior point")
-    if not (0 < eps < body.boundary_distance(x)):
+    if not (0 < eps < dist):
         raise ValueError("eps must lie in (0, dist(x, boundary))")
     G = _riesz_grad_profile(alpha)
     pref = abs(2 - alpha)
@@ -423,7 +425,7 @@ def riesz_gradient_boundary(body, x, alpha: float,
     route for exterior points and an independent cross-check inside.
     """
     x = as_point(x)
-    if classify_location(body, x) == "boundary":
+    if body.locate(x).location == "boundary":
         raise BoundaryPoint("boundary-integral gradient needs a point off the boundary")
     return _riesz_boundary_gradient(body, x, alpha, cfg)
 
@@ -497,7 +499,7 @@ def heat_gradient(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -
 def _smooth_value_ball(regime: str, radial_density, disk: Disk, x, p: float, m: int,
                        cfg) -> PotentialValue:
     """Smooth-kernel value on a general-m ball, center only (test support)."""
-    d = float(np.hypot(*(as_point(x) - disk.center)))
+    d = float(np.hypot(*(x - disk.center)))
     if d > BOUNDARY_BAND * disk.radius:
         raise ValueError("general-m smooth-kernel values are supported at the center only")
     R = disk.radius
@@ -596,7 +598,7 @@ def _refusal(order: int) -> BoundaryPoint:
 # ---------------------------------------------------------------------------
 
 class PotentialJet(NamedTuple):
-    """One potential at one routed point.  ``value``, ``gradient`` and
+    """One potential at one located point.  ``value``, ``gradient`` and
     ``hessian`` are functions of no arguments that compute their part when
     called, so a caller pays only for the parts it calls; parts above the
     jet's order are None.  ``hessian()`` returns None in the boundary band,
@@ -604,6 +606,7 @@ class PotentialJet(NamedTuple):
 
     regime: str
     location: str
+    distance: float
     value: Callable[[], float]
     gradient: Optional[Callable[[], np.ndarray]]
     hessian: Optional[Callable[[], Optional[np.ndarray]]]
@@ -613,35 +616,33 @@ def potential_jet(body, x, spec: PotentialSpec, order: int,
                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> PotentialJet:
     """The potential at ``x`` with its derivatives up to ``order`` (0, 1 or 2).
 
-    The point is classified once.  In the boundary band a value or gradient
-    that the family refuses raises ``BoundaryPoint``.  The body's route for
-    the location then gives one edge frame (``edges``), one distance to the
-    disk's center (``disk``), or quadrature along the route.  Off the plane
-    only values on balls are supported.
+    The point is located once.  In the boundary band a value or gradient that
+    the family refuses raises ``BoundaryPoint``.  The body's route for the
+    location then reads the view that located it, the edge frame (``edges``)
+    or the distance to the disk's center (``disk``), or is quadrature.  Off
+    the plane only values on balls are supported.
     """
     x = as_point(x)
     fam, p = _family(spec)
+    loc, dist, view = body.locate(x)
     if spec.m != 2:
         if order:
             raise ValueError("derivatives are implemented for the planar case only")
         pv = fam.ball(_ball(body), x, p, spec.m, cfg)
-        return PotentialJet(pv.regime, pv.location, lambda: pv.value, None, None)
-    loc = classify_location(body, x)
+        return PotentialJet(pv.regime, pv.location, dist, lambda: pv.value, None, None)
     # refusals grow with the order: a diverging value has no gradient either
     if loc == "boundary" and fam.refused(p, min(order, 1)):
         raise _refusal(min(order, 1))
     route = body.route(loc)
     if route == "edges":
         closed = fam.closed_value(p, loc)
-        frame = body.edge_frame(x) if closed or order else None   # the fan value needs none
         value, flux, moments = fam.edges
-        parts = ((lambda: value(frame, p)) if closed
+        parts = ((lambda: value(view, p)) if closed
                  else _quadrature_parts(body, x, fam, p, loc, "fan", cfg)[0],
-                 lambda: edges.gradient(frame, flux(frame, p)),
-                 lambda: edges.hessian(frame, moments(frame, p)))
+                 lambda: edges.gradient(view, flux(view, p)),
+                 lambda: edges.hessian(view, moments(view, p)))
     elif route == "disk":
-        delta, R = x - body.center, body.radius
-        d = math.hypot(delta[0], delta[1])
+        delta, R, d = x - body.center, body.radius, view
         value, slope, curvature = fam.disks
         g = slope(d, R, p) if order else None     # serves the gradient and the Hessian
         parts = (lambda: value(d, R, p), lambda: g * delta,
@@ -650,7 +651,7 @@ def potential_jet(body, x, spec: PotentialSpec, order: int,
         parts = _quadrature_parts(body, x, fam, p, loc, route, cfg)
     if order == 2 and loc == "boundary" and fam.refused(p, 2):
         parts = parts[:2] + (lambda: None,)
-    return PotentialJet(fam.regime(p), loc, parts[0], parts[1] if order else None,
+    return PotentialJet(fam.regime(p), loc, dist, parts[0], parts[1] if order else None,
                         parts[2] if order == 2 else None)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from radialcenters import potentials, quadrature
+from radialcenters import centers, quadrature
 from radialcenters.centers import (ascend, find_center, limit_diagnostics,
                                    multistart_seeds, trace_locus, _normalize)
 from radialcenters.geometry import (Disk, Polygon, centroid, circumcenter, contains,
@@ -232,20 +232,24 @@ def test_center_integrand_calls(monkeypatch, make, spec):
 
 def test_ascent_classifies_at_most_two_points_per_iteration(monkeypatch):
     # one jet per evaluated point: the start, and the trial points of each
-    # line search, of which the first is usually accepted
-    calls = 0
-    classify = potentials.classify_location
+    # line search, of which the first is usually accepted; and one boundary
+    # measurement per jet, feasibility included (Riesz 0.5 keeps iterates in)
+    counts = {"jets": 0, "measurements": 0}
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return classify(*args, **kwargs)
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(potentials, "classify_location", counted)
+    monkeypatch.setattr(centers, "potential_jet", counted("jets", centers.potential_jet))
+    for name in ("locate", "boundary_distance", "boundary_distance_many", "contains",
+                 "contains_many"):
+        monkeypatch.setattr(Polygon, name, counted("measurements", getattr(Polygon, name)))
     tri = make_tri345()
     iterations = ascend(tri, Riesz(0.5), centroid(tri))[3]
     assert iterations >= 1
-    assert calls <= 2 * iterations + 2
+    assert counts["measurements"] == counts["jets"] <= 2 * iterations + 2
 
 
 def test_multistart_prefers_the_most_stationary_of_tied_maxima():

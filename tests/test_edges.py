@@ -171,7 +171,7 @@ SPECS = [Riesz(-1.0), Riesz(0.5), Riesz(1.0), Riesz(1.5), Riesz(3.0), Riesz(5.5)
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 def test_points_on_an_edge_line_match_quadrature(body, x, spec):
     # each point lies on the line of an edge it does not touch, where q = 0
-    assert np.abs(body.edge_frame(x).p).min() == 0.0
+    assert np.abs(body.locate(np.array(x)).view.p).min() == 0.0
     value, grad, hess = _oracles(body, x, spec)
     assert potential(body, x, spec).value == pytest.approx(value, rel=1e-11)
     assert _rel_err(potential_gradient(body, x, spec), grad) < 1e-11
@@ -196,7 +196,7 @@ def test_high_orders_near_an_edge_are_finite(alpha, side):
     v = body.vertices
     e = v[2] - v[1]                                 # the hypotenuse
     x = 0.5 * (v[1] + v[2]) - side * 1e-3 * np.array([e[1], -e[0]]) / np.hypot(*e)
-    assert np.min(np.abs(body.edge_frame(x).p)) == pytest.approx(1e-3, rel=1e-9)
+    assert np.min(np.abs(body.locate(x).view.p)) == pytest.approx(1e-3, rel=1e-9)
     value, grad, hess = _oracles(body, x, spec, SHARP_CFG)
     got_value = potential(body, x, spec).value
     got_grad = potential_gradient(body, x, spec)

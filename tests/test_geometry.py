@@ -157,16 +157,17 @@ def test_incenter_lshape_closed_form():
 
 
 def test_incenter_grid_refines_with_batched_queries(monkeypatch):
-    # each refinement step asks about its eight neighbours in one call
-    def scalar(*args, **kwargs):
-        raise AssertionError("scalar query in the pattern search")
+    # each refinement step asks about its eight neighbours in one pass over
+    # their edge frames, which gives both distance and membership
+    def other(*args, **kwargs):
+        raise AssertionError("second or scalar query in the pattern search")
 
     calls = []
-    many = Polygon.contains_many
-    monkeypatch.setattr(Polygon, "contains", scalar)
-    monkeypatch.setattr(Polygon, "boundary_distance", scalar)
-    monkeypatch.setattr(Polygon, "contains_many",
-                        lambda self, pts: calls.append(len(pts)) or many(self, pts))
+    many = Polygon._over_frames
+    for name in ("contains", "boundary_distance", "contains_many", "boundary_distance_many"):
+        monkeypatch.setattr(Polygon, name, other)
+    monkeypatch.setattr(Polygon, "_over_frames",
+                        lambda self, pts, fn: calls.append(len(pts)) or many(self, pts, fn))
     lshape = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
     ic = incenter(lshape)
     assert ic.radius == pytest.approx(2 - math.sqrt(2), abs=1e-12)
@@ -465,7 +466,7 @@ def test_body_json_round_trip(rng):
 # the body protocol
 # ---------------------------------------------------------------------------
 
-PROTOCOL = ("area", "centroid", "diameter", "is_convex", "contains", "contains_many",
+PROTOCOL = ("area", "centroid", "diameter", "is_convex", "locate", "contains", "contains_many",
             "boundary_distance", "boundary_distance_many", "radial_function",
             "radial_function_many", "circle_clip", "balance_residuals", "angular_breakpoints",
             "radius_breakpoints", "reach", "route", "boundary_polyline",
@@ -491,6 +492,10 @@ def test_body_protocol(make):
         == [contains(body, p) for p in pts] == [True, True, False, False]
     assert body.boundary_distance(x) == boundary_distance(body, x) > 0
     assert classify_location(body, x) == "interior"
+    where = body.locate(x)
+    assert where.location == "interior"
+    assert where.distance == pytest.approx(body.boundary_distance(x), rel=1e-14)
+    assert [body.locate(p).location for p in pts] == ["interior"] * 2 + ["exterior"] * 2
     rho = body.radial_function_many(x, thetas)
     assert np.array_equal(rho, radial_function_many(body, x, thetas))
     assert rho == pytest.approx([radial_function(body, x, t) for t in thetas], rel=1e-12)
@@ -524,6 +529,88 @@ def test_boundary_distance_many_matches_scalar(make):
     many = body.boundary_distance_many(pts)
     assert many.shape == (300,)
     assert many.tolist() == [body.boundary_distance(p) for p in pts]
+
+
+# ---------------------------------------------------------------------------
+# polygon distance and membership from the edge frames, against the
+# per-segment distance and the crossing number they replaced
+# ---------------------------------------------------------------------------
+
+def _segment_distances(pts, poly) -> np.ndarray:
+    """Distance from each point to the nearest edge, foot by foot."""
+    a, b = poly.vertices, np.roll(poly.vertices, -1, axis=0)
+    e = b - a
+    d = pts[:, None, :] - a
+    t = np.clip(np.sum(d * e, axis=-1) / np.sum(e * e, axis=-1), 0.0, 1.0)
+    gap = d - t[..., None] * e
+    return np.hypot(gap[..., 0], gap[..., 1]).min(axis=1)
+
+
+def _crossing_number(pts, poly) -> np.ndarray:
+    """Membership by the parity of the edges that a ray to +x crosses."""
+    x, y = pts[:, :1], pts[:, 1:]
+    (x1, y1), (x2, y2) = poly.vertices.T, np.roll(poly.vertices, -1, axis=0).T
+    crosses = (y1 > y) != (y2 > y)
+    run = np.divide((y - y1) * (x2 - x1), y2 - y1, out=np.zeros(crosses.shape), where=crosses)
+    return np.count_nonzero(crosses & (x < x1 + run), axis=1) % 2 == 1
+
+
+def _random_star_polygon(rng, n=11):
+    """A reflex polygon: random radii about the origin at sorted random angles."""
+    while True:
+        ang = np.sort(rng.random(n)) * 2 * math.pi
+        rad = 0.2 + rng.random(n)
+        try:
+            return Polygon(np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1))
+        except InvalidBody:
+            continue
+
+
+def _probe_points(rng, poly) -> tuple[np.ndarray, np.ndarray]:
+    """Random points about the polygon, far points, and points 10^-k diameters
+    off random edge points on either side (k = 4..12), with the sides: +1
+    inside, -1 outside, 0 unknown."""
+    d = poly.diameter()
+    c = poly.vertices.mean(axis=0)
+    near, far = c + 1.5 * d * (rng.random((400, 2)) - 0.5), []
+    for k in range(4, 13):
+        for ang in rng.random(8) * 2 * math.pi:
+            far.append(c + 10.0 ** k * d * np.array([math.cos(ang), math.sin(ang)]))
+    sides, edge_pts = [], []
+    for k in range(4, 13):
+        i = rng.integers(poly.n, size=12)
+        a, b = poly.vertices[i], poly.vertices[(i + 1) % poly.n]
+        on = a + (0.05 + 0.9 * rng.random(12))[:, None] * (b - a)
+        inward = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=1)
+        inward /= np.hypot(inward[:, 0], inward[:, 1])[:, None]
+        for side in (1.0, -1.0):
+            edge_pts.append(on + side * 10.0 ** -k * d * inward)
+            sides += [side] * 12
+    pts = np.vstack([near, np.array(far)] + edge_pts)
+    return pts, np.concatenate([np.zeros(len(near) + len(far)), sides])
+
+
+@pytest.mark.parametrize("make", [random_convex_polygon, _random_star_polygon],
+                         ids=["convex", "reflex"])
+def test_frame_distance_and_membership_match_segment_oracles(make):
+    rng = np.random.default_rng(14)
+    for _ in range(6):
+        poly = make(rng)
+        pts, sides = _probe_points(rng, poly)
+        d = poly.diameter()
+        dist = poly.boundary_distance_many(pts)
+        inside = poly.contains_many(pts)
+        want = _segment_distances(pts, poly)
+        assert np.all(np.abs(dist - want) <= 1e-15 * np.maximum(want, d))
+        assert np.array_equal(inside, _crossing_number(pts, poly))
+        # and both agree with the side each edge point was put on
+        known = sides != 0
+        assert np.array_equal(inside[known], sides[known] > 0)
+        for p, dp, ip in zip(pts[::7], dist[::7], inside[::7]):
+            where = poly.locate(p)
+            assert where.distance == dp
+            assert where.location == ("boundary" if dp <= 1e-9 * d
+                                      else "interior" if ip else "exterior")
 
 
 # ---------------------------------------------------------------------------

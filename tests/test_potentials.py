@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from radialcenters import potentials
 from radialcenters.balance import generate_asymmetric_balanced
 from radialcenters.centers import CENTER_CFG
 from radialcenters.errors import BoundaryPoint
@@ -19,6 +20,7 @@ from radialcenters.potentials import (Heat, Poisson, Riesz, heat_gradient, heat_
                                       riesz_value, riesz_value_complement,
                                       riesz_value_finite_part_eps, sphere_area,
                                       weierstrass_kernel)
+from radialcenters.quadrature import DEFAULT_CONFIG
 
 from conftest import interior_points, make_square, make_tri345, make_unit_disk, \
     random_convex_polygon
@@ -493,13 +495,15 @@ def test_ball_center_closed_form_m3():
 
 
 def test_ball_offcenter_consistency_m2_routes():
-    # the general-m route at m=2 must agree with the planar disk route
+    # the general-m evaluator at m=2 must agree with the planar disk route;
+    # Riesz(alpha, m=2) is Riesz(alpha), so it is called directly
     ball = make_unit_disk()
-    x = [0.3, 0.2]
-    for alpha in (0.5, 1.0, 3.0):
-        general = riesz_value(ball, x, Riesz(alpha, m=2)).value
-        assert general == pytest.approx(
-            riesz_value(ball, x, Riesz(alpha)).value, rel=1e-9)
+    x = np.array([0.3, 0.2])
+    for alpha in (-1.0, 0.5, 1.0, 2.0, 3.0):
+        general = potentials._riesz_value_ball(ball, x, alpha, 2, DEFAULT_CONFIG)
+        assert general.location == "interior"
+        assert general.value == pytest.approx(
+            riesz_value(ball, x, Riesz(alpha)).value, rel=1e-12)
 
 
 def test_ball_poisson_heat_center_general_m():
