@@ -5,7 +5,7 @@ integral of the kernel's derivative) with projected backtracking that keeps
 iterates strictly interior when the potential family requires it.  Uniqueness
 regimes follow the concavity theory: order-``alpha`` potentials are
 strictly concave inside convex bodies for ``alpha <= 1`` and globally for
-``alpha >= m + 1``; Poisson and heat potentials of convex bodies are
+``alpha >= 3``; Poisson and heat potentials of convex bodies are
 strictly power-concave globally.  Everything else falls back to a
 deterministic multistart.
 """
@@ -21,8 +21,8 @@ import numpy as np
 from .errors import BoundaryPoint, NoInteriorSeed, NonConvergence
 from .geometry import (Disk, Polygon, as_point, centroid, circumcenter, diameter, incenter,
                        is_convex, transformed)
-from .potentials import (Heat, Poisson, PotentialSpec, Riesz, potential_jet,
-                         refused_on_boundary)
+from .potentials import (PotentialSpec, Riesz, make_spec, potential_jet, refused_on_boundary,
+                         rescaled)
 from .quadrature import QuadratureConfig
 
 __all__ = ["CenterResult", "LocusTrace", "LimitDiagnostics", "find_center",
@@ -81,12 +81,7 @@ class _Normalized:
 
     def with_spec(self, spec: PotentialSpec) -> "_Normalized":
         """The same normalized body with ``spec`` rescaled to it."""
-        s = self.scale
-        if isinstance(spec, Poisson):
-            spec = replace(spec, h=spec.h * s)
-        elif isinstance(spec, Heat):
-            spec = replace(spec, t=spec.t * s * s)
-        return replace(self, spec=spec)
+        return replace(self, spec=rescaled(spec, self.scale))
 
 
 def _normalize(body, spec: PotentialSpec) -> _Normalized:
@@ -248,7 +243,7 @@ def _regime(body, spec: PotentialSpec) -> tuple[str, bool]:
     if isinstance(spec, Riesz):
         if convex and spec.alpha <= 1:
             return "concave_interior", True
-        if spec.alpha >= spec.m + 1:
+        if spec.alpha >= 3:
             return "concave_global", True
         return "multistart", False
     if convex:
@@ -305,16 +300,6 @@ def find_center(body, spec: PotentialSpec,
 # locus tracing and limit diagnostics
 # ---------------------------------------------------------------------------
 
-def _make_spec(family: str, param: float) -> PotentialSpec:
-    if family == "riesz":
-        return Riesz(alpha=param)
-    if family == "poisson":
-        return Poisson(h=param)
-    if family == "heat":
-        return Heat(t=param)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def trace_locus(body, family: str, param_range: tuple[float, float],
                 n_steps: int, cfg: Optional[QuadratureConfig] = None) -> LocusTrace:
     """Center locus over a log-spaced parameter grid with warm starts.
@@ -329,11 +314,9 @@ def trace_locus(body, family: str, param_range: tuple[float, float],
         raise ValueError("parameter range must satisfy lo < hi")
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
-    if family in ("poisson", "heat") and lo <= 0:
-        raise ValueError("positive parameters required")
     grid = [float(p) for p in (np.geomspace(lo, hi, n_steps) if lo > 0 else
                                np.linspace(lo, hi, n_steps))]
-    spec = _make_spec(family, grid[0])
+    spec = make_spec(family, grid[0])
     first = find_center(body, spec, cfg or _family_cfg(spec))
     rows = [(grid[0], first.point, first.grad_norm)]
     rows += _walk(body, family, grid[0], first.point, grid[1:], cfg, refine=True)
@@ -351,11 +334,11 @@ def _walk(body, family: str, param: float, point: np.ndarray, params,
     after first walking to the middle of its parameter interval (up to six
     nested halvings); those intermediate steps are returned too.
     """
-    frame = _normalize(body, _make_spec(family, param))
+    frame = _normalize(body, make_spec(family, param))
     rows = []
 
     def ascend_to(q, x):
-        spec = _make_spec(family, q)
+        spec = make_spec(family, q)
         norm = frame.with_spec(spec)
         y, _, gn, iters = ascend(norm.body, norm.spec, norm.to_normalized(x),
                                  cfg or _family_cfg(spec))
@@ -437,7 +420,7 @@ def _continuation(body, family: str, params, anchor: float) -> list:
     Targets below and above the anchor are walked in two chains, each
     interval between consecutive targets in four geometric sub-steps.
     """
-    start = find_center(body, _make_spec(family, anchor)).point
+    start = find_center(body, make_spec(family, anchor)).point
     points = {anchor: start}
     for targets in (sorted((p for p in params if p < anchor), reverse=True),
                     sorted(p for p in params if p > anchor)):

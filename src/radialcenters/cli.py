@@ -58,20 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potential", help="potential value and gradient at a point")
     common(p)
-    p.add_argument("--family", choices=["riesz", "poisson", "heat"], required=True)
+    p.add_argument("--family", choices=pot.FAMILY_NAMES, required=True)
     p.add_argument("--param", type=float, required=True)
     p.add_argument("--at", required=True, help="x,y or 'centroid'")
     p.set_defaults(handler=_cmd_potential)
 
     p = sub.add_parser("center", help="locate the potential maximum")
     common(p)
-    p.add_argument("--family", choices=["riesz", "poisson", "heat"], required=True)
+    p.add_argument("--family", choices=pot.FAMILY_NAMES, required=True)
     p.add_argument("--param", type=float, required=True)
     p.set_defaults(handler=_cmd_center)
 
     p = sub.add_parser("locus", help="trace the center locus over a parameter range")
     common(p)
-    p.add_argument("--family", choices=["riesz", "poisson", "heat"], required=True)
+    p.add_argument("--family", choices=pot.FAMILY_NAMES, required=True)
     p.add_argument("--range", required=True, dest="prange", help="lo:hi:n")
     p.set_defaults(handler=_cmd_locus)
 
@@ -165,7 +165,7 @@ def _point_list(p) -> list:
 
 def _cmd_potential(args):
     body = _load_body(args)
-    spec = ctr._make_spec(args.family, args.param)
+    spec = pot.make_spec(args.family, args.param)
     x = _point_arg(args.at, body)
     cfg = _cfg(args)
     kwargs = {} if cfg is None else {"cfg": cfg}
@@ -183,7 +183,7 @@ def _cmd_potential(args):
 
 def _cmd_center(args):
     body = _load_body(args)
-    spec = ctr._make_spec(args.family, args.param)
+    spec = pot.make_spec(args.family, args.param)
     res = ctr.find_center(body, spec, _cfg(args))
     payload = {
         "family": args.family, "param": args.param,

@@ -3,9 +3,8 @@
 Families: the order-``alpha`` radial power potential (with Hadamard
 finite-part regularization at interior points for ``alpha <= 0``), the
 Poisson integral of the body's indicator at height ``h``, and the heat
-potential at time ``t``.  Planar bodies (``m = 2``) get full support; balls
-in arbitrary ambient dimension are evaluated semi-analytically for testing
-dimension-generic constants.
+potential at time ``t``.  ``_FAMILIES`` names each family (``make_spec``)
+and says how its parameter scales with length (``rescaled``).
 
 Evaluation strategy: ``potential_jet`` is the one place where a point is
 routed.  It locates the point (``body.locate``), refuses it where the
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -48,12 +46,13 @@ from scipy.special import erf, erfc
 
 from . import disks, edges
 from .errors import BoundaryPoint
-from .geometry import BOUNDARY_BAND, Disk, as_point
+from .geometry import as_point
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, adaptive_gk, fan_integral,
                          fan_integral_vector, integrate_angular, integrate_angular_vector)
 
 __all__ = [
     "Riesz", "Poisson", "Heat", "PotentialSpec", "PotentialValue",
+    "FAMILY_NAMES", "make_spec", "rescaled",
     "sphere_area", "poisson_kernel", "poisson_kernel_gauss_integral",
     "weierstrass_kernel",
     "riesz_value", "riesz_value_finite_part_eps", "riesz_value_complement",
@@ -67,35 +66,28 @@ __all__ = [
 @dataclass(frozen=True)
 class Riesz:
     alpha: float
-    m: int = 2
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("ambient dimension must be >= 1")
+        if not math.isfinite(self.alpha):
+            raise ValueError("order alpha must be finite")
 
 
 @dataclass(frozen=True)
 class Poisson:
     h: float
-    m: int = 2
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("height h must be positive")
-        if self.m < 1:
-            raise ValueError("ambient dimension must be >= 1")
+        if not 0 < self.h < math.inf:
+            raise ValueError("height h must be finite and positive")
 
 
 @dataclass(frozen=True)
 class Heat:
     t: float
-    m: int = 2
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("time t must be positive")
-        if self.m < 1:
-            raise ValueError("ambient dimension must be >= 1")
+        if not 0 < self.t < math.inf:
+            raise ValueError("time t must be finite and positive")
 
 
 PotentialSpec = Union[Riesz, Poisson, Heat]
@@ -108,12 +100,12 @@ class PotentialValue:
     location: str
 
 
-def _riesz_regime(alpha: float, m: int = 2) -> str:
+def _riesz_regime(alpha: float) -> str:
     if alpha == 0:
         return "alpha_zero_finite_part"
     if alpha < 0:
         return "alpha_negative"
-    if alpha == m:
+    if alpha == 2:
         return "alpha_eq_m"
     return "alpha_positive_ne_m"
 
@@ -164,7 +156,7 @@ def weierstrass_kernel(z, t: float, m: int = 2) -> float:
 
 
 # ---------------------------------------------------------------------------
-# radial antiderivatives (m = 2): F(rho) = int_0^rho kernel(r) r dr,
+# radial antiderivatives: F(rho) = int_0^rho kernel(r) r dr,
 # with the additive constant at zero dropped in the singular regimes
 # (that convention realizes the finite part at interior base points).
 # About an exterior point the signed chords cancel any additive constant, so
@@ -263,12 +255,6 @@ def _piece_integral(body, x: np.ndarray, profile, cfg, vector: bool):
     return total if vector else float(total)
 
 
-def _ball(body) -> Disk:
-    if not isinstance(body, Disk):
-        raise ValueError("general ambient dimension is supported for balls only")
-    return body
-
-
 # ---------------------------------------------------------------------------
 # Riesz values
 # ---------------------------------------------------------------------------
@@ -277,8 +263,7 @@ def riesz_value(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     """Order-``alpha`` potential of the body at ``x``.
 
     Interior points use the finite-part convention for ``alpha <= 0``;
-    boundary points are refused there (the value diverges).  Balls in
-    ambient dimension other than two are handled semi-analytically.
+    boundary points are refused there (the value diverges).
     """
     return _value(body, x, spec, cfg)
 
@@ -338,46 +323,6 @@ def riesz_value_complement(body, x, alpha: float,
 
     inner, _ = adaptive_gk(integrand, [r_near, 0.5 * (r_near + r_far), r_far], cfg)
     return -(tail + inner)
-
-
-def _riesz_value_ball(disk: Disk, x, alpha: float, m: int,
-                      cfg: QuadratureConfig) -> PotentialValue:
-    """Ball in ambient dimension m; only |x - center| matters by symmetry."""
-    R = disk.radius
-    d = float(np.hypot(*(x - disk.center)))
-    sign = 1.0 if alpha == m else math.copysign(1.0, m - alpha)
-    if alpha == m:
-        F = lambda rho: rho ** m / m ** 2 - rho ** m * np.log(rho) / m
-    elif alpha == 0:
-        F = lambda rho: np.log(rho)
-    else:
-        F = lambda rho: rho ** alpha / alpha
-
-    band = BOUNDARY_BAND * 2 * R
-    if abs(d - R) <= band and alpha <= 0:
-        raise BoundaryPoint("finite-part value undefined on the sphere for alpha <= 0")
-    if d <= band:  # center fast path
-        val = sign * sphere_area(m - 1) * float(F(np.asarray(R)))
-        loc = "interior"
-    elif d < R:
-        def integrand(psi):
-            rho = -d * np.cos(psi) + np.sqrt(R * R - (d * np.sin(psi)) ** 2)
-            return F(rho) * np.sin(psi) ** (m - 2)
-
-        raw, _ = adaptive_gk(integrand, [0.0, math.pi / 2, math.pi], cfg)
-        val = sign * sphere_area(m - 2) * float(raw)
-        loc = "interior"
-    else:
-        w = math.asin(min(1.0, R / d))
-
-        def integrand(psi):
-            s = np.sqrt(np.maximum(R * R - (d * np.sin(psi)) ** 2, 0.0))
-            return (F(d * np.cos(psi) + s) - F(d * np.cos(psi) - s)) * np.sin(psi) ** (m - 2)
-
-        raw, _ = adaptive_gk(integrand, [0.0, w / 2, w], cfg)
-        val = sign * sphere_area(m - 2) * float(raw)
-        loc = "exterior"
-    return PotentialValue(val, _riesz_regime(alpha, m), loc)
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +419,6 @@ def poisson_value(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CONFIG
     return _value(body, x, spec, cfg)
 
 
-def _poisson_radial_density(h: float, m: int):
-    const = 2 * h / sphere_area(m)
-    return lambda r: const * r ** (m - 1) / (r * r + h * h) ** ((m + 1) / 2)
-
-
-def _heat_radial_density(t: float, m: int):
-    const = (4 * math.pi * t) ** (-m / 2)
-    return lambda r: const * r ** (m - 1) * np.exp(-r * r / (4 * t))
-
-
 def poisson_gradient(body, x, spec: Poisson, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     return potential_jet(body, x, spec, 1, cfg).gradient()
 
@@ -494,18 +429,6 @@ def heat_value(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> P
 
 def heat_gradient(body, x, spec: Heat, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     return potential_jet(body, x, spec, 1, cfg).gradient()
-
-
-def _smooth_value_ball(regime: str, radial_density, disk: Disk, x, p: float, m: int,
-                       cfg) -> PotentialValue:
-    """Smooth-kernel value on a general-m ball, center only (test support)."""
-    d = float(np.hypot(*(x - disk.center)))
-    if d > BOUNDARY_BAND * disk.radius:
-        raise ValueError("general-m smooth-kernel values are supported at the center only")
-    R = disk.radius
-    density = radial_density(p, m)
-    val, _ = adaptive_gk(lambda r: sphere_area(m - 1) * density(r), [0.0, R / 2, R], cfg)
-    return PotentialValue(float(val), regime, "interior")
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +459,15 @@ class _Family(NamedTuple):
     of differentiation ``k``.  The defaults are those of the Poisson and heat
     potentials, which are smooth up to the boundary."""
 
+    name: str                   # the family's name in ``make_spec`` and the CLI
     param: str                  # the spec field that holds p
+    length_power: int           # p scales as a length to this power
     regime: Callable            # p -> regime label
     profile: Callable           # (p, loc) -> the value's radial antiderivative F
     gradient_profile: Callable  # (p, loc) -> the gradient's G
     hessian_kernel: Callable    # p -> k'(r) / r as a function of r^2
     edges: tuple                # value, flux and moments on an edge frame
     disks: tuple                # value, slope and curvature in the distance to the center
-    ball: Callable              # (disk, x, p, m, cfg) -> the value off the plane
     scales: Callable = lambda p: (1.0, 1.0)   # p -> factors of the integrals of F and G
     refused: Callable = lambda p, k: False    # (p, k) -> order k diverges on the boundary
     closed_value: Callable = lambda p, loc: loc == "interior"   # on the edges route
@@ -552,9 +476,9 @@ class _Family(NamedTuple):
 
 _FAMILIES = {
     Riesz: _Family(
-        "alpha", _riesz_regime, _riesz_profile, _riesz_grad_profile, _riesz_hessian_kernel,
-        (edges.riesz_value, edges.riesz_flux, edges.riesz_moments),
-        (disks.riesz_value, disks.riesz_slope, disks.riesz_curvature), _riesz_value_ball,
+        "riesz", "alpha", 0, _riesz_regime, _riesz_profile, _riesz_grad_profile,
+        _riesz_hessian_kernel, (edges.riesz_value, edges.riesz_flux, edges.riesz_moments),
+        (disks.riesz_value, disks.riesz_slope, disks.riesz_curvature),
         scales=lambda a: (math.copysign(1.0, 2 - a), 1.0 if a == 2 else abs(2 - a)),
         # V is finite on the boundary for alpha > 0, C^1 for alpha > 1 and
         # has a bounded Hessian for alpha > 2
@@ -562,16 +486,16 @@ _FAMILIES = {
         closed_value=lambda a, loc: a not in (0, 2),
         exterior_gradient=_riesz_boundary_gradient),
     Poisson: _Family(
-        "h", lambda h: "poisson", _poisson_profile, _poisson_grad_profile,
+        "poisson", "h", 1, lambda h: "poisson", _poisson_profile, _poisson_grad_profile,
         _poisson_hessian_kernel, (edges.poisson_value, edges.poisson_flux, edges.poisson_moments),
-        (disks.poisson_value, disks.poisson_slope, disks.poisson_curvature),
-        partial(_smooth_value_ball, "poisson", _poisson_radial_density)),
+        (disks.poisson_value, disks.poisson_slope, disks.poisson_curvature)),
     Heat: _Family(
-        "t", lambda t: "heat", _heat_profile, _heat_grad_profile, _heat_hessian_kernel,
-        (edges.heat_value, edges.heat_flux, edges.heat_moments),
-        (disks.heat_value, disks.heat_slope, disks.heat_curvature),
-        partial(_smooth_value_ball, "heat", _heat_radial_density)),
+        "heat", "t", 2, lambda t: "heat", _heat_profile, _heat_grad_profile,
+        _heat_hessian_kernel, (edges.heat_value, edges.heat_flux, edges.heat_moments),
+        (disks.heat_value, disks.heat_slope, disks.heat_curvature)),
 }
+
+FAMILY_NAMES = tuple(fam.name for fam in _FAMILIES.values())
 
 
 def _family(spec: PotentialSpec) -> tuple[_Family, float]:
@@ -579,6 +503,24 @@ def _family(spec: PotentialSpec) -> tuple[_Family, float]:
     if fam is None:
         raise TypeError(f"unknown potential spec {spec!r}")
     return fam, getattr(spec, fam.param)
+
+
+def make_spec(name: str, p: float) -> PotentialSpec:
+    """The spec of the family called ``name`` (one of ``FAMILY_NAMES``) with
+    parameter ``p``."""
+    for cls, fam in _FAMILIES.items():
+        if fam.name == name:
+            return cls(p)
+    raise ValueError(f"unknown family {name!r}")
+
+
+def rescaled(spec: PotentialSpec, s: float) -> PotentialSpec:
+    """``spec`` for the body scaled by ``s``: its parameter is multiplied by
+    ``s`` once per power of length in it."""
+    fam, p = _family(spec)
+    for _ in range(fam.length_power):
+        p = p * s
+    return type(spec)(p)
 
 
 def refused_on_boundary(spec: PotentialSpec, order: int) -> bool:
@@ -619,17 +561,11 @@ def potential_jet(body, x, spec: PotentialSpec, order: int,
     The point is located once.  In the boundary band a value or gradient that
     the family refuses raises ``BoundaryPoint``.  The body's route for the
     location then reads the view that located it, the edge frame (``edges``)
-    or the distance to the disk's center (``disk``), or is quadrature.  Off
-    the plane only values on balls are supported.
+    or the distance to the disk's center (``disk``), or is quadrature.
     """
     x = as_point(x)
     fam, p = _family(spec)
     loc, dist, view = body.locate(x)
-    if spec.m != 2:
-        if order:
-            raise ValueError("derivatives are implemented for the planar case only")
-        pv = fam.ball(_ball(body), x, p, spec.m, cfg)
-        return PotentialJet(pv.regime, pv.location, dist, lambda: pv.value, None, None)
     # refusals grow with the order: a diverging value has no gradient either
     if loc == "boundary" and fam.refused(p, min(order, 1)):
         raise _refusal(min(order, 1))

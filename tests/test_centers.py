@@ -98,16 +98,21 @@ def test_multistart_uniqueness_in_guaranteed_regimes(rng):
 
 
 def test_equivariance_of_centers(rng):
+    # a similarity moves the center with the body once each parameter is
+    # scaled as the length power it carries: h as s, t as s^2
     poly = random_convex_polygon(rng)
     d = diameter(poly)
     angle, shift = 0.9, np.array([2.0, -3.0])
-    moved = transformed(poly, angle=angle, shift=shift)
     R = np.array([[math.cos(angle), -math.sin(angle)],
                   [math.sin(angle), math.cos(angle)]])
-    for spec in (Riesz(3.0), Poisson(0.5 * d), Heat(0.1 * d * d)):
-        p1 = find_center(poly, spec).point
-        p2 = find_center(moved, spec).point
-        assert float(np.hypot(*(p2 - (R @ p1 + shift)))) < 1e-8 * d
+    for s in (0.1, 7.0):
+        moved = transformed(poly, angle=angle, shift=shift, scale=s)
+        for spec, moved_spec in ((Riesz(3.0), Riesz(3.0)),
+                                 (Poisson(0.5 * d), Poisson(0.5 * d * s)),
+                                 (Heat(0.1 * d * d), Heat(0.1 * d * d * s * s))):
+            p1 = find_center(poly, spec).point
+            p2 = find_center(moved, moved_spec).point
+            assert float(np.hypot(*(p2 - (s * R @ p1 + shift)))) < 1e-10 * s * d
 
 
 def test_centers_inside_heart_and_hull(rng):

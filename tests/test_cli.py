@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -10,8 +11,9 @@ import pytest
 
 import radialcenters
 from radialcenters import quadrature
-from radialcenters.cli import main
+from radialcenters.cli import _build_parser, main
 from radialcenters.geometry import body_from_dict
+from radialcenters.potentials import FAMILY_NAMES, Heat, Poisson, Riesz, make_spec
 
 
 @pytest.fixture
@@ -168,6 +170,30 @@ def test_overflowing_potential_is_domain_error(capsys, tmp_path, body):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("command", [["center"], ["potential", "--at", "0.1,0.2"]],
+                         ids=["center", "potential"])
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+@pytest.mark.parametrize("param", ["nan", "inf"])
+def test_non_finite_parameter_is_domain_error(capsys, square_file, command, family, param):
+    code, out, err = run_cli(capsys, [*command, "--family", family, f"--param={param}",
+                                      "--body", square_file])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_family_names_are_read_from_the_family_table():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("potential", "center", "locus"):
+        family = next(a for a in sub.choices[command]._actions if a.dest == "family")
+        assert tuple(family.choices) == FAMILY_NAMES
+    for name, cls in zip(FAMILY_NAMES, (Riesz, Poisson, Heat)):
+        assert make_spec(name, 0.5) == cls(0.5)
+    with pytest.raises(ValueError):
+        make_spec("gauss", 0.5)
 
 
 def test_bad_arguments_exit_two():

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from radialcenters import potentials
 from radialcenters.balance import generate_asymmetric_balanced
 from radialcenters.centers import CENTER_CFG
 from radialcenters.errors import BoundaryPoint
@@ -20,7 +19,7 @@ from radialcenters.potentials import (Heat, Poisson, Riesz, heat_gradient, heat_
                                       riesz_value, riesz_value_complement,
                                       riesz_value_finite_part_eps, sphere_area,
                                       weierstrass_kernel)
-from radialcenters.quadrature import DEFAULT_CONFIG
+from radialcenters.quadrature import DEFAULT_CONFIG, adaptive_gk
 
 from conftest import interior_points, make_square, make_tri345, make_unit_disk, \
     random_convex_polygon
@@ -475,47 +474,45 @@ def test_spec_validation():
         Poisson(h=0.0)
     with pytest.raises(ValueError):
         Heat(t=-1.0)
-    with pytest.raises(ValueError):
-        Riesz(alpha=1.0, m=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for family in (Riesz, Poisson, Heat):
+            with pytest.raises(ValueError):
+                family(bad)
 
 
 # ---------------------------------------------------------------------------
-# balls in general ambient dimension
+# balls: the disk's value as one angular integral, and the kernel constants
+# in other dimensions
 # ---------------------------------------------------------------------------
 
-def test_ball_center_closed_form_m3():
-    ball = make_unit_disk()
-    # order-1 potential of the unit 3-ball at its center:
-    # sign(3-1) * area(S^2) * R^1 / 1 = 4*pi
-    got = riesz_value(ball, [0, 0], Riesz(1.0, m=3)).value
-    assert got == pytest.approx(4 * math.pi, rel=1e-10)
-    # log-order case alpha = m = 3 at center: area(S^2) * (1/9 - log(1)/3)
-    got = riesz_value(ball, [0, 0], Riesz(3.0, m=3)).value
-    assert got == pytest.approx(4 * math.pi / 9, rel=1e-10)
+def _disk_value_psi(disk, x, alpha):
+    """Order-``alpha`` value at an interior point of a disk, as an integral
+    over the angle psi from the direction to the center: the ray at psi
+    leaves at rho(psi), and both halves of the circle give the same."""
+    R = disk.radius
+    d = float(np.hypot(*(x - disk.center)))
+    if alpha == 2:
+        F = lambda rho: rho ** 2 / 4 - rho ** 2 * np.log(rho) / 2
+    elif alpha == 0:
+        F = lambda rho: np.log(rho)
+    else:
+        F = lambda rho: rho ** alpha / alpha
+    sign = 1.0 if alpha == 2 else math.copysign(1.0, 2 - alpha)
+
+    def integrand(psi):
+        return F(-d * np.cos(psi) + np.sqrt(R * R - (d * np.sin(psi)) ** 2))
+
+    raw, _ = adaptive_gk(integrand, [0.0, math.pi / 2, math.pi], DEFAULT_CONFIG)
+    return sign * 2 * float(raw)
 
 
 def test_ball_offcenter_consistency_m2_routes():
-    # the general-m evaluator at m=2 must agree with the planar disk route;
-    # Riesz(alpha, m=2) is Riesz(alpha), so it is called directly
+    # the psi integral must agree with the planar disk route
     ball = make_unit_disk()
     x = np.array([0.3, 0.2])
     for alpha in (-1.0, 0.5, 1.0, 2.0, 3.0):
-        general = potentials._riesz_value_ball(ball, x, alpha, 2, DEFAULT_CONFIG)
-        assert general.location == "interior"
-        assert general.value == pytest.approx(
+        assert _disk_value_psi(ball, x, alpha) == pytest.approx(
             riesz_value(ball, x, Riesz(alpha)).value, rel=1e-12)
-
-
-def test_ball_poisson_heat_center_general_m():
-    ball = make_unit_disk()
-    v3 = poisson_value(ball, [0, 0], Poisson(1.0, m=3)).value
-    assert 0.0 < v3 < 1.0
-    w3 = heat_value(ball, [0, 0], Heat(0.5, m=3)).value
-    # closed form in odd dimension: 1 - exp(-R^2/4t) adjusted by the radial share;
-    # here just the normalization sanity and positivity
-    assert 0.0 < w3 < 1.0
-    with pytest.raises(ValueError):
-        poisson_value(make_square(), [0, 0], Poisson(1.0, m=3))
 
 
 def test_ball_gauss_identity_other_dimensions():

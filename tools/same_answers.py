@@ -11,7 +11,15 @@ printed:
   body's diameter: on tri345, the square, two L-shapes, a disk, the
   asymmetric balanced body and 20 seeded polygons (10 convex, 10 reflex), for
   Riesz(0.5), Riesz(1.5), Riesz(4), Riesz(20), Poisson(0.5) and Heat(1.25),
-  and the searches that raise in one tree only;
+  and the searches that raise in one tree only (a search is named by its
+  body, family and parameter);
+* the values, gradients and Hessians that differ, on tri345, the square, the
+  L-shape, the disk and the asymmetric body, at the centroid, 1e-3 and 1e-11
+  diameters inside a boundary point and 0.5 diameters outside it, for Riesz
+  orders -1, 0, 0.5, 1, 1.5, 2, 3, 4 and 20, Poisson(0.5), Poisson(0.05),
+  Heat(0.2) and Heat(1.25); then the ``trace_locus`` rows (three families on
+  tri345, the square and the disk) and the ``limit_diagnostics(tri345)`` rows
+  that differ.  Floats are compared by ``repr``, exceptions by type;
 * the points where ``classify_location`` differs, out of about 43,000 random
   and near-boundary points on the same bodies, each with its boundary
   distance over the boundary band (a ratio near 1 is a point at the band's
@@ -21,12 +29,14 @@ printed:
   triangles and 8 parallelograms, drawn as ``tests/test_acceptance.py`` draws
   them.
 
-The exit status is 0 when the points agree to 1e-12 diameters, the locations
-differ only within 1e-6 of the band's edge, and the verdicts are identical.
+The exit status is 0 when the points agree to 1e-12 diameters, the values,
+gradients, Hessians, loci and limit rows are identical, the locations differ
+only within 1e-6 of the band's edge, and the verdicts are identical.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -38,6 +48,8 @@ TESTS = os.path.join(os.path.dirname(HERE), "tests")
 
 CENTER_TOL = 1e-12       # center deviation over the diameter
 BAND_EDGE = 1e-6         # relative distance from the band's edge that rounding may cross
+FIELD_BODIES = ("tri345", "square", "lshape2", "disk", "asym")
+LOCI = {"riesz": (0.5, 4.0), "poisson": (0.1, 2.0), "heat": (0.05, 1.0)}
 
 
 def _bodies(geo, bal, np):
@@ -75,6 +87,65 @@ def _probe_points(body, rng, np):
     return np.vstack(pts)
 
 
+def _spec_key(spec) -> str:
+    """A spec by family and parameter, whatever other fields it has."""
+    return f"{type(spec).__name__}({dataclasses.astuple(spec)[0]!r})"
+
+
+def _reprs(fn):
+    """``fn()`` as the reprs of its floats, or the name of what it raised."""
+    import numpy as np
+    try:
+        out = fn()
+    except Exception as exc:
+        return f"raises {type(exc).__name__}"
+    return [repr(float(v)) for v in np.ravel(getattr(out, "value", out))]
+
+
+def _field_points(body, np):
+    """The centroid, 1e-3 and 1e-11 diameters inside a boundary point (on
+    the way to the centroid) and 0.5 diameters outside it."""
+    d, c = body.diameter(), body.centroid()
+    e = body.boundary_polyline(48)[3]
+    u = (c - e) / math.hypot(*(c - e))
+    return {"interior": c, "near": e + 1e-3 * d * u, "band": e + 1e-11 * d * u,
+            "exterior": e - 0.5 * d * u}
+
+
+def _fields(bodies, np) -> dict:
+    from radialcenters import potentials as pot
+    specs = [pot.Riesz(a) for a in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 20.0)]
+    specs += [pot.Poisson(0.5), pot.Poisson(0.05), pot.Heat(0.2), pot.Heat(1.25)]
+    parts = (("value", pot.potential), ("gradient", pot.potential_gradient),
+             ("hessian", pot.potential_hessian))
+    out = {}
+    for name in FIELD_BODIES:
+        body = bodies[name]
+        for where, x in _field_points(body, np).items():
+            for spec in specs:
+                for part, fn in parts:
+                    key = f"{name} {where} {_spec_key(spec)} {part}"
+                    out[key] = _reprs(lambda: fn(body, x, spec))
+    return out
+
+
+def _loci(bodies, np) -> dict:
+    from radialcenters.centers import limit_diagnostics, trace_locus
+
+    def locus(body, family):
+        tr = trace_locus(body, family, LOCI[family], 4)
+        return np.column_stack([tr.params, tr.points, tr.grad_norms])
+
+    out = {f"locus {name} {family}": _reprs(lambda: locus(bodies[name], family))
+           for name in ("tri345", "square", "disk") for family in LOCI}
+    diag = limit_diagnostics(bodies["tri345"])
+    for family in LOCI:
+        rows = [(r[0], *r[1], *r[2:]) for r in getattr(diag, family)]
+        out[f"limits tri345 {family}"] = _reprs(lambda: rows) + [
+            getattr(diag, f"monotone_{family}")]
+    return out
+
+
 def _criterion_4_corpus(np):
     """The polygons of acceptance criterion 4, in its order and from its seed."""
     sys.path.insert(0, TESTS)
@@ -100,13 +171,15 @@ def emit() -> dict:
     specs = [Riesz(0.5), Riesz(1.5), Riesz(4.0), Riesz(20.0), Poisson(0.5), Heat(1.25)]
     centers, points, locations = {}, [], []
     rng = np.random.default_rng(7)
-    for name, body in _bodies(geo, bal, np):
+    bodies = _bodies(geo, bal, np)
+    for name, body in bodies:
         d = body.diameter()
         for spec in specs:
+            key = f"{name} {_spec_key(spec)}"
             try:
-                centers[f"{name} {spec}"] = (find_center(body, spec).point / d).tolist()
+                centers[key] = (find_center(body, spec).point / d).tolist()
             except Exception as exc:        # a search that raises is an answer too
-                centers[f"{name} {spec}"] = type(exc).__name__
+                centers[key] = type(exc).__name__
         band = geo.BOUNDARY_BAND * d
         for p in _probe_points(body, rng, np):
             points.append([name, p.tolist()])
@@ -117,8 +190,9 @@ def emit() -> dict:
             verdicts.append(bal.classify_polygon(poly).value)
         except TheoremViolation:
             verdicts.append("TheoremViolation")
-    return {"centers": centers, "points": points, "locations": locations,
-            "verdicts": verdicts}
+    bodies = dict(bodies)
+    return {"centers": centers, "fields": _fields(bodies, np), "loci": _loci(bodies, np),
+            "points": points, "locations": locations, "verdicts": verdicts}
 
 
 def run(src: str) -> dict:
@@ -142,6 +216,16 @@ def compare(old: dict, new: dict) -> bool:
     for line in raised:
         print(f"  raises in one tree only: {line}")
 
+    same = True
+    for part, what in (("fields", "values, gradients and Hessians"),
+                       ("loci", "locus and limit rows")):
+        keys = sorted(set(old[part]) | set(new[part]))
+        differ = [k for k in keys if old[part].get(k) != new[part].get(k)]
+        print(f"{what}: {len(keys)} compared, {len(differ)} differ")
+        for k in differ[:20]:
+            print(f"  {k}: {old[part].get(k)} -> {new[part].get(k)}")
+        same &= not differ
+
     if old["points"] != new["points"]:
         print("classify_location: the two trees drew different probe points")
         return False
@@ -159,7 +243,7 @@ def compare(old: dict, new: dict) -> bool:
     print(f"classify_polygon: {len(old['verdicts'])} polygons, {len(flips)} verdicts differ")
     for i, a, b in flips:
         print(f"  polygon {i}: {a} -> {b}")
-    return worst <= CENTER_TOL and not raised and edge_only and not flips
+    return worst <= CENTER_TOL and not raised and same and edge_only and not flips
 
 
 def main(argv: list) -> int:
