@@ -190,7 +190,9 @@ def test_family_names_are_read_from_the_family_table():
     for command in ("potential", "center", "locus"):
         family = next(a for a in sub.choices[command]._actions if a.dest == "family")
         assert tuple(family.choices) == FAMILY_NAMES
-    for name, cls in zip(FAMILY_NAMES, (Riesz, Poisson, Heat)):
+    classes = {"riesz": Riesz, "poisson": Poisson, "heat": Heat}
+    assert FAMILY_NAMES == tuple(classes)
+    for name, cls in classes.items():
         assert make_spec(name, 0.5) == cls(0.5)
     with pytest.raises(ValueError):
         make_spec("gauss", 0.5)

@@ -102,7 +102,7 @@ def _reprs(fn):
     return [repr(float(v)) for v in np.ravel(getattr(out, "value", out))]
 
 
-def _field_points(body, np):
+def _field_points(body):
     """The centroid, 1e-3 and 1e-11 diameters inside a boundary point (on
     the way to the centroid) and 0.5 diameters outside it."""
     d, c = body.diameter(), body.centroid()
@@ -112,7 +112,7 @@ def _field_points(body, np):
             "exterior": e - 0.5 * d * u}
 
 
-def _fields(bodies, np) -> dict:
+def _fields(bodies) -> dict:
     from radialcenters import potentials as pot
     specs = [pot.Riesz(a) for a in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 20.0)]
     specs += [pot.Poisson(0.5), pot.Poisson(0.05), pot.Heat(0.2), pot.Heat(1.25)]
@@ -121,7 +121,7 @@ def _fields(bodies, np) -> dict:
     out = {}
     for name in FIELD_BODIES:
         body = bodies[name]
-        for where, x in _field_points(body, np).items():
+        for where, x in _field_points(body).items():
             for spec in specs:
                 for part, fn in parts:
                     key = f"{name} {where} {_spec_key(spec)} {part}"
@@ -140,9 +140,10 @@ def _loci(bodies, np) -> dict:
            for name in ("tri345", "square", "disk") for family in LOCI}
     diag = limit_diagnostics(bodies["tri345"])
     for family in LOCI:
-        rows = [(r[0], *r[1], *r[2:]) for r in getattr(diag, family)]
-        out[f"limits tri345 {family}"] = _reprs(lambda: rows) + [
-            getattr(diag, f"monotone_{family}")]
+        rows = getattr(diag, family)
+        out[f"limits tri345 {family}"] = [repr(float(v)) for r in rows
+                                          for v in (r[0], *r[1], *r[2:])]
+        out[f"limits tri345 monotone_{family}"] = getattr(diag, f"monotone_{family}")
     return out
 
 
@@ -191,7 +192,7 @@ def emit() -> dict:
         except TheoremViolation:
             verdicts.append("TheoremViolation")
     bodies = dict(bodies)
-    return {"centers": centers, "fields": _fields(bodies, np), "loci": _loci(bodies, np),
+    return {"centers": centers, "fields": _fields(bodies), "loci": _loci(bodies, np),
             "points": points, "locations": locations, "verdicts": verdicts}
 
 
