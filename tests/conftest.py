@@ -13,6 +13,15 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def spec_id(spec):
+    """Test id of a spec: its repr with the planar dimension spelled out.
+
+    Specs are planar and no longer carry ``m``; the ids keep the ``m=2`` they
+    had when they did, so each parametrized case keeps its name.
+    """
+    return f"{str(spec)[:-1]}, m=2)"
+
+
 def make_square(half=1.0, center=(0.0, 0.0)):
     c = np.asarray(center, dtype=float)
     return Polygon(c + half * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]))

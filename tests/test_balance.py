@@ -28,7 +28,7 @@ from radialcenters.quadrature import (DEFAULT_CONFIG, adaptive_gk, integrate_ang
 
 from conftest import (make_equilateral, make_square, make_tri345,
                       make_unit_disk, random_convex_polygon, random_convex_quadrangle,
-                      random_parallelogram, random_triangle)
+                      random_parallelogram, random_triangle, spec_id)
 
 
 def _residual_oracle(body, x, r, n=10 ** 6):
@@ -568,7 +568,7 @@ def _piece_route_points(body):
     return pts
 
 
-@pytest.mark.parametrize("spec", PIECE_SPECS, ids=str)
+@pytest.mark.parametrize("spec", PIECE_SPECS, ids=spec_id)
 def test_asym_piece_route_matches_angular_oracle(asym_body, spec):
     # Near the boundary the oracle's ray exits carry a rounding of one ulp of
     # the body's size, 5e-11 of the distance there, which keeps it from the
@@ -588,7 +588,7 @@ def test_asym_piece_route_matches_angular_oracle(asym_body, spec):
         assert np.abs(g - g_want).max() <= tol * max(np.abs(g_want).max(), abs(want), 1.0), x
 
 
-@pytest.mark.parametrize("spec", PIECE_SPECS, ids=str)
+@pytest.mark.parametrize("spec", PIECE_SPECS, ids=spec_id)
 def test_asym_piece_hessian_matches_gradient_differences(asym_body, spec):
     # fourth-order central differences of the gradient, which the test above
     # holds to the angular oracle, with steps well inside the distance to the

@@ -14,7 +14,7 @@ from radialcenters.quadrature import (DEFAULT_CONFIG, QuadratureConfig,
                                       disk_exterior_integral, disk_exterior_integral_vector,
                                       integrate_angular, integrate_angular_vector)
 
-from conftest import make_unit_disk
+from conftest import make_unit_disk, spec_id
 
 TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
 
@@ -167,7 +167,7 @@ SPECS = [Riesz(a) for a in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 20.0)] + [Poiss
 
 
 @pytest.mark.parametrize("q", [0.0, 1e-9, 0.5, 0.999999, 1.000001, 3.0])
-@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_disk_route_matches_quadrature(q, spec):
     # a RuntimeWarning fails the test (pyproject's filterwarnings)
     x = DISK.center + q * DISK.radius * np.array([0.6, -0.8])

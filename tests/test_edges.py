@@ -12,7 +12,7 @@ from radialcenters.potentials import (Heat, Poisson, Riesz, heat_gradient, poten
                                       potential_gradient, potential_hessian, riesz_value)
 from radialcenters.quadrature import QuadratureConfig, adaptive_gk
 
-from conftest import make_tri345
+from conftest import make_tri345, spec_id
 
 LSHAPE = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
 TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
@@ -168,7 +168,7 @@ SPECS = [Riesz(-1.0), Riesz(0.5), Riesz(1.0), Riesz(1.5), Riesz(3.0), Riesz(5.5)
                                     (make_tri345(), (6.0, 0.0)),
                                     (make_tri345(), (-1.0, 0.0))],
                          ids=["lshape_interior", "tri345_right", "tri345_left"])
-@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_points_on_an_edge_line_match_quadrature(body, x, spec):
     # each point lies on the line of an edge it does not touch, where q = 0
     assert np.abs(body.locate(np.array(x)).view.p).min() == 0.0

@@ -14,7 +14,7 @@ from radialcenters.potentials import (Heat, Poisson, Riesz, potential, potential
                                       potential_hessian, potential_jet)
 from radialcenters.quadrature import adaptive_gk
 
-from conftest import make_square, make_tri345
+from conftest import make_square, make_tri345, spec_id
 
 LSHAPE = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
 
@@ -129,7 +129,7 @@ def test_heat_hessian_on_square_matches_erf_product(x):
     (generate_asymmetric_balanced(), (0.3, -0.2)),
 ], ids=["tri345", "disk", "radial_arc"])
 @pytest.mark.parametrize("spec", [Riesz(-1.0), Riesz(0.5), Riesz(2.0), Riesz(20.0),
-                                  Poisson(0.5), Heat(0.1)], ids=str)
+                                  Poisson(0.5), Heat(0.1)], ids=spec_id)
 def test_hessian_matches_richardson_finite_differences(body, x, spec):
     got = potential_hessian(body, x, spec, CENTER_CFG)
     want = _richardson_hessian(body, x, spec, 1e-3 * body.diameter())

@@ -22,7 +22,7 @@ from radialcenters.potentials import (Heat, Poisson, Riesz, heat_gradient, heat_
 from radialcenters.quadrature import DEFAULT_CONFIG, adaptive_gk
 
 from conftest import interior_points, make_square, make_tri345, make_unit_disk, \
-    random_convex_polygon
+    random_convex_polygon, spec_id
 
 SQUARE_LOG_FINITE_PART = 0.6913098038983282
 
@@ -132,7 +132,7 @@ BOUNDARY_POINTS = {
 def _boundary_cases():
     for spec, near, asym in BOUNDARY_OUTCOMES:
         for where, want in (("square", near), ("disk", near), ("asym", asym)):
-            yield pytest.param(where, spec, want.split(), id=f"{where}-{spec}")
+            yield pytest.param(where, spec, want.split(), id=f"{where}-{spec_id(spec)}")
 
 
 @pytest.mark.parametrize("where, spec, want", _boundary_cases())
