@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (ConstructionFailed, ContinuumContact, InvalidBody, NotInterior,
-                     TheoremViolation)
+                     NotStarShaped, TheoremViolation)
 from .geometry import (ArcSet, CircleArc, CircumCenter, Disk, InCenter, Located, Polygon,
                        as_point, circle_clip, _angle_breakpoints, _arcs_between, _foot,
                        _located)
@@ -334,27 +334,29 @@ class _LobeCurve(NamedTuple):
         on the piece."""
         return self.body._cut(x).nearest[self.half]
 
-    def chord(self, t: np.ndarray, t_ref: float) -> np.ndarray:
-        """y(t) - y(t_ref) = (R - R_ref) u + R_ref (u - u_ref), from differences
-        that keep their digits for t near t_ref: with sigma = sin(delta) / c,
-        R - R_ref = (r_max - 1)(q - q_ref)(q + q_ref), where amplitude (q_ref - q)
-        = asin(sigma) - asin(sigma_ref) = asin((sigma^2 - sigma_ref^2) /
-        (sigma sqrt(1 - sigma_ref^2) + sigma_ref sqrt(1 - sigma^2))), and
-        sigma - sigma_ref = 2 cos((delta + delta_ref) / 2) sin((delta - delta_ref) / 2) / c."""
+    def chord(self, s: np.ndarray, t_ref: float) -> np.ndarray:
+        """y(t) - y(t_ref) at t = t_ref + s, as (R - R_ref) u + R_ref (u - u_ref),
+        from differences that keep their digits for small s: with
+        sigma = sin(delta) / c, R - R_ref = (r_max - 1)(q - q_ref)(q + q_ref),
+        where amplitude (q_ref - q) = asin(sigma) - asin(sigma_ref) =
+        asin((sigma^2 - sigma_ref^2) / (sigma sqrt(1 - sigma_ref^2) +
+        sigma_ref sqrt(1 - sigma^2))), and sigma - sigma_ref =
+        2 cos((delta + delta_ref) / 2) sin(side s / 2) / c."""
         body = self.body
         c = body._c[self.which]
+        t = t_ref + s
         delta, d_ref = self.side * (t - self.apex), self.side * (t_ref - self.apex)
-        s, s_ref = np.sin(delta) / c, math.sin(d_ref) / c
-        ds = 2 * np.cos(0.5 * (delta + d_ref)) * np.sin(0.5 * (delta - d_ref)) / c
-        den = s * math.sqrt(1 - s_ref * s_ref) + s_ref * np.sqrt(1 - s * s)
-        num = ds * (s + s_ref)
+        sg, sg_ref = np.sin(delta) / c, math.sin(d_ref) / c
+        ds = 2 * np.cos(0.5 * (delta + d_ref)) * np.sin(0.5 * self.side * s) / c
+        den = sg * math.sqrt(1 - sg_ref * sg_ref) + sg_ref * np.sqrt(1 - sg * sg)
+        num = ds * (sg + sg_ref)
         dq = -np.arcsin(np.divide(num, den, out=np.zeros_like(num), where=den > 0)) \
             / body.amplitude
-        q, q_ref = 1 - np.arcsin(s) / body.amplitude, 1 - math.asin(s_ref) / body.amplitude
+        q, q_ref = 1 - np.arcsin(sg) / body.amplitude, 1 - math.asin(sg_ref) / body.amplitude
         rad_ref = 1 + (body.r_max - 1) * q_ref * q_ref
         u = np.stack([np.cos(t), np.sin(t)], axis=1)
         return ((body.r_max - 1) * dq * (q + q_ref))[:, None] * u \
-            + CircleArc(np.zeros(2), rad_ref, self.t0, self.t1).chord(t, t_ref)
+            + CircleArc(np.zeros(2), rad_ref, self.t0, self.t1).chord(s, t_ref)
 
 
 class _Cut(NamedTuple):
@@ -755,7 +757,7 @@ class RadialArcBody:
             return self.boundary_radius(thetas)
         rad, rb = self._polar(x)
         if rad[0] >= rb[0]:
-            raise NotInterior("base point must be interior")
+            raise NotStarShaped("base point outside the body")
         u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         lo = np.zeros_like(thetas)
         f_lo = np.full_like(thetas, rad[0] - rb[0])
@@ -872,10 +874,9 @@ class RadialArcBody:
         return InCenter(np.zeros(2), 1.0, False)
 
     def route(self, loc: str) -> str:
-        """Boundary-piece integrals (``pieces``) about interior points, and no
-        route (``none``) elsewhere: only the boundary-piece gradients and
-        Hessians serve those points."""
-        return "pieces" if loc == "interior" else "none"
+        """Boundary-piece integrals (``pieces``) about every point: no closed
+        form serves this body."""
+        return "pieces"
 
     # -- serialization --------------------------------------------------------
 

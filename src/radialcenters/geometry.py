@@ -107,9 +107,9 @@ class Segment(NamedTuple):
         e = self.e
         return float(np.clip(np.dot(x - self.a, e) / np.dot(e, e), 0.0, 1.0))
 
-    def chord(self, t: np.ndarray, t_ref: float) -> np.ndarray:
-        """y(t) - y(t_ref), shape (n, 2)."""
-        return (t - t_ref)[:, None] * self.e
+    def chord(self, s: np.ndarray, t_ref: float) -> np.ndarray:
+        """y(t_ref + s) - y(t_ref), shape (n, 2)."""
+        return s[:, None] * self.e
 
 
 class EdgeFrame(NamedTuple):
@@ -177,10 +177,10 @@ class CircleArc(NamedTuple):
         c = self.center
         return _angle_within(math.atan2(x[1] - c[1], x[0] - c[0]), self.t0, self.t1)
 
-    def chord(self, t: np.ndarray, t_ref: float) -> np.ndarray:
-        """y(t) - y(t_ref) = 2 radius sin((t - t_ref) / 2) u'((t + t_ref) / 2),
-        which keeps its digits for t near t_ref."""
-        m, h = 0.5 * (t + t_ref), self.radius * 2 * np.sin(0.5 * (t - t_ref))
+    def chord(self, s: np.ndarray, t_ref: float) -> np.ndarray:
+        """y(t_ref + s) - y(t_ref) = 2 radius sin(s / 2) u'(t_ref + s / 2),
+        which keeps its digits for small s."""
+        m, h = t_ref + 0.5 * s, self.radius * 2 * np.sin(0.5 * s)
         return np.stack([-h * np.sin(m), h * np.cos(m)], axis=1)
 
 
@@ -420,8 +420,9 @@ class Polygon:
 
     def route(self, loc: str) -> str:
         """Route for a point at location ``loc``: closed-form edge sums over
-        the frame from ``locate`` off the boundary band, signed edge sectors in it."""
-        return "fan" if loc == "boundary" else "edges"
+        the frame from ``locate`` off the boundary band (``edges``), the
+        boundary-piece integrals in it (``pieces``)."""
+        return "pieces" if loc == "boundary" else "edges"
 
     def _frames(self, x):
         """``p`` (..., n) and ``s`` (..., 2, n) of the frames about ``x`` (..., 2)."""
@@ -503,7 +504,7 @@ class Disk:
         return float(np.hypot(*(p - self.center))) <= self.radius + t
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         return np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1]) <= self.radius
 
     def boundary_distance(self, p) -> float:
@@ -527,11 +528,10 @@ class Disk:
         thetas = np.asarray(thetas, dtype=float)
         u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         d = as_point(x) - self.center
-        du = u @ d
-        disc = self.radius ** 2 - float(np.dot(d, d)) + du * du
-        if np.any(disc < 0):
+        dd, du = float(np.dot(d, d)), u @ d
+        if dd > self.radius ** 2:
             raise NotStarShaped("base point outside the disk")
-        return -du + np.sqrt(disc)
+        return -du + np.sqrt(self.radius ** 2 - dd + du * du)
 
     def circle_clip(self, x, r: float) -> ArcSet:
         x = as_point(x)
@@ -574,9 +574,9 @@ class Disk:
         return float(np.hypot(*(self.center - as_point(x)))) + self.radius
 
     def route(self, loc: str) -> str:
-        """Closed forms in the distance to the center (``disks``) off the
-        boundary band, the angular route in it."""
-        return "angular" if loc == "boundary" else "disk"
+        """Closed forms in the distance to the center (``disk``) off the
+        boundary band, the boundary-piece integrals (``pieces``) in it."""
+        return "pieces" if loc == "boundary" else "disk"
 
     def boundary_polyline(self, n: int = 512) -> np.ndarray:
         t = np.linspace(0, 2 * math.pi, n, endpoint=False)

@@ -15,24 +15,21 @@ boundary band a polygon names ``edges``: values, gradients and Hessians are
 closed-form sums over the edge frame that located the point (``edges``
 module).  A disk names ``disk`` there: all three are closed-form functions
 of the distance to its center (``disks`` module).
-Everywhere else the singularity (if any) is absorbed into an exact radial
-antiderivative and the remaining smooth angular integral is done by adaptive
-quadrature: about the base point where the whole body is visible from it
-(``angular``), sector by sector over polygon edges (``fan``), or over the
-boundary pieces, each point y subtending (y - x).n ds / |y - x|^2
-(``pieces``, the radially parameterized body's interior).  Hessians, and
-Riesz gradients at exterior points, are one-dimensional quadratures over
-the body's boundary pieces there.
+In the boundary band of every body, and everywhere on the radially
+parameterized one, the route is ``pieces``: one-dimensional quadratures over
+the body's boundary pieces, each in its offset from the foot of the point.
+Seen from x, a boundary point y subtends d theta = (y - x).n ds / |y - x|^2,
+so the value and gradient are angular integrals of exact radial
+antiderivatives, which absorb the singularity (if any), and the Hessian is
+``-int over the boundary of d_i K(x - y) n_j ds``.
 
-Quadrature stays the production path for the radially parameterized body,
-for points in a boundary band, and for the polygon values that have no
-closed form here: Riesz orders 0 and 2 (a log or a Clausen function) and
-Poisson and heat values outside the body (the sector sum loses relative
-accuracy in the far tail).  Those polygon values take the fan route.  Off
-the band, the angular and fan routes, the chord route outside a disk
-(``quadrature.disk_exterior_integral``), the boundary-piece quadratures
-(``riesz_gradient_boundary``) and the explicit-``eps`` forms are test
-oracles.
+The polygon values that have no closed form here, Riesz orders 0 and 2 (a
+log or a Clausen function) and Poisson and heat values outside the body (the
+sector sum loses relative accuracy in the far tail), take the signed edge
+sectors (``quadrature.fan_integral``) off the band.  The angular route, the
+chord route outside a disk (``quadrature.disk_exterior_integral``), the
+boundary-integral gradient (``riesz_gradient_boundary``) and the
+explicit-``eps`` forms are test oracles.
 """
 
 from __future__ import annotations
@@ -47,8 +44,7 @@ from scipy.special import erf, erfc
 from . import disks, edges
 from .errors import BoundaryPoint
 from .geometry import as_point
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, adaptive_gk, fan_integral,
-                         fan_integral_vector, integrate_angular, integrate_angular_vector)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_gk, fan_integral
 
 __all__ = [
     "Riesz", "Poisson", "Heat", "PotentialSpec", "PotentialValue",
@@ -215,28 +211,8 @@ def _heat_grad_profile(t: float, loc: str):
 
 
 # ---------------------------------------------------------------------------
-# routing helpers
+# the pieces route
 # ---------------------------------------------------------------------------
-
-def _integrate(body, x, profile, route: str, cfg, vector: bool = False):
-    """Kernel integral over the body by quadrature along ``route``; a
-    polygon's ``edges`` route falls back to its signed sectors (``fan``),
-    a disk's ``disk`` route about interior points to the angular one.
-
-    ``profile`` is the radial antiderivative of the kernel, which gives the
-    finite-part convention at interior points.  With ``vector`` the
-    integrand is weighted by the unit direction, as gradients need.
-    """
-    if route == "pieces":
-        return _piece_integral(body, x, profile, cfg, vector)
-    if route in ("angular", "disk"):
-        fn = integrate_angular_vector if vector else integrate_angular
-    elif route in ("fan", "edges"):
-        fn = fan_integral_vector if vector else fan_integral
-    else:
-        raise ValueError(f"no quadrature route for this point of {type(body).__name__}")
-    return fn(body, x, profile, cfg)
-
 
 def _piece_integral(body, x: np.ndarray, profile, cfg, vector: bool):
     """The angular integral of ``profile(rho)`` over the body's boundary
@@ -285,7 +261,7 @@ def riesz_value_finite_part_eps(body, x, alpha: float, eps: float,
         raise BoundaryPoint("finite-part assembly needs an interior point")
     if not (0 < eps < dist):
         raise ValueError("eps must lie in (0, dist(x, boundary))")
-    total = _integrate(body, x, _riesz_profile(alpha), body.route(loc), cfg)
+    total = _piece_integral(body, x, _riesz_profile(alpha), cfg, False)
     if alpha == 0:
         annulus = total - 2 * math.pi * math.log(eps)
         counterterm = -2 * math.pi * math.log(1.0 / eps)
@@ -332,12 +308,11 @@ def riesz_value_complement(body, x, alpha: float,
 def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Gradient of the order-``alpha`` potential.
 
-    On the edges and disk routes a closed form; otherwise exterior points use the
-    boundary-integral form and every other point the volume form along the
-    body's route, whose profile drops the antiderivative's value at zero and
-    so equals the excluded-ball (annulus) form for ``alpha <= 1``.  Boundary
-    points are refused for ``alpha <= 1`` where the potential is not
-    differentiable.
+    On the edges and disk routes a closed form; on the pieces route the
+    volume form over the boundary pieces, whose profile drops the
+    antiderivative's value at zero and so equals the excluded-ball (annulus)
+    form for ``alpha <= 1``.  Boundary points are refused for ``alpha <= 1``
+    where the potential is not differentiable.
     """
     return potential_jet(body, x, spec, 1, cfg).gradient()
 
@@ -359,23 +334,19 @@ def riesz_gradient_annulus(body, x, alpha: float, eps: float,
     G = _riesz_grad_profile(alpha)
     pref = abs(2 - alpha)
     g_eps = float(G(np.asarray(eps)))
-    return pref * integrate_angular_vector(body, x, lambda r: G(r) - g_eps, cfg)
+    return pref * _piece_integral(body, x, lambda r: G(r) - g_eps, cfg, True)
 
 
 def riesz_gradient_boundary(body, x, alpha: float,
                             cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Gradient as a boundary integral against the outward normal.
 
-    Valid at any point off the boundary, for every ``alpha``; the natural
-    route for exterior points and an independent cross-check inside.
+    Valid at any point off the boundary, for every ``alpha``; a test oracle
+    for the volume forms.
     """
     x = as_point(x)
     if body.locate(x).location == "boundary":
         raise BoundaryPoint("boundary-integral gradient needs a point off the boundary")
-    return _riesz_boundary_gradient(body, x, alpha, cfg)
-
-
-def _riesz_boundary_gradient(body, x: np.ndarray, alpha: float, cfg) -> np.ndarray:
     if alpha == 2:
         kern = lambda r: np.log(r)
         pref = 1.0
@@ -392,21 +363,36 @@ def _riesz_boundary_gradient(body, x: np.ndarray, alpha: float, cfg) -> np.ndarr
 def _boundary_integral(body, x: np.ndarray, integrand, cfg: QuadratureConfig) -> np.ndarray:
     """Sum over the body's boundary pieces of the integral of
     ``integrand(x - y, n_ds)`` in the piece parameter, with ``n_ds`` the
-    outward normal scaled by |dy/dt|.  Each piece is split at the foot of
-    ``x``, where the kernel peaks when ``x`` is near the boundary, and
-    x - y is formed as (x - y(foot)) - (y - y(foot)) with the piece's
-    ``chord``: formed directly, its rounding would be a noise of one ulp of
-    the body's size, which near the boundary swamps the tolerance.
+    outward normal scaled by |dy/dt|.  Each piece is integrated in the
+    offset s = t - foot from the foot of ``x``, where the kernel peaks when
+    ``x`` is near the boundary, and x - y is formed as
+    (x - y(foot)) - (y - y(foot)) with the piece's ``chord`` of s.  Formed
+    from the absolute parameter instead, s and x - y would carry a rounding
+    of one ulp of t and of the body's size, which near the boundary swamps
+    the tolerance and sends the quadrature bisecting rounding noise.
+
+    The peak is about w = |x - y(foot)| / |dy/dt| wide in s, and on a curved
+    piece it sits on a smooth background that hides it from the quadrature
+    nodes.  So the panels are graded toward the foot, with breakpoints at
+    s = +-L 4^-j (j >= 1, L the larger of the piece's two sides of the foot)
+    down to w.
     """
     total = 0.0
     for piece in body.boundary_pieces():
         foot = piece.nearest(x)
-        gap = x - piece.curve(np.array([foot]))[0][0]
+        y, n_ds = piece.curve(np.array([foot]))
+        gap = x - y[0]
 
-        def f(t, piece=piece, foot=foot, gap=gap):
-            return integrand(gap - piece.chord(t, foot), piece.curve(t)[1])
+        def f(s, piece=piece, foot=foot, gap=gap):
+            return integrand(gap - piece.chord(s, foot), piece.curve(foot + s)[1])
 
-        val, _ = adaptive_gk(f, [piece.t0, foot, piece.t1], cfg)
+        lo, hi = piece.t0 - foot, piece.t1 - foot
+        w = math.hypot(gap[0], gap[1]) / math.hypot(n_ds[0, 0], n_ds[0, 1])
+        breaks, g = [lo, 0.0, hi], 0.25 * max(-lo, hi)
+        while g > w > 0:
+            breaks += [s for s in (-g, g) if lo < s < hi]
+            g *= 0.25
+        val, _ = adaptive_gk(f, breaks, cfg)
         total = total + np.asarray(val)
     return total
 
@@ -471,7 +457,6 @@ class _Family(NamedTuple):
     scales: Callable = lambda p: (1.0, 1.0)   # p -> factors of the integrals of F and G
     refused: Callable = lambda p, k: False    # (p, k) -> order k diverges on the boundary
     closed_value: Callable = lambda p, loc: loc == "interior"   # on the edges route
-    exterior_gradient: Optional[Callable] = None   # (body, x, p, cfg) off the closed forms
 
 
 _FAMILIES = {
@@ -483,8 +468,7 @@ _FAMILIES = {
         # V is finite on the boundary for alpha > 0, C^1 for alpha > 1 and
         # has a bounded Hessian for alpha > 2
         refused=lambda a, k: a <= k,
-        closed_value=lambda a, loc: a not in (0, 2),
-        exterior_gradient=_riesz_boundary_gradient),
+        closed_value=lambda a, loc: a not in (0, 2)),
     Poisson: _Family(
         "poisson", "h", 1, lambda h: "poisson", _poisson_profile, _poisson_grad_profile,
         _poisson_hessian_kernel, (edges.poisson_value, edges.poisson_flux, edges.poisson_moments),
@@ -571,10 +555,9 @@ def potential_jet(body, x, spec: PotentialSpec, order: int,
         raise _refusal(min(order, 1))
     route = body.route(loc)
     if route == "edges":
-        closed = fam.closed_value(p, loc)
         value, flux, moments = fam.edges
-        parts = ((lambda: value(view, p)) if closed
-                 else _quadrature_parts(body, x, fam, p, loc, "fan", cfg)[0],
+        parts = ((lambda: value(view, p)) if fam.closed_value(p, loc)
+                 else lambda: fam.scales(p)[0] * fan_integral(body, x, fam.profile(p, loc), cfg),
                  lambda: edges.gradient(view, flux(view, p)),
                  lambda: edges.hessian(view, moments(view, p)))
     elif route == "disk":
@@ -584,26 +567,24 @@ def potential_jet(body, x, spec: PotentialSpec, order: int,
         parts = (lambda: value(d, R, p), lambda: g * delta,
                  lambda: disks.hessian(delta, d, g, curvature(d, R, p)))
     else:
-        parts = _quadrature_parts(body, x, fam, p, loc, route, cfg)
+        parts = _piece_parts(body, x, fam, p, loc, cfg)
     if order == 2 and loc == "boundary" and fam.refused(p, 2):
         parts = parts[:2] + (lambda: None,)
     return PotentialJet(fam.regime(p), loc, dist, parts[0], parts[1] if order else None,
                         parts[2] if order == 2 else None)
 
 
-def _quadrature_parts(body, x, fam: _Family, p: float, loc: str, route: str, cfg):
-    """Volume forms along ``route`` for the value and gradient (outside the
-    body the family's boundary-integral gradient, where it has one), and the
-    Hessian as ``-int over the boundary of d_i K(x - y) n_j ds``."""
+def _piece_parts(body, x, fam: _Family, p: float, loc: str, cfg):
+    """The ``pieces`` route: the value and gradient as volume forms over the
+    boundary pieces (``_piece_integral``), and the Hessian as
+    ``-int over the boundary of d_i K(x - y) n_j ds``."""
     sign, scale = fam.scales(p)
 
     def value():
-        return sign * _integrate(body, x, fam.profile(p, loc), route, cfg)
+        return sign * _piece_integral(body, x, fam.profile(p, loc), cfg, False)
 
     def gradient():
-        if loc == "exterior" and fam.exterior_gradient is not None:
-            return fam.exterior_gradient(body, x, p, cfg)
-        return scale * _integrate(body, x, fam.gradient_profile(p, loc), route, cfg, vector=True)
+        return scale * _piece_integral(body, x, fam.gradient_profile(p, loc), cfg, True)
 
     def hessian():
         dk = fam.hessian_kernel(p)

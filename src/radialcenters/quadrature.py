@@ -1,14 +1,17 @@
 """Quadrature engines for radially symmetric kernels over planar bodies.
 
-Four routes are provided:
+``adaptive_gk`` is the engine of the ``pieces`` route, which integrates over
+a body's boundary pieces (``potentials``).  The other engines here are:
 
 * ``integrate_angular`` -- polar decomposition about an interior base point
   of a star-shaped body: integrates ``profile(rho(theta))`` over the circle,
   where ``profile`` is the exact radial antiderivative of the kernel.
-  Singular kernels are absorbed analytically this way.
+  Singular kernels are absorbed analytically this way.  No potential is
+  computed this way; tests use it as an oracle.
 * ``fan_integral`` / ``fan_integral_vector`` -- signed-sector decomposition
-  of a polygon about an arbitrary base point (used in the boundary band and
-  for the polygon values that have no closed form on the edges route).
+  of a polygon about an arbitrary base point.  ``fan_integral`` serves the
+  polygon values that have no closed form off the boundary band; both are
+  test oracles elsewhere.
 * ``disk_exterior_integral`` / ``disk_exterior_integral_vector`` -- chords
   of a disk seen from an exterior point.  No potential is computed this
   way; tests use it as an oracle for the closed-form disk route.
@@ -18,7 +21,7 @@ Four routes are provided:
 
 Each body names the route for a base point through its ``route`` method;
 a polygon's ``edges`` route and a disk's ``disk`` route are closed form
-(``edges`` and ``disks`` modules).
+(``edges`` and ``disks`` modules), and ``pieces`` is the quadrature.
 """
 
 from __future__ import annotations

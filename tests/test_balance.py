@@ -6,6 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 
 from radialcenters.balance import (BALANCED_TOL, PolygonClass, RadialArcBody,
                                    WeightedBodyFunction, balance_report,
@@ -22,7 +23,8 @@ from radialcenters.geometry import (ArcSet, CircleArc, Disk, Polygon, centroid, 
                                     circumcenter, contains, contains_many, diameter, incenter,
                                     transformed)
 from radialcenters.potentials import Heat, Poisson, Riesz, _family, _riesz_profile, \
-    poisson_gradient, potential, potential_gradient, potential_hessian, riesz_gradient
+    poisson_gradient, potential, potential_gradient, potential_hessian, riesz_gradient, \
+    riesz_gradient_boundary
 from radialcenters.quadrature import (DEFAULT_CONFIG, adaptive_gk, integrate_angular,
                                       integrate_angular_vector)
 
@@ -603,6 +605,38 @@ def test_asym_piece_hessian_matches_gradient_differences(asym_body, spec):
             H[:, j] = (-g[0] + 8 * g[1] - 8 * g[2] + g[3]) / (12 * h)
         got = potential_hessian(asym_body, x, spec, CENTER_CFG)
         assert np.abs(got - H).max() <= 1e-7 * np.abs(H).max(), x
+
+
+def test_asym_exterior_matches_polar_quadrature(asym_body):
+    # outside the body the pieces route sums signed chords; the oracle
+    # integrates the kernel and its gradient over the body in polar
+    # coordinates about the origin, from which the body is star-shaped
+    x = np.array([2.0, 0.5])
+    kernels = {Riesz(1.5): (lambda r: r ** -0.5, lambda r: -0.5 * r ** -1.5),
+               Poisson(0.5): (lambda r: 0.5 / (2 * math.pi * (r * r + 0.25) ** 1.5),
+                              lambda r: -0.75 * r / (math.pi * (r * r + 0.25) ** 2.5)),
+               Heat(0.2): (lambda r: math.exp(-r * r / 0.8) / (0.8 * math.pi),
+                           lambda r: -r * math.exp(-r * r / 0.8) / (0.32 * math.pi))}
+    breaks = asym_body.angular_breakpoints(np.zeros(2))
+
+    def polar(fn):
+        def f(r, th):
+            d = x - r * np.array([math.cos(th), math.sin(th)])
+            return fn(d, math.hypot(*d)) * r
+
+        return sum(dblquad(f, a, b, 0, lambda th: float(asym_body.boundary_radius(th)[0]),
+                           epsabs=1e-14, epsrel=1e-12)[0] for a, b in zip(breaks[:-1], breaks[1:]))
+
+    for spec, (k, dk) in kernels.items():
+        want = polar(lambda d, r: k(r))
+        grad = [polar(lambda d, r, i=i: dk(r) * d[i] / r) for i in range(2)]
+        assert potential(asym_body, x, spec).value == pytest.approx(want, rel=1e-11)
+        assert np.abs(potential_gradient(asym_body, x, spec) - grad).max() \
+            <= 1e-11 * np.abs(grad).max()
+    for alpha in (-1.0, 0.5, 2.0, 3.0, 20.0):
+        g = potential_gradient(asym_body, x, Riesz(alpha))
+        want = riesz_gradient_boundary(asym_body, x, alpha)
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _narrow_moment(arcs, width):

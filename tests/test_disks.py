@@ -6,7 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from radialcenters import potentials as pot
+from radialcenters import disks, potentials as pot
+from radialcenters.errors import BoundaryPoint
 from radialcenters.geometry import Disk, classify_location
 from radialcenters.potentials import (Heat, Poisson, Riesz, potential, potential_gradient,
                                       potential_hessian)
@@ -196,6 +197,28 @@ def test_disk_route_matches_quadrature(q, spec):
 
 
 def test_boundary_band_stays_on_quadrature():
-    x = DISK.center + DISK.radius * (1 + 1e-10) * np.array([0.6, -0.8])
-    loc = classify_location(DISK, x)
-    assert loc == "boundary" and DISK.route(loc) == "angular"
+    # the band takes the boundary pieces on either side of the rim: the
+    # angular route raised NotStarShaped outside it.  Every part the family
+    # does not refuse matches the closed forms there (a RuntimeWarning fails
+    # the test), to 1e-9 for Riesz orders up to 2 as near the rim above.
+    u = np.array([0.6, -0.8])
+    for q in (1 - 5e-10, 1 + 5e-10, 1 + 1e-10):
+        x = DISK.center + q * DISK.radius * u
+        loc = classify_location(DISK, x)
+        assert loc == "boundary" and DISK.route(loc) == "pieces"
+        delta = x - DISK.center
+        d = math.hypot(*delta)
+        for spec in SPECS:
+            family, p = pot._family(spec)
+            value, slope, curvature = family.disks
+            g = slope(d, DISK.radius, p)
+            want = (value(d, DISK.radius, p), g * delta,
+                    disks.hessian(delta, d, g, curvature(d, DISK.radius, p)))
+            tol = 1e-9 if isinstance(spec, Riesz) and spec.alpha <= 2 else 1e-12
+            for order, fn in enumerate((potential, potential_gradient, potential_hessian)):
+                if pot.refused_on_boundary(spec, order):
+                    with pytest.raises(BoundaryPoint):
+                        fn(DISK, x, spec)
+                    continue
+                got = fn(DISK, x, spec)
+                assert _rel_err(getattr(got, "value", got), want[order]) < tol, (q, spec, order)

@@ -6,13 +6,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from radialcenters import edges, potentials as pot
 from radialcenters.centers import CENTER_CFG, SHARP_CFG, _normalize, find_center
 from radialcenters.geometry import Polygon, classify_location
 from radialcenters.potentials import (Heat, Poisson, Riesz, heat_gradient, potential,
                                       potential_gradient, potential_hessian, riesz_value)
 from radialcenters.quadrature import QuadratureConfig, adaptive_gk
 
-from conftest import make_tri345, spec_id
+from conftest import make_square, make_tri345, spec_id
 
 LSHAPE = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
 TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
@@ -218,3 +219,31 @@ def test_orders_near_odd_integers(alpha):
     assert _rel_err(potential_gradient(tri, x, Riesz(alpha)), grad) < 1e-8
     assert _rel_err(potential_hessian(tri, x, Riesz(alpha + 2)), _oracles(
         tri, x, Riesz(alpha + 2))[2]) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the boundary band: the pieces route against the closed forms on the frame
+# that located the point (the fan route missed them by up to 3e-8 here)
+# ---------------------------------------------------------------------------
+
+BAND_BODIES = {"tri345": make_tri345, "square": make_square, "lshape": lambda: Polygon(LSHAPE)}
+BAND_SPECS = [Riesz(1.5), Riesz(3.0), Poisson(0.05), Poisson(0.5), Heat(0.2)]
+
+
+@pytest.mark.parametrize("name", BAND_BODIES)
+@pytest.mark.parametrize("gap", [1e-11, 5e-10, -5e-10])
+def test_boundary_band_matches_edge_closed_forms(name, gap):
+    # a boundary point moved toward the centroid (gap > 0) or away from it by
+    # gap diameters, as in tools/same_answers.py
+    body = BAND_BODIES[name]()
+    d, c = body.diameter(), body.centroid()
+    e = body.boundary_polyline(48)[3]
+    x = e + gap * d * (c - e) / math.hypot(*(c - e))
+    loc, _, view = body.locate(x)
+    assert loc == "boundary" and body.route(loc) == "pieces"
+    for spec in BAND_SPECS:
+        family, p = pot._family(spec)
+        value, flux, _ = family.edges
+        assert potential(body, x, spec).value == pytest.approx(value(view, p), rel=1e-12)
+        assert _rel_err(potential_gradient(body, x, spec),
+                        edges.gradient(view, flux(view, p))) < 1e-12

@@ -490,6 +490,7 @@ def test_body_protocol(make):
     assert body.contains(x) and contains(body, x)
     assert list(body.contains_many(pts)) == list(contains_many(body, pts)) \
         == [contains(body, p) for p in pts] == [True, True, False, False]
+    assert list(body.contains_many(x)) == [True]        # one point of shape (2,)
     assert body.boundary_distance(x) == boundary_distance(body, x) > 0
     assert classify_location(body, x) == "interior"
     where = body.locate(x)
@@ -499,6 +500,12 @@ def test_body_protocol(make):
     rho = body.radial_function_many(x, thetas)
     assert np.array_equal(rho, radial_function_many(body, x, thetas))
     assert rho == pytest.approx([radial_function(body, x, t) for t in thetas], rel=1e-12)
+    # outside the body, with rays that meet it: (1.5, 0) on the unit disk
+    far = body.centroid() + np.array([0.75 * body.diameter(), 0.0])
+    with pytest.raises(NotStarShaped):
+        body.radial_function_many(far, math.pi + np.array([-0.01, 0.0, 0.01]))
+    with pytest.raises(NotStarShaped):
+        body.radial_function(far, math.pi)
     assert body.circle_clip(x, 0.7).arcs == circle_clip(body, x, 0.7).arcs
     moments = [vector_residual_of_arcs(circle_clip(body, x, r)) for r in (0.7, 1.1)]
     assert np.abs(body.balance_residuals(x, [0.7, 1.1]) - moments).max() < 1e-13

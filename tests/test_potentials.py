@@ -104,21 +104,18 @@ def test_boundary_point_refused_for_nonpositive_alpha():
 
 
 # Outcome of the value, gradient and Hessian at a boundary point: finite
-# ("ok"), refused as diverging ("BP", Riesz orders alpha <= k at order k) or
-# without a route ("VE").  The square and the disk have quadrature routes in
-# their boundary band; the asymmetric body has none there, only the
-# boundary-piece Hessian.
+# ("ok") or refused as diverging ("BP", Riesz orders alpha <= k at order k).
+# It is the same on every body: each takes its boundary pieces in the band.
 BOUNDARY_OUTCOMES = [
-    # spec          square, disk     asym
-    (Riesz(-1.0), "BP BP BP", "BP BP BP"),
-    (Riesz(0.0), "BP BP BP", "BP BP BP"),
-    (Riesz(0.5), "ok BP BP", "VE BP BP"),
-    (Riesz(1.0), "ok BP BP", "VE BP BP"),
-    (Riesz(1.5), "ok ok BP", "VE VE BP"),
-    (Riesz(2.0), "ok ok BP", "VE VE BP"),
-    (Riesz(4.0), "ok ok ok", "VE VE ok"),
-    (Poisson(0.5), "ok ok ok", "VE VE ok"),
-    (Heat(0.5), "ok ok ok", "VE VE ok"),
+    (Riesz(-1.0), "BP BP BP"),
+    (Riesz(0.0), "BP BP BP"),
+    (Riesz(0.5), "ok BP BP"),
+    (Riesz(1.0), "ok BP BP"),
+    (Riesz(1.5), "ok ok BP"),
+    (Riesz(2.0), "ok ok BP"),
+    (Riesz(4.0), "ok ok ok"),
+    (Poisson(0.5), "ok ok ok"),
+    (Heat(0.5), "ok ok ok"),
 ]
 
 BOUNDARY_POINTS = {
@@ -130,8 +127,8 @@ BOUNDARY_POINTS = {
 
 
 def _boundary_cases():
-    for spec, near, asym in BOUNDARY_OUTCOMES:
-        for where, want in (("square", near), ("disk", near), ("asym", asym)):
+    for spec, want in BOUNDARY_OUTCOMES:
+        for where in BOUNDARY_POINTS:
             yield pytest.param(where, spec, want.split(), id=f"{where}-{spec_id(spec)}")
 
 
@@ -146,9 +143,6 @@ def test_boundary_refusal_matrix(where, spec, want):
             out = fn(body, x, spec)
         except BoundaryPoint:
             got.append("BP")
-            continue
-        except ValueError:
-            got.append("VE")
             continue
         out = out.value if fn is potential else out
         got.append("ok" if np.all(np.isfinite(out)) else "not finite")

@@ -13,13 +13,17 @@ printed:
   Riesz(0.5), Riesz(1.5), Riesz(4), Riesz(20), Poisson(0.5) and Heat(1.25),
   and the searches that raise in one tree only (a search is named by its
   body, family and parameter);
-* the values, gradients and Hessians that differ, on tri345, the square, the
-  L-shape, the disk and the asymmetric body, at the centroid, 1e-3 and 1e-11
-  diameters inside a boundary point and 0.5 diameters outside it, for Riesz
+* the values, gradients and Hessians on tri345, the square, the L-shape, the
+  disk and the asymmetric body, at the centroid, 1e-3 and 1e-11 diameters
+  inside a boundary point, 5e-10 and 0.5 diameters outside it, for Riesz
   orders -1, 0, 0.5, 1, 1.5, 2, 3, 4 and 20, Poisson(0.5), Poisson(0.05),
-  Heat(0.2) and Heat(1.25); then the ``trace_locus`` rows (three families on
-  tri345, the square and the disk) and the ``limit_diagnostics(tri345)`` rows
-  that differ.  Floats are compared by ``repr``, exceptions by type;
+  Heat(0.2) and Heat(1.25): one line per body, point and part with the
+  number of cells that differ and their worst relative and absolute
+  deviations (the largest difference over the largest magnitude), and each
+  cell that raises in one tree and is finite in the other; then the
+  ``trace_locus`` rows (three families on tri345, the square and the disk)
+  and the ``limit_diagnostics(tri345)`` rows that differ.  Floats are
+  compared by ``repr``, exceptions by type;
 * the points where ``classify_location`` differs, out of about 43,000 random
   and near-boundary points on the same bodies, each with its boundary
   distance over the boundary band (a ratio near 1 is a point at the band's
@@ -104,12 +108,12 @@ def _reprs(fn):
 
 def _field_points(body):
     """The centroid, 1e-3 and 1e-11 diameters inside a boundary point (on
-    the way to the centroid) and 0.5 diameters outside it."""
+    the way to the centroid), and 5e-10 and 0.5 diameters outside it."""
     d, c = body.diameter(), body.centroid()
     e = body.boundary_polyline(48)[3]
     u = (c - e) / math.hypot(*(c - e))
     return {"interior": c, "near": e + 1e-3 * d * u, "band": e + 1e-11 * d * u,
-            "exterior": e - 0.5 * d * u}
+            "band_out": e - 5e-10 * d * u, "exterior": e - 0.5 * d * u}
 
 
 def _fields(bodies) -> dict:
@@ -205,6 +209,36 @@ def run(src: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _deviation(a: list, b: list) -> tuple:
+    """The largest difference of two answers, over their largest magnitude
+    and absolute."""
+    x, y = [float(v) for v in a], [float(v) for v in b]
+    scale = max(abs(v) for v in x + y)
+    diff = max(abs(u - v) for u, v in zip(x, y))
+    return (diff / scale if scale else diff), diff
+
+
+def _field_summary(old: dict, new: dict, keys: list) -> None:
+    """One line per body, point and part, then the cells that raise in one
+    tree only or raise differently."""
+    groups, moved = {}, []
+    for key in keys:
+        name, where, _, part = key.split(" ")
+        a, b = old.get(key), new.get(key)
+        n, differ, worst = groups.get((name, where, part), (0, 0, (0.0, 0.0)))
+        if isinstance(a, list) and isinstance(b, list):
+            worst = tuple(map(max, worst, _deviation(a, b)))
+        elif a != b:
+            moved.append(f"  {key}: {a if isinstance(a, str) else 'finite'} -> "
+                         f"{b if isinstance(b, str) else 'finite'}")
+        groups[name, where, part] = (n + 1, differ + (a != b), worst)
+    for (name, where, part), (n, differ, worst) in groups.items():
+        print(f"  {name:7} {where:9} {part:8} {differ:3} of {n} differ, worst "
+              f"deviation {worst[0]:.1e} relative, {worst[1]:.1e} absolute")
+    for line in moved:
+        print(line)
+
+
 def compare(old: dict, new: dict) -> bool:
     worst, raised = 0.0, []
     for key, a in old["centers"].items():
@@ -223,8 +257,11 @@ def compare(old: dict, new: dict) -> bool:
         keys = sorted(set(old[part]) | set(new[part]))
         differ = [k for k in keys if old[part].get(k) != new[part].get(k)]
         print(f"{what}: {len(keys)} compared, {len(differ)} differ")
-        for k in differ[:20]:
-            print(f"  {k}: {old[part].get(k)} -> {new[part].get(k)}")
+        if part == "fields":
+            _field_summary(old[part], new[part], keys)
+        else:
+            for k in differ:
+                print(f"  {k}: {old[part].get(k)} -> {new[part].get(k)}")
         same &= not differ
 
     if old["points"] != new["points"]:
