@@ -878,6 +878,13 @@ class RadialArcBody:
         form serves this body."""
         return "pieces"
 
+    def normalized(self):
+        """The body itself, with zero shift and unit scale: its centroid is
+        the origin and its radii lie between 1 and ``r_max``."""
+        shift = np.zeros(2)
+        shift.setflags(write=False)
+        return self, shift, 1.0
+
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -8,6 +8,11 @@ strictly concave inside convex bodies for ``alpha <= 1`` and globally for
 ``alpha >= 3``; Poisson and heat potentials of convex bodies are
 strictly power-concave globally.  Everything else falls back to a
 deterministic multistart.
+
+Every search runs on the body's normal frame: its copy with the centroid at
+the origin and diameter 2, and the spec rescaled to it.  The body prepares
+that copy on first use and keeps it (``body.normalized``), so the searches of
+a multistart, a locus and the limit diagnostics on one body build it once.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BoundaryPoint, NoInteriorSeed, NonConvergence
-from .geometry import (Disk, Polygon, as_point, centroid, circumcenter, diameter, incenter,
-                       is_convex, transformed)
+from .geometry import as_point, centroid, circumcenter, diameter, incenter, is_convex
 from .potentials import (PotentialSpec, Riesz, make_spec, potential_jet, refused_on_boundary,
                          rescaled)
 from .quadrature import QuadratureConfig
@@ -63,7 +67,8 @@ def _family_cfg(spec: PotentialSpec) -> QuadratureConfig:
 
 # ---------------------------------------------------------------------------
 # normalization: translate the centroid to the origin and rescale to
-# diameter 2 so that extreme orders keep potential magnitudes representable
+# diameter 2 so that extreme orders keep potential magnitudes representable;
+# each body keeps its normalized copy (``body.normalized``)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -85,11 +90,7 @@ class _Normalized:
 
 
 def _normalize(body, spec: PotentialSpec) -> _Normalized:
-    if not isinstance(body, (Polygon, Disk)):
-        return _Normalized(body, spec, np.zeros(2), 1.0)
-    shift = centroid(body)
-    s = 2.0 / diameter(body)
-    nbody = transformed(body, angle=0.0, shift=-shift * s, scale=s)
+    nbody, shift, s = body.normalized()
     return _Normalized(nbody, spec, shift, s).with_spec(spec)
 
 

@@ -10,6 +10,7 @@ structured JSON object on standard error; configuration errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -29,8 +30,7 @@ from .quadrature import QuadratureConfig
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         out = args.handler(args)
     except (RadialCentersError, ValueError, OSError, json.JSONDecodeError) as exc:
@@ -39,6 +39,13 @@ def main(argv=None) -> int:
         return 1
     _emit(out, args)
     return 0
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged and
+    gives each call a new namespace."""
+    return _build_parser()
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -120,10 +120,15 @@ def _bracket(a: float, q: np.ndarray, s: np.ndarray) -> np.ndarray:
 # Riesz: k(r) = sign(2 - alpha) r^(alpha - 2), and -log r at alpha = 2
 # ---------------------------------------------------------------------------
 
-def riesz_value(frame, alpha: float) -> float:
-    """sign(2 - alpha) / alpha * sum p [G_alpha], for alpha not in {0, 2}."""
-    q, s = np.abs(frame.p), frame.s
-    return math.copysign(1.0, 2 - alpha) / alpha * float(frame.p @ _bracket(alpha, q, s))
+def riesz_value(frame, alpha: float, flux=None) -> float:
+    """sign(2 - alpha) / alpha * sum p [G_alpha], for alpha not in {0, 2}.
+
+    Given the edges' ``flux`` (``riesz_flux``, sign(2 - alpha) [G_alpha]),
+    the bracket is read off it, exactly, instead of computed again.
+    """
+    c = math.copysign(1.0, 2 - alpha)
+    g = _bracket(alpha, np.abs(frame.p), frame.s) if flux is None else c * flux
+    return c / alpha * float(frame.p @ g)
 
 
 def riesz_flux(frame, alpha: float) -> np.ndarray:

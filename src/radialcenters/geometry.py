@@ -5,15 +5,17 @@ Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
 ``boundary_distance`` / ``boundary_distance_many``, ``radial_function`` /
 ``radial_function_many``, ``circle_clip``, ``balance_residuals``,
 ``angular_breakpoints``, ``radius_breakpoints``, ``reach``, ``route``,
-``boundary_polyline``, ``boundary_pieces``, ``circumcenter``, ``incenter``
-and ``to_dict``.  ``locate(x)`` gives x's location and boundary distance
-with the view of x that the routes read: a polygon's ``EdgeFrame``, which
-also gives its distance and membership, or a disk's distance to its
-``center`` (a disk has a ``radius`` too).  Simple polygons and disks live
-here, the radially parameterized balanced body in the balance module.
-Bodies are immutable and prepare their derived geometry once.  The
-module-level functions of the same names delegate to the methods; points
-are arrays of shape (2,), checked by ``as_point`` once per public entry.
+``boundary_polyline``, ``boundary_pieces``, ``circumcenter``, ``incenter``,
+``normalized`` and ``to_dict``.  ``locate(x)`` gives x's location and
+boundary distance with the view of x that the routes read: a polygon's
+``EdgeFrame``, which also gives its distance and membership, or a disk's
+distance to its ``center`` (a disk has a ``radius`` too).  Simple polygons
+and disks live here, the radially parameterized balanced body in the balance
+module.  Bodies are immutable and prepare their derived geometry once; the
+normalized copy that the center search works on (``normalized``) is
+prepared on first use and kept on the body.  The module-level functions of
+the same names delegate to the methods; points are arrays of shape (2,),
+checked by ``as_point`` once per public entry.
 """
 
 from __future__ import annotations
@@ -251,6 +253,7 @@ class Polygon:
                                                            self._tangents.T]))
         object.__setattr__(self, "_frame_points", np.hstack([arr.T, arr.T, nxt.T]))
         object.__setattr__(self, "_pieces", tuple(Segment(a, e) for a, e in zip(arr, edges)))
+        object.__setattr__(self, "_normal", None)      # ``normalized``, on first use
         object.__setattr__(self, "_convex", bool(np.all(crosses > 0)))
         object.__setattr__(self, "_diameter", _point_set_diameter(arr))
         a = 0.5 * float(np.sum(w))
@@ -461,6 +464,13 @@ class Polygon:
         refinement otherwise."""
         return _incenter_convex(self) if self._convex else _incenter_grid(self)
 
+    def normalized(self):
+        """``(body, shift, scale)``: this polygon with its centroid moved to
+        the origin and its diameter scaled to 2, new = (old - shift) * scale.
+        Prepared on the first call and kept; the polygon itself does not
+        change, and the kept arrays are read-only."""
+        return _normal_frame(self)
+
     def to_dict(self) -> dict:
         return {"vertices": [[float(x), float(y)] for x, y in self.vertices]}
 
@@ -480,6 +490,7 @@ class Disk:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "_pieces", (CircleArc(c, r, 0.0, 2 * math.pi),))
+        object.__setattr__(self, "_normal", None)      # ``normalized``, on first use
 
     def area(self) -> float:
         return math.pi * self.radius ** 2
@@ -592,12 +603,28 @@ class Disk:
     def incenter(self) -> InCenter:
         return InCenter(self.center.copy(), self.radius, False)
 
+    def normalized(self):
+        """The unit disk about the origin, with the shift and scale that
+        give it, as ``Polygon.normalized``."""
+        return _normal_frame(self)
+
     def to_dict(self) -> dict:
         return {"type": "disk", "center": [float(self.center[0]), float(self.center[1])],
                 "radius": float(self.radius)}
 
 
 Body = Union[Polygon, Disk, "RadialArcBody"]  # noqa: F821  (radial-arc lives in balance)
+
+
+def _normal_frame(body):
+    """``body.normalized()`` of a polygon or a disk, kept on the body."""
+    if body._normal is None:
+        shift = body.centroid()
+        shift.setflags(write=False)
+        s = 2.0 / body.diameter()
+        object.__setattr__(body, "_normal",
+                           (transformed(body, angle=0.0, shift=-shift * s, scale=s), shift, s))
+    return body._normal
 
 
 def _outline(arr: np.ndarray):

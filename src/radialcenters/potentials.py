@@ -13,7 +13,9 @@ that location; the families differ only in data that it reads
 (``_FAMILIES``), and the other public functions are views of it.  Off its
 boundary band a polygon names ``edges``: values, gradients and Hessians are
 closed-form sums over the edge frame that located the point (``edges``
-module).  A disk names ``disk`` there: all three are closed-form functions
+module); the jet computes the edges' flux once, for the first part that asks
+for it, and the Riesz value, a sum of the same bracket [G_alpha], is read off
+it.  A disk names ``disk`` there: all three are closed-form functions
 of the distance to its center (``disks`` module).
 In the boundary band of every body, and everywhere on the radially
 parameterized one, the route is ``pieces``: one-dimensional quadratures over
@@ -457,6 +459,7 @@ class _Family(NamedTuple):
     scales: Callable = lambda p: (1.0, 1.0)   # p -> factors of the integrals of F and G
     refused: Callable = lambda p, k: False    # (p, k) -> order k diverges on the boundary
     closed_value: Callable = lambda p, loc: loc == "interior"   # on the edges route
+    value_reads_flux: bool = False   # the edges value takes the flux: value(frame, p, flux)
 
 
 _FAMILIES = {
@@ -468,7 +471,9 @@ _FAMILIES = {
         # V is finite on the boundary for alpha > 0, C^1 for alpha > 1 and
         # has a bounded Hessian for alpha > 2
         refused=lambda a, k: a <= k,
-        closed_value=lambda a, loc: a not in (0, 2)),
+        closed_value=lambda a, loc: a not in (0, 2),
+        # the value and the flux are sums of the same bracket [G_alpha]
+        value_reads_flux=True),
     Poisson: _Family(
         "poisson", "h", 1, lambda h: "poisson", _poisson_profile, _poisson_grad_profile,
         _poisson_hessian_kernel, (edges.poisson_value, edges.poisson_flux, edges.poisson_moments),
@@ -556,9 +561,14 @@ def potential_jet(body, x, spec: PotentialSpec, order: int,
     route = body.route(loc)
     if route == "edges":
         value, flux, moments = fam.edges
-        parts = ((lambda: value(view, p)) if fam.closed_value(p, loc)
-                 else lambda: fam.scales(p)[0] * fan_integral(body, x, fam.profile(p, loc), cfg),
-                 lambda: edges.gradient(view, flux(view, p)),
+        flux_once = _once(flux, view, p)        # serves the gradient, and the value if it reads it
+        if not fam.closed_value(p, loc):
+            value_part = lambda: fam.scales(p)[0] * fan_integral(body, x, fam.profile(p, loc), cfg)
+        elif fam.value_reads_flux:
+            value_part = lambda: value(view, p, flux_once())
+        else:
+            value_part = lambda: value(view, p)
+        parts = (value_part, lambda: edges.gradient(view, flux_once()),
                  lambda: edges.hessian(view, moments(view, p)))
     elif route == "disk":
         delta, R, d = x - body.center, body.radius, view
@@ -572,6 +582,18 @@ def potential_jet(body, x, spec: PotentialSpec, order: int,
         parts = parts[:2] + (lambda: None,)
     return PotentialJet(fam.regime(p), loc, dist, parts[0], parts[1] if order else None,
                         parts[2] if order == 2 else None)
+
+
+def _once(f, *args):
+    """``f(*args)`` as a function of no arguments that computes it on its
+    first call and then returns it again."""
+    kept = []
+
+    def part():
+        if not kept:
+            kept.append(f(*args))
+        return kept[0]
+    return part
 
 
 def _piece_parts(body, x, fam: _Family, p: float, loc: str, cfg):

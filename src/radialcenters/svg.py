@@ -93,7 +93,7 @@ class SvgCanvas:
 
 def render_body(body, extra_points: Iterable = ()) -> str:
     canvas = SvgCanvas(stroke_width=_stroke_for(body))
-    canvas.polygon(boundary_polyline(body, 720))
+    canvas.polygon(_outline(body))
     for p in extra_points:
         canvas.dot(p, 2 * canvas.stroke_width)
     return canvas.to_string()
@@ -101,7 +101,7 @@ def render_body(body, extra_points: Iterable = ()) -> str:
 
 def render_locus(body, points: np.ndarray) -> str:
     canvas = SvgCanvas(stroke_width=_stroke_for(body))
-    canvas.polygon(boundary_polyline(body, 720))
+    canvas.polygon(_outline(body))
     pts = np.asarray(points, dtype=float)
     if len(pts) > 1:
         canvas.polyline(pts)
@@ -123,6 +123,20 @@ def render_balance_spectrum(radii: np.ndarray, normalized_residuals: np.ndarray,
         y = threshold / top
         canvas.polyline(np.array([[0.0, y], [1.0, y]]), stroke="crimson")
     return canvas.to_string()
+
+
+def _outline(body) -> np.ndarray:
+    """720 boundary samples less each one that lies, to rounding, on the
+    straight segment between its two neighbours: a polygon's outline is its
+    vertices, a curve keeps every sample."""
+    pts = boundary_polyline(body, 720)
+    prev = np.roll(pts, 1, axis=0)
+    chord, off = np.roll(pts, -1, axis=0) - prev, pts - prev
+    c2 = np.sum(chord * chord, axis=1)
+    along = np.sum(chord * off, axis=1)
+    cross = chord[:, 0] * off[:, 1] - chord[:, 1] * off[:, 0]
+    straight = (np.abs(cross) <= 1e-9 * c2) & (along > 0) & (along < c2)
+    return pts[~straight]
 
 
 def _stroke_for(body) -> float:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from radialcenters import centers, quadrature
+from radialcenters import centers, geometry, quadrature
+from radialcenters.balance import generate_asymmetric_balanced
 from radialcenters.centers import (ascend, find_center, limit_diagnostics,
                                    multistart_seeds, trace_locus, _normalize)
 from radialcenters.geometry import (Disk, Polygon, centroid, circumcenter, contains,
@@ -263,3 +264,70 @@ def test_multistart_prefers_the_most_stationary_of_tied_maxima():
     res = find_center(make_tri345(), Riesz(1.5))
     assert res.regime == "multistart"
     assert res.grad_norm < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the normal frame: each body's normalized copy is built once and kept
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [make_tri345, lambda: Disk([1.0, -2.0], 1.5)],
+                         ids=["tri345", "disk"])
+def test_normalized_body_is_built_once_per_body(monkeypatch, make):
+    built = 0
+    transform = geometry.transformed
+
+    def counted(*args, **kwargs):
+        nonlocal built
+        built += 1
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "transformed", counted)
+    body = make()
+    for spec in (Riesz(4.0), Poisson(1.0), Heat(0.5)):
+        find_center(body, spec)
+    trace_locus(body, "riesz", (3.0, 6.0), 3)
+    limit_diagnostics(body, riesz_alphas=(10.0, 20.0), poisson_h_rel=(1.0, 2.0),
+                      heat_ts=(0.5, 1.0))
+    assert built == 1
+
+
+def test_normalized_body_keeps_read_only_arrays():
+    for body, points in ((make_tri345(), "vertices"), (Disk([1.0, -2.0], 1.5), "center")):
+        nbody, shift, scale = body.normalized()
+        assert body.normalized()[0] is nbody
+        assert shift == pytest.approx(centroid(body)) and scale == 2.0 / diameter(body)
+        for arr in (shift, getattr(nbody, points)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+    asym = generate_asymmetric_balanced()
+    nbody, shift, scale = asym.normalized()
+    assert nbody is asym and scale == 1.0 and not shift.any() and not shift.flags.writeable
+
+
+def _same_center(a, b):
+    return (np.array_equal(a.point, b.point) and a.value == b.value
+            and a.grad_norm == b.grad_norm and a.iterations == b.iterations)
+
+
+def test_center_results_do_not_share_the_kept_frame():
+    body = make_tri345()
+    first = find_center(body, Riesz(4.0))
+    want = first.point.copy()
+    first.point[:] = 99.0
+    assert np.array_equal(find_center(body, Riesz(4.0)).point, want)
+    trace = trace_locus(body, "heat", (0.5, 1.0), 2)
+    trace.points[:] = -99.0
+    assert np.array_equal(trace_locus(body, "heat", (0.5, 1.0), 2).points,
+                          trace_locus(make_tri345(), "heat", (0.5, 1.0), 2).points)
+
+
+@pytest.mark.parametrize("spec", [Riesz(0.5), Riesz(1.5), Poisson(1.0), Heat(0.2)],
+                         ids=lambda s: repr(s))
+def test_a_searched_body_answers_as_a_fresh_one(spec):
+    lshape = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
+    for make in (make_tri345, lambda: Polygon(lshape), lambda: Disk([1.0, -2.0], 1.5)):
+        body = make()
+        for other in (Riesz(4.0), Heat(1.0), spec):
+            find_center(body, other)
+        assert _same_center(find_center(body, spec), find_center(make(), spec))

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import radialcenters
-from radialcenters import quadrature
+from radialcenters import cli, quadrature
 from radialcenters.cli import _build_parser, main
 from radialcenters.geometry import body_from_dict
 from radialcenters.potentials import FAMILY_NAMES, Heat, Poisson, Riesz, make_spec
@@ -260,3 +260,40 @@ def test_csv_cells_are_plain_numbers(capsys, square_file, argv):
         assert len(cells) == len(header.split(","))
         for cell in cells:
             float(cell)
+
+
+def test_one_parser_serves_every_call_alike(capsys, monkeypatch, square_file):
+    # one process runs the commands in turn; each must answer as in a fresh
+    # process, so no option of one call may stay for the next
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return _build_parser()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    potential = ["potential", "--family", "riesz", "--param", "0", "--at", "0.9,0.95"]
+    commands = [
+        potential + ["--tol", "1e-8"],
+        ["center", "--family", "poisson", "--param", "1"],
+        ["locus", "--family", "heat", "--range", "0.2:1:3", "--format", "csv"],
+        ["center", "--family", "gauss", "--param", "1"],
+        ["balance", "--at", "0.3,0.1", "--n-radii", "32"],
+        potential,
+    ]
+    answers = []
+    for argv in commands:
+        argv = argv + ["--body", square_file]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = run_module(*argv)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
+                                                      fresh.stderr), argv
+        answers.append((code, captured.out))
+    assert [code for code, _ in answers] == [0, 0, 0, 2, 0, 0]
+    assert len(builds) <= 1         # built once per process
+    # the tolerance moves this value, so a kept --tol would show
+    assert json.loads(answers[0][1])["value"] != json.loads(answers[-1][1])["value"]

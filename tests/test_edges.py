@@ -13,7 +13,7 @@ from radialcenters.potentials import (Heat, Poisson, Riesz, heat_gradient, poten
                                       potential_gradient, potential_hessian, riesz_value)
 from radialcenters.quadrature import QuadratureConfig, adaptive_gk
 
-from conftest import make_square, make_tri345, spec_id
+from conftest import interior_points, make_square, make_tri345, spec_id
 
 LSHAPE = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
 TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
@@ -247,3 +247,51 @@ def test_boundary_band_matches_edge_closed_forms(name, gap):
         assert potential(body, x, spec).value == pytest.approx(value(view, p), rel=1e-12)
         assert _rel_err(potential_gradient(body, x, spec),
                         edges.gradient(view, flux(view, p))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one bracket per Riesz jet: the value is read off the flux
+# ---------------------------------------------------------------------------
+
+def test_riesz_jet_computes_its_value_and_flux_bracket_once(monkeypatch):
+    calls = 0
+    bracket = edges._bracket
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return bracket(*args)
+
+    monkeypatch.setattr(edges, "_bracket", counted)
+    jet = pot.potential_jet(make_tri345(), [1.0, 0.9], Riesz(1.5), 2)
+    jet.value(), jet.gradient(), jet.hessian(), jet.value(), jet.gradient()
+    assert calls == 2       # the value and flux's [G_alpha], the moments' [G_(alpha - 2)]
+
+
+def _seeded_ninegon():
+    rng = np.random.default_rng(909)
+    angles = np.sort(rng.uniform(0.0, 2 * math.pi, 9))
+    radii = rng.uniform(0.6, 1.4, 9)
+    return Polygon(np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1))
+
+
+SHARED_BRACKET_BODIES = {"tri345": make_tri345, "square": make_square,
+                         "lshape": lambda: Polygon(LSHAPE), "ninegon": _seeded_ninegon}
+
+
+@pytest.mark.parametrize("name", SHARED_BRACKET_BODIES)
+@pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.0, 1.5, 3.0, 4.0, 20.0])
+def test_riesz_jet_parts_equal_fresh_evaluations(name, alpha):
+    body = SHARED_BRACKET_BODIES[name]()
+    spec = Riesz(alpha)
+    for x in interior_points(np.random.default_rng(17), body, 4):
+        loc, _, view = body.locate(x)
+        assert loc == "interior"
+        value = potential(body, x, spec).value
+        assert value == edges.riesz_value(view, alpha)      # the bracket computed anew
+        grad = potential_gradient(body, x, spec)
+        # the flux is computed by whichever part asks first
+        jet = pot.potential_jet(body, x, spec, 2)
+        assert jet.value() == value and np.array_equal(jet.gradient(), grad)
+        jet = pot.potential_jet(body, x, spec, 2)
+        assert np.array_equal(jet.gradient(), grad) and jet.value() == value
