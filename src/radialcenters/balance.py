@@ -374,6 +374,7 @@ class _Cut(NamedTuple):
 
 
 FOOT_NODES = 24      # samples of the foot-point equation on each lobe half
+KEPT_CUTS = 16       # points whose cuts a RadialArcBody keeps
 
 
 def _newton(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
@@ -486,7 +487,8 @@ class RadialArcBody:
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_node_f0", rad * r1)
         object.__setattr__(self, "_node_yt", (r1 * c - rad * s, r1 * s + rad * c))
-        object.__setattr__(self, "_last_cut", (None, None))
+        object.__setattr__(self, "_cuts", {})          # ``_cut``: the last few points'
+        object.__setattr__(self, "_kept", {})          # ``geometry.kept``: built on first use
         t = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
         object.__setattr__(self, "_diameter", float(np.max(
             self.boundary_radius(t) + self.boundary_radius(t + math.pi))))
@@ -584,13 +586,17 @@ class RadialArcBody:
         return h, t, np.hypot(d[:, 0], d[:, 1])
 
     def _cut(self, x: np.ndarray) -> _Cut:
-        """The boundary seen from ``x``; the last point's cut is kept, since
-        a potential, its boundary integrals and a balance spectrum all ask
-        for the same point in turn."""
+        """The boundary seen from ``x``; the cuts of the last ``KEPT_CUTS``
+        points are kept, since a potential, its boundary integrals and a
+        balance spectrum all ask for the same point in turn, and a lockstep
+        multistart locates its dozen points before it integrates about them."""
         key = x.tobytes()
-        if self._last_cut[0] != key:
-            object.__setattr__(self, "_last_cut", (key, self._cut_at(x)))
-        return self._last_cut[1]
+        cut = self._cuts.get(key)
+        if cut is None:
+            if len(self._cuts) >= KEPT_CUTS:
+                del self._cuts[next(iter(self._cuts))]      # the oldest
+            cut = self._cuts[key] = self._cut_at(x)
+        return cut
 
     def _cut_at(self, x: np.ndarray) -> _Cut:
         half, roots, dist = self._feet(x)
@@ -705,6 +711,10 @@ class RadialArcBody:
         """From the cut about ``x``, which the boundary-piece integrals reuse."""
         return _located(float(self._cut(x).dist.min()), self._diameter,
                         lambda: bool(self.contains_many(x)[0]))
+
+    def locate_many(self, pts) -> list:
+        """``locate`` for points (N, 2), one at a time."""
+        return [self.locate(x) for x in np.asarray(pts, dtype=float).reshape(-1, 2)]
 
     def boundary_distance(self, p) -> float:
         """The least distance over the vertices of the cut about ``p``."""

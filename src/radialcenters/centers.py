@@ -7,26 +7,33 @@ regimes follow the concavity theory: order-``alpha`` potentials are
 strictly concave inside convex bodies for ``alpha <= 1`` and globally for
 ``alpha >= 3``; Poisson and heat potentials of convex bodies are
 strictly power-concave globally.  Everything else falls back to a
-deterministic multistart.
+deterministic multistart: twelve seeds ascended in lockstep, as one ascent
+over a stack of starts.  Each start keeps its own iterate, direction, step
+and endgame, and each round evaluates the pending trial points of all of
+them in one stacked jet (``potential_jet_many``) and solves their Newton
+systems in one stacked call, so every start takes the steps, and reaches
+the bits, that it would take alone; ``ascend`` is the one-start case.
 
 Every search runs on the body's normal frame: its copy with the centroid at
 the origin and diameter 2, and the spec rescaled to it.  The body prepares
 that copy on first use and keeps it (``body.normalized``), so the searches of
 a multistart, a locus and the limit diagnostics on one body build it once.
+The multistart's seeds are kept on the normalized body in the same way
+(``geometry.kept``), with the incenter and circumcenter they start from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import BoundaryPoint, NoInteriorSeed, NonConvergence
-from .geometry import as_point, centroid, circumcenter, diameter, incenter, is_convex
-from .potentials import (PotentialSpec, Riesz, make_spec, potential_jet, refused_on_boundary,
-                         rescaled)
+from .errors import NoInteriorSeed, NonConvergence
+from .geometry import as_point, centroid, circumcenter, diameter, incenter, is_convex, kept
+from .potentials import (PotentialSpec, Riesz, make_spec, potential_jet, potential_jet_many,
+                         refused_on_boundary, rescaled)
 from .quadrature import QuadratureConfig
 
 __all__ = ["CenterResult", "LocusTrace", "LimitDiagnostics", "find_center",
@@ -86,7 +93,7 @@ class _Normalized:
 
     def with_spec(self, spec: PotentialSpec) -> "_Normalized":
         """The same normalized body with ``spec`` rescaled to it."""
-        return replace(self, spec=rescaled(spec, self.scale))
+        return _Normalized(self.body, rescaled(spec, self.scale), self.shift, self.scale)
 
 
 def _normalize(body, spec: PotentialSpec) -> _Normalized:
@@ -117,68 +124,142 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     family requires interior iterates, trial points must keep a relative
     margin of 1e-6 diameters inside the body; backtracking shrinks steps
     until they do.  One jet per evaluated point gives its location and the
-    parts of its value, gradient and Hessian that the ascent reads.
+    parts of its value, gradient and Hessian that the ascent reads.  This is
+    the one-start case of ``_ascend_all``.
+    """
+    return _ascend_all(body, spec, [x0], cfg)[0].outcome()
+
+
+class _Climb:
+    """One start's ascent: its iterate ``x`` with the iterate's jet, value,
+    gradient and tolerance, and the line search under way from it.  It ends
+    with a ``result`` (point, value, grad_norm, iterations) or an ``error``."""
+
+    __slots__ = ("x", "jet", "val", "grad", "gnorm", "gtol", "iterations",
+                 "direction", "slope", "endgame", "k", "result", "error")
+
+    def __init__(self, x: np.ndarray):
+        self.x, self.iterations, self.result, self.error = x, 0, None, None
+
+    def stop(self):
+        self.result = (self.x, self.val, self.gnorm, self.iterations)
+
+    def outcome(self):
+        """The result, or raise the error."""
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+def _ascend_all(body, spec: PotentialSpec, starts, cfg: Optional[QuadratureConfig] = None):
+    """``ascend`` from each of ``starts`` in lockstep; returns one ``_Climb``
+    per start.
+
+    A round turns each start that has just moved (the Newton directions in
+    one stacked call, ``_newton_directions``) and then takes one line-search
+    trial for each start that is searching, with every trial point in one
+    stacked jet; a start whose trial fails halves its step for the next
+    round.  Each start reads exactly the parts that its own ascent reads, in
+    the same order, so it ends as it would alone.
     """
     cfg = cfg or _family_cfg(spec)
-    x = as_point(x0).astype(float)
     # the potential diverges or loses differentiability at the boundary
     keep_in = refused_on_boundary(spec, 1)
     diam = diameter(body)
     margin = INTERIOR_MARGIN_REL * diam
 
-    def jet_at(p):
-        """The jet at ``p``, or None where an iterate may not go."""
-        try:
-            there = potential_jet(body, p, spec, 2, cfg)
-        except BoundaryPoint:
-            return None
-        inside = there.location == "interior" and there.distance > margin
-        return there if inside or not keep_in else None
+    def allowed(jet) -> bool:
+        """Whether an iterate may go to the jet's point; a refused point lies
+        in the boundary band, which only families that keep iterates inside
+        refuse."""
+        return not keep_in or (jet.location == "interior" and jet.distance > margin)
 
-    jet = jet_at(x)
-    if jet is None:
-        raise NoInteriorSeed(f"infeasible start {x!r}")
-    val = jet.value()
-    scale = max(abs(val), 1.0)
-    gtol = GRAD_TOL_REL * scale
-
-    grad = jet.gradient()
-    gnorm = float(np.hypot(*grad))
-    iterations = 0
-    while iterations < MAX_ITERATIONS:
-        if gnorm < gtol:
-            return x, val, gnorm, iterations
-        iterations += 1
-        direction = _newton_direction(jet.hessian(), grad)
-        if direction is None or float(np.dot(grad, direction)) <= 0:
-            direction = grad / gnorm * min(0.2 * diam, gnorm)
-        slope = float(np.dot(grad, direction))
-        # once the predicted gain drops below the value's resolution the
-        # sufficient-increase test only measures quadrature noise; accept
-        # steps on gradient-norm decrease instead (Newton endgame)
-        endgame = 1e-4 * slope <= _value_resolution(cfg, val)
-        for k in range(20 if endgame else 60):
-            step = 0.5 ** k
-            trial = x + step * direction
-            there = jet_at(trial)
-            if there is not None:
-                part = there.gradient() if endgame else there.value()
-                if (float(np.hypot(*part)) < gnorm if endgame
-                        else part >= val + 1e-4 * step * slope):
-                    break
+    def turn(c: _Climb) -> bool:
+        """After a move: stop, fail, or go on to the next iteration (True)."""
+        if c.gnorm < c.gtol:
+            c.stop()
+        elif c.iterations >= MAX_ITERATIONS:
+            c.error = NonConvergence(c.x, c.gnorm, c.iterations)
         else:
+            c.iterations += 1
+            return True
+        return False
+
+    climbs = [_Climb(as_point(x0).astype(float)) for x0 in starts]
+    moved = []
+    for c, jet in zip(climbs, potential_jet_many(body, [c.x for c in climbs], spec, 2, cfg)):
+        if not allowed(jet):
+            c.error = NoInteriorSeed(f"infeasible start {c.x!r}")
+            continue
+        c.jet, c.val, c.grad = jet, jet.value(), jet.gradient()
+        c.gnorm = float(np.hypot(*c.grad))
+        c.gtol = GRAD_TOL_REL * max(abs(c.val), 1.0)
+        if turn(c):
+            moved.append(c)
+    searching = []
+    while moved or searching:
+        for c, direction in zip(moved, _newton_directions(moved)):
+            if direction is None or float(np.dot(c.grad, direction)) <= 0:
+                direction = c.grad / c.gnorm * min(0.2 * diam, c.gnorm)
+            c.direction, c.slope = direction, float(np.dot(c.grad, direction))
+            # once the predicted gain drops below the value's resolution the
+            # sufficient-increase test only measures quadrature noise; accept
+            # steps on gradient-norm decrease instead (Newton endgame)
+            c.endgame = 1e-4 * c.slope <= _value_resolution(cfg, c.val)
+            c.k = 0
+            searching.append(c)
+        trials = [c.x + 0.5 ** c.k * c.direction for c in searching]
+        moved, waiting = [], []
+        for c, trial, there in zip(searching, trials,
+                                   potential_jet_many(body, trials, spec, 2, cfg)):
+            if allowed(there):
+                part = there.gradient() if c.endgame else there.value()
+                if (float(np.hypot(*part)) < c.gnorm if c.endgame
+                        else part >= c.val + 1e-4 * 0.5 ** c.k * c.slope):
+                    c.x, c.jet = trial, there
+                    c.val, c.grad = (there.value(), part) if c.endgame else (part, there.gradient())
+                    c.gnorm = float(np.hypot(*c.grad))
+                    if turn(c):
+                        moved.append(c)
+                    continue
+            c.k += 1
+            if c.k < (20 if c.endgame else 60):
+                waiting.append(c)
             # flat to resolution: a gradient floor (endgame) or step underflow
-            if gnorm < max(gtol, (1e4 if endgame else 1e3) * cfg.abs_tol):
-                return x, val, gnorm, iterations
-            raise NonConvergence(x, gnorm, iterations,
-                                 "gradient stagnated above tolerance" if endgame
-                                 else "line search stalled above gradient tolerance")
-        x, jet = trial, there
-        val, grad = (jet.value(), part) if endgame else (part, jet.gradient())
-        gnorm = float(np.hypot(*grad))
-    if gnorm < gtol:
-        return x, val, gnorm, iterations
-    raise NonConvergence(x, gnorm, iterations)
+            elif c.gnorm < max(c.gtol, (1e4 if c.endgame else 1e3) * cfg.abs_tol):
+                c.stop()
+            else:
+                c.error = NonConvergence(c.x, c.gnorm, c.iterations,
+                                         "gradient stagnated above tolerance" if c.endgame
+                                         else "line search stalled above gradient tolerance")
+        searching = waiting
+    return climbs
+
+
+def _newton_directions(climbs: list) -> list:
+    """``_newton_direction`` for each climb's iterate.  Two or more Hessians
+    go in one stacked ``eigvalsh`` and one stacked ``solve``, which take each
+    matrix on its own, so each direction has the bits of its own solve."""
+    if len(climbs) == 1:
+        return [_newton_direction(climbs[0].jet.hessian(), climbs[0].grad)]
+    hessians, grads = [c.jet.hessian() for c in climbs], [c.grad for c in climbs]
+    out = [None] * len(climbs)
+    live = [i for i, H in enumerate(hessians) if H is not None]
+    if not live:
+        return out
+    H = np.array([hessians[i] for i in live])
+    top = np.linalg.eigvalsh(H).max(axis=-1).tolist()
+    fit = [k for k, t in enumerate(top) if not t >= -1e-300]   # else not negative definite
+    if len(fit) < len(live):
+        H, live = H[fit], [live[k] for k in fit]
+    if live:
+        try:
+            solved = np.linalg.solve(H, -np.array([grads[i] for i in live])[..., None])[..., 0]
+        except np.linalg.LinAlgError:     # a singular one among them
+            solved = [_newton_direction(h, grads[i]) for h, i in zip(H, live)]
+        for i, d in zip(live, solved):
+            out[i] = d
+    return out
 
 
 def _newton_direction(H: Optional[np.ndarray], grad) -> Optional[np.ndarray]:
@@ -212,7 +293,9 @@ def _halton(index: int, base: int) -> float:
 
 
 def multistart_seeds(body) -> list[np.ndarray]:
-    """Deterministic interior seed set: classical centers plus low-discrepancy points."""
+    """Deterministic interior seed set: classical centers plus low-discrepancy points.
+
+    ``find_center`` builds it once per body and keeps it (``_kept_seeds``)."""
     diam = diameter(body)
     margin = 2 * INTERIOR_MARGIN_REL * diam
     seeds: list[np.ndarray] = []
@@ -239,6 +322,17 @@ def multistart_seeds(body) -> list[np.ndarray]:
     return seeds
 
 
+def _kept_seeds(body) -> list[np.ndarray]:
+    """``multistart_seeds(body)``, built on first use and kept on the body,
+    read-only."""
+    def build():
+        seeds = multistart_seeds(body)
+        for s in seeds:
+            s.setflags(write=False)
+        return tuple(seeds)
+    return list(kept(body, "multistart_seeds", build))
+
+
 def _regime(body, spec: PotentialSpec) -> tuple[str, bool]:
     convex = is_convex(body)
     if isinstance(spec, Riesz):
@@ -257,10 +351,12 @@ def find_center(body, spec: PotentialSpec,
     """Maximum point of the potential, with the concavity regime used.
 
     In guaranteed-unique regimes a single ascent from the centroid (or the
-    deepest interior point) suffices; otherwise twelve deterministic seeds
-    are ascended and the best maximum is reported with
-    ``uniqueness_guaranteed = False``; of maxima whose values agree to the
-    quadrature's resolution, the one with the smallest gradient wins.
+    deepest interior point) suffices; otherwise twelve deterministic seeds,
+    kept on the body, are ascended in lockstep and the best maximum is
+    reported with ``uniqueness_guaranteed = False``; of maxima whose values
+    agree to the quadrature's resolution, the one with the smallest gradient
+    wins.  The value and gradient norm are those at the reported point in
+    the body's own frame.
     """
     cfg = cfg or _family_cfg(spec)
     norm = _normalize(body, spec)
@@ -268,11 +364,11 @@ def find_center(body, spec: PotentialSpec,
     nbody, nspec = norm.body, norm.spec
 
     if regime == "multistart":
-        seeds = multistart_seeds(nbody)
+        seeds = _kept_seeds(nbody)
         cands = []
-        for s in seeds:
+        for climb in _ascend_all(nbody, nspec, seeds, cfg):
             try:
-                cands.append(ascend(nbody, nspec, s, cfg))
+                cands.append(climb.outcome())
             except NonConvergence:
                 continue
         if not cands:
@@ -283,18 +379,21 @@ def find_center(body, spec: PotentialSpec,
         top = max(c[1] for c in cands)
         best = min((c for c in cands if c[1] >= top - _value_resolution(cfg, top)),
                    key=lambda c: c[2])
-        y, _, _, iters = best
+        y, val, gnorm, iters = best
     else:
-        start = centroid(nbody)
-        if refused_on_boundary(nspec, 1) and not _inside_by(
-                nbody, start, INTERIOR_MARGIN_REL * diameter(nbody)):
-            start = incenter(nbody).center
-        y, _, _, iters = ascend(nbody, nspec, start, cfg)
+        try:
+            y, val, gnorm, iters = ascend(nbody, nspec, centroid(nbody), cfg)
+        except NoInteriorSeed:
+            # the family keeps iterates inside, and the centroid is not
+            y, val, gnorm, iters = ascend(nbody, nspec, incenter(nbody).center, cfg)
 
     point = norm.to_original(y)
-    final = potential_jet(body, point, spec, 1, cfg)
-    return CenterResult(point, final.value(), float(np.hypot(*final.gradient())),
-                        iters, regime, unique)
+    if nbody is not body or point.tobytes() != y.tobytes():
+        # the ascent's value and gradient are those of the normal frame, or of
+        # a point whose zeros changed sign (-0.0 + 0.0): evaluate at the point
+        final = potential_jet(body, point, spec, 1, cfg)
+        val, gnorm = final.value(), float(np.hypot(*final.gradient()))
+    return CenterResult(point, val, gnorm, iters, regime, unique)
 
 
 # ---------------------------------------------------------------------------

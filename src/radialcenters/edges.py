@@ -19,6 +19,12 @@ Oosterom & Strackee, IEEE TBME 30, 1983), heat values Owen's T function
 here (they need a log or a Clausen function); neither do Poisson and heat
 values outside the body, where the sector sum cancels in the far tail.
 Those stay on quadrature.
+
+A frame may also be a stack of frames about N points, ``p`` of shape (N, n)
+and ``s`` of shape (2, N, n) (``potentials.potential_jet_many``).  Everything
+per edge is elementwise and runs on it unchanged; the sums over the edges are
+stacked products (``_edge_sum``), which give each point the bits of its own
+frame's sum, and a value becomes an array of N.
 """
 
 from __future__ import annotations
@@ -31,6 +37,14 @@ from scipy.special import erfc, hyp2f1, owens_t
 __all__ = ["riesz_value", "riesz_flux", "riesz_moments", "poisson_value",
            "poisson_flux", "poisson_moments", "heat_value", "heat_flux",
            "heat_moments", "gradient", "hessian"]
+
+
+def _edge_sum(a: np.ndarray, b: np.ndarray):
+    """sum a b over the edges: a float for one frame, an array per point for
+    a stack, each by the dot product that one frame takes."""
+    if a.ndim == 1:
+        return float(a @ b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +142,7 @@ def riesz_value(frame, alpha: float, flux=None) -> float:
     """
     c = math.copysign(1.0, 2 - alpha)
     g = _bracket(alpha, np.abs(frame.p), frame.s) if flux is None else c * flux
-    return c / alpha * float(frame.p @ g)
+    return c / alpha * _edge_sum(frame.p, g)
 
 
 def riesz_flux(frame, alpha: float) -> np.ndarray:
@@ -165,7 +179,8 @@ def poisson_value(frame, h: float) -> float:
     q, s = np.abs(frame.p), frame.s
     Q2 = q * q + h * h
     a = np.arctan2(frame.p * s, Q2 + h * np.sqrt(Q2 + s * s))
-    return float(np.sum(a[1] - a[0])) / (2 * math.pi)
+    total = np.sum(a[1] - a[0], axis=-1)
+    return (float(total) if total.ndim == 0 else total) / (2 * math.pi)
 
 
 def poisson_flux(frame, h: float) -> np.ndarray:
@@ -194,7 +209,7 @@ def heat_value(frame, t: float) -> float:
     q, s = np.abs(frame.p), frame.s
     qs = q + (q == 0)           # sign(p) = 0 drops those edges
     f = np.arctan2(s, q) / (2 * math.pi) - owens_t(qs / math.sqrt(2 * t), s / qs)
-    return float(np.sign(frame.p) @ (f[1] - f[0]))
+    return _edge_sum(np.sign(frame.p), f[1] - f[0])
 
 
 def _erf_bracket(u: np.ndarray) -> np.ndarray:
@@ -223,12 +238,18 @@ def heat_moments(frame, t: float):
 
 def gradient(frame, flux: np.ndarray) -> np.ndarray:
     """-sum n int k ds."""
-    return -(flux @ frame.normals)
+    if flux.ndim == 1:
+        return -(flux @ frame.normals)
+    return -(flux[:, None, :] @ frame.normals)[:, 0]
 
 
 def hessian(frame, moments) -> np.ndarray:
     """sum (p int w ds n + int w s ds e) (x) n, symmetrized."""
     w0, w1 = moments
-    d = (frame.p * w0)[:, None] * frame.normals + w1[:, None] * frame.tangents
-    H = d.T @ frame.normals
-    return 0.5 * (H + H.T)
+    if w0.ndim == 1:
+        d = (frame.p * w0)[:, None] * frame.normals + w1[:, None] * frame.tangents
+        H = d.T @ frame.normals
+        return 0.5 * (H + H.T)
+    d = (frame.p * w0)[..., None] * frame.normals + w1[..., None] * frame.tangents
+    H = np.swapaxes(d, 1, 2) @ frame.normals
+    return 0.5 * (H + np.swapaxes(H, 1, 2))

@@ -6,16 +6,19 @@ Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
 ``radial_function_many``, ``circle_clip``, ``balance_residuals``,
 ``angular_breakpoints``, ``radius_breakpoints``, ``reach``, ``route``,
 ``boundary_polyline``, ``boundary_pieces``, ``circumcenter``, ``incenter``,
-``normalized`` and ``to_dict``.  ``locate(x)`` gives x's location and
-boundary distance with the view of x that the routes read: a polygon's
-``EdgeFrame``, which also gives its distance and membership, or a disk's
-distance to its ``center`` (a disk has a ``radius`` too).  Simple polygons
-and disks live here, the radially parameterized balanced body in the balance
-module.  Bodies are immutable and prepare their derived geometry once; the
-normalized copy that the center search works on (``normalized``) is
-prepared on first use and kept on the body.  The module-level functions of
-the same names delegate to the methods; points are arrays of shape (2,),
-checked by ``as_point`` once per public entry.
+``normalized``, ``locate_many`` and ``to_dict``.  ``locate(x)`` gives x's
+location and boundary distance with the view of x that the routes read: a
+polygon's ``EdgeFrame``, which also gives its distance and membership, or a
+disk's distance to its ``center`` (a disk has a ``radius`` too);
+``locate_many`` does the same for a stack of points, a polygon from one edge
+frame of them all.  Simple polygons and disks live here, the radially
+parameterized balanced body in the balance module.  Bodies are immutable and
+prepare their derived geometry once; what is derived later is built on first
+use and kept on the body (``kept``): the normalized copy that the center
+search works on (``normalized``), a polygon's incenter and circumcenter, and
+the center search's seeds.  The module-level functions of the same names
+delegate to the methods; points are arrays of shape (2,), checked by
+``as_point`` once per public entry.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ __all__ = [
     "circumcenter", "incenter", "radial_function", "radial_function_many",
     "circle_clip", "maximal_folding", "unfolded_region",
     "halfplane_intersection", "boundary_polyline", "transformed",
-    "body_to_dict", "body_from_dict",
+    "body_to_dict", "body_from_dict", "kept",
 ]
 
 # Angular dedup tolerance for arc endpoints (intersection noise floor).
@@ -253,7 +256,7 @@ class Polygon:
                                                            self._tangents.T]))
         object.__setattr__(self, "_frame_points", np.hstack([arr.T, arr.T, nxt.T]))
         object.__setattr__(self, "_pieces", tuple(Segment(a, e) for a, e in zip(arr, edges)))
-        object.__setattr__(self, "_normal", None)      # ``normalized``, on first use
+        object.__setattr__(self, "_kept", {})          # ``kept``: built on first use
         object.__setattr__(self, "_convex", bool(np.all(crosses > 0)))
         object.__setattr__(self, "_diameter", _point_set_diameter(arr))
         a = 0.5 * float(np.sum(w))
@@ -286,6 +289,15 @@ class Polygon:
         frame = EdgeFrame(*self._frames(x), self._normals, self._tangents)
         return _located(float(_distance(frame.p, frame.s)), self._diameter,
                         lambda: _inside(frame.p, frame.s), frame)
+
+    def locate_many(self, pts) -> list:
+        """``locate`` for points (N, 2), from one edge frame about them all;
+        each point's view is its row of it."""
+        p, s = self._frames(np.asarray(pts, dtype=float).reshape(-1, 2))
+        dist, inside = _distance(p, s), _inside(p, s)
+        return [_located(float(d), self._diameter, lambda i=i: inside[i],
+                         EdgeFrame(p[i], s[i], self._normals, self._tangents))
+                for i, d in enumerate(dist)]
 
     def contains(self, p, tol: Optional[float] = None) -> bool:
         p = as_point(p)
@@ -455,14 +467,19 @@ class Polygon:
         return self._pieces
 
     def circumcenter(self) -> CircumCenter:
-        """The minimal enclosing disk of the vertices (Welzl)."""
-        c = _welzl(self.vertices)
-        return CircumCenter(np.array([c[0], c[1]]), c[2])
+        """The minimal enclosing disk of the vertices (Welzl); found on the
+        first call and kept (``_kept_center``)."""
+        def find():
+            c = _welzl(self.vertices)
+            return CircumCenter(np.array([c[0], c[1]]), c[2])
+        return _kept_center(self, "circumcenter", find)
 
     def incenter(self) -> InCenter:
         """The straight-skeleton wavefront when convex, grid search plus local
-        refinement otherwise."""
-        return _incenter_convex(self) if self._convex else _incenter_grid(self)
+        refinement otherwise; found on the first call and kept
+        (``_kept_center``)."""
+        return _kept_center(self, "incenter", lambda: _incenter_convex(self) if self._convex
+                            else _incenter_grid(self))
 
     def normalized(self):
         """``(body, shift, scale)``: this polygon with its centroid moved to
@@ -490,7 +507,7 @@ class Disk:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "_pieces", (CircleArc(c, r, 0.0, 2 * math.pi),))
-        object.__setattr__(self, "_normal", None)      # ``normalized``, on first use
+        object.__setattr__(self, "_kept", {})          # ``kept``: built on first use
 
     def area(self) -> float:
         return math.pi * self.radius ** 2
@@ -508,6 +525,11 @@ class Disk:
         """With the distance from ``x`` to the center, the view of the disk route."""
         d = math.hypot(x[0] - self.center[0], x[1] - self.center[1])
         return _located(abs(d - self.radius), 2.0 * self.radius, lambda: d <= self.radius, d)
+
+    def locate_many(self, pts) -> list:
+        """``locate`` for points (N, 2), one at a time: ``math.hypot`` keeps
+        the distances those of ``locate``, bit for bit."""
+        return [self.locate(x) for x in np.asarray(pts, dtype=float).reshape(-1, 2)]
 
     def contains(self, p, tol: Optional[float] = None) -> bool:
         p = as_point(p)
@@ -616,15 +638,37 @@ class Disk:
 Body = Union[Polygon, Disk, "RadialArcBody"]  # noqa: F821  (radial-arc lives in balance)
 
 
+def kept(body, name: str, build):
+    """What ``build()`` returns, built on the first call for ``body`` and
+    ``name`` and kept on the body: bodies are immutable, so what is derived
+    from one stays valid.  Whoever keeps an array makes it read-only."""
+    store = body._kept
+    if name not in store:
+        store[name] = build()
+    return store[name]
+
+
 def _normal_frame(body):
     """``body.normalized()`` of a polygon or a disk, kept on the body."""
-    if body._normal is None:
+    def build():
         shift = body.centroid()
         shift.setflags(write=False)
         s = 2.0 / body.diameter()
-        object.__setattr__(body, "_normal",
-                           (transformed(body, angle=0.0, shift=-shift * s, scale=s), shift, s))
-    return body._normal
+        return transformed(body, angle=0.0, shift=-shift * s, scale=s), shift, s
+    return kept(body, "normalized", build)
+
+
+def _kept_center(body, name: str, find):
+    """``find()``, a ``CircumCenter`` or an ``InCenter``, found on the first
+    call and kept with a read-only copy of its center; each call returns it
+    with a fresh copy, which the caller may change."""
+    def build():
+        c = find()
+        center = np.array(c.center, dtype=float)
+        center.setflags(write=False)
+        return c._replace(center=center)
+    c = kept(body, name, build)
+    return c._replace(center=c.center.copy())
 
 
 def _outline(arr: np.ndarray):

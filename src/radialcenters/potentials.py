@@ -10,13 +10,19 @@ Evaluation strategy: ``potential_jet`` is the one place where a point is
 routed.  It locates the point (``body.locate``), refuses it where the
 family's derivatives diverge on the boundary, and takes the body's route for
 that location; the families differ only in data that it reads
-(``_FAMILIES``), and the other public functions are views of it.  Off its
-boundary band a polygon names ``edges``: values, gradients and Hessians are
-closed-form sums over the edge frame that located the point (``edges``
-module); the jet computes the edges' flux once, for the first part that asks
-for it, and the Riesz value, a sum of the same bracket [G_alpha], is read off
-it.  A disk names ``disk`` there: all three are closed-form functions
-of the distance to its center (``disks`` module).
+(``_FAMILIES``), and the other public functions are views of it.
+``potential_jet_many`` takes a stack of points: it locates them in one call
+(``body.locate_many``), and the points on the edges route with a closed-form
+value share one stacked edge frame, so each part is one vectorized sum for
+them all, with each point's bits those of its own jet; every other point
+takes its own jet.
+
+Off its boundary band a polygon names ``edges``: values, gradients and
+Hessians are closed-form sums over the edge frame that located the point
+(``edges`` module); the jet computes the edges' flux once, for the first
+part that asks for it, and the Riesz value, a sum of the same bracket
+[G_alpha], is read off it.  A disk names ``disk`` there: all three are
+closed-form functions of the distance to its center (``disks`` module).
 In the boundary band of every body, and everywhere on the radially
 parameterized one, the route is ``pieces``: one-dimensional quadratures over
 the body's boundary pieces, each in its offset from the foot of the point.
@@ -44,8 +50,8 @@ import numpy as np
 from scipy.special import erf, erfc
 
 from . import disks, edges
-from .errors import BoundaryPoint
-from .geometry import as_point
+from .errors import BoundaryPoint, InvalidBody
+from .geometry import EdgeFrame, as_point
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_gk, fan_integral
 
 __all__ = [
@@ -57,7 +63,7 @@ __all__ = [
     "riesz_gradient", "riesz_gradient_boundary", "riesz_gradient_annulus",
     "poisson_value", "poisson_gradient", "heat_value", "heat_gradient",
     "potential", "potential_gradient", "potential_hessian",
-    "PotentialJet", "potential_jet", "refused_on_boundary",
+    "PotentialJet", "potential_jet", "potential_jet_many", "refused_on_boundary",
 ]
 
 
@@ -554,7 +560,55 @@ def potential_jet(body, x, spec: PotentialSpec, order: int,
     """
     x = as_point(x)
     fam, p = _family(spec)
-    loc, dist, view = body.locate(x)
+    return _jet(body, x, fam, p, order, cfg, body.locate(x))
+
+
+def potential_jet_many(body, points, spec: PotentialSpec, order: int,
+                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """``potential_jet`` at each of ``points`` (N, 2), as a list of jets.
+
+    The points are located in one call (``body.locate_many``).  Those on the
+    edges route whose value is in closed form share one stacked edge frame:
+    the first call of a part, on any of their jets, computes it for all of
+    them at once.  Every other point, and a stack of one, takes its own jet.
+    A point that ``potential_jet`` refuses gets a jet with its location and
+    distance whose parts raise that ``BoundaryPoint``.
+    """
+    fam, p = _family(spec)
+    if len(points) == 1:
+        x = as_point(points[0])
+        return [_jet_or_refused(body, x, fam, p, order, cfg, body.locate(x))]
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise InvalidBody(f"non-finite point among {points!r}")
+    located = body.locate_many(pts)
+    jets, shared = [], []
+    for x, at in zip(pts, located):
+        if body.route(at.location) == "edges" and fam.closed_value(p, at.location):
+            shared.append(len(jets))
+            jets.append(None)
+        else:
+            jets.append(_jet_or_refused(body, x, fam, p, order, cfg, at))
+    if shared:
+        for i, jet in zip(shared, _shared_edge_jets(fam, p, order, [located[i] for i in shared])):
+            jets[i] = jet
+    return jets
+
+
+def _jet_or_refused(body, x: np.ndarray, fam: "_Family", p: float, order: int, cfg,
+                    at) -> PotentialJet:
+    """``_jet``, or where it refuses the point, a jet whose parts raise."""
+    try:
+        return _jet(body, x, fam, p, order, cfg, at)
+    except BoundaryPoint as refusal:
+        def part(refusal=refusal):
+            raise refusal
+        return PotentialJet(fam.regime(p), at.location, at.distance, part, part, part)
+
+
+def _jet(body, x: np.ndarray, fam: "_Family", p: float, order: int, cfg, at) -> PotentialJet:
+    """``potential_jet`` at ``x``, located at ``at``."""
+    loc, dist, view = at
     # refusals grow with the order: a diverging value has no gradient either
     if loc == "boundary" and fam.refused(p, min(order, 1)):
         raise _refusal(min(order, 1))
@@ -582,6 +636,27 @@ def potential_jet(body, x, spec: PotentialSpec, order: int,
         parts = parts[:2] + (lambda: None,)
     return PotentialJet(fam.regime(p), loc, dist, parts[0], parts[1] if order else None,
                         parts[2] if order == 2 else None)
+
+
+def _shared_edge_jets(fam: "_Family", p: float, order: int, located: list) -> list:
+    """The jets of points off the boundary band on the edges route with a
+    closed-form value, from one stacked edge frame (``p`` (N, n), ``s``
+    (2, N, n)); each part is computed for all of them on its first call."""
+    first = located[0].view
+    frame = EdgeFrame(np.stack([at.view.p for at in located]),
+                      np.stack([at.view.s for at in located], axis=1),
+                      first.normals, first.tangents)
+    value, flux, moments = fam.edges
+    flux_once = _once(flux, frame, p)
+    values = _once(lambda: value(frame, p, flux_once()) if fam.value_reads_flux
+                   else value(frame, p))
+    gradients = _once(lambda: edges.gradient(frame, flux_once()))
+    hessians = _once(lambda: edges.hessian(frame, moments(frame, p)))
+    regime = fam.regime(p)
+    return [PotentialJet(regime, at.location, at.distance, lambda i=i: float(values()[i]),
+                         (lambda i=i: gradients()[i]) if order else None,
+                         (lambda i=i: hessians()[i]) if order == 2 else None)
+            for i, at in enumerate(located)]
 
 
 def _once(f, *args):

@@ -248,7 +248,13 @@ def test_ascent_classifies_at_most_two_points_per_iteration(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(centers, "potential_jet", counted("jets", centers.potential_jet))
+    jets_at = centers.potential_jet_many
+
+    def counted_jets(body, points, *args):
+        counts["jets"] += len(np.reshape(points, (-1, 2)))
+        return jets_at(body, points, *args)
+
+    monkeypatch.setattr(centers, "potential_jet_many", counted_jets)
     for name in ("locate", "boundary_distance", "boundary_distance_many", "contains",
                  "contains_many"):
         monkeypatch.setattr(Polygon, name, counted("measurements", getattr(Polygon, name)))
