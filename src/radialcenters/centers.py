@@ -42,6 +42,8 @@ __all__ = ["CenterResult", "LocusTrace", "LimitDiagnostics", "find_center",
 GRAD_TOL_REL = 1e-9
 MAX_ITERATIONS = 500
 INTERIOR_MARGIN_REL = 1e-6
+# a Newton step needs a Hessian whose largest eigenvalue lies below this
+NEGATIVE_DEFINITE_BELOW = -1e-300
 
 # tighter than the default so the convergence test is not noise-limited
 CENTER_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
@@ -198,7 +200,8 @@ def _ascend_all(body, spec: PotentialSpec, starts, cfg: Optional[QuadratureConfi
             moved.append(c)
     searching = []
     while moved or searching:
-        for c, direction in zip(moved, _newton_directions(moved)):
+        directions = _newton_directions([c.jet.hessian() for c in moved], [c.grad for c in moved])
+        for c, direction in zip(moved, directions):
             if direction is None or float(np.dot(c.grad, direction)) <= 0:
                 direction = c.grad / c.gnorm * min(0.2 * diam, c.gnorm)
             c.direction, c.slope = direction, float(np.dot(c.grad, direction))
@@ -236,47 +239,55 @@ def _ascend_all(body, spec: PotentialSpec, starts, cfg: Optional[QuadratureConfi
     return climbs
 
 
-def _newton_directions(climbs: list) -> list:
-    """``_newton_direction`` for each climb's iterate.  Two or more Hessians
-    go in one stacked ``eigvalsh`` and one stacked ``solve``, which take each
-    matrix on its own, so each direction has the bits of its own solve."""
-    if len(climbs) == 1:
-        return [_newton_direction(climbs[0].jet.hessian(), climbs[0].grad)]
-    hessians, grads = [c.jet.hessian() for c in climbs], [c.grad for c in climbs]
-    out = [None] * len(climbs)
-    live = [i for i, H in enumerate(hessians) if H is not None]
-    if not live:
-        return out
-    H = np.array([hessians[i] for i in live])
-    top = np.linalg.eigvalsh(H).max(axis=-1).tolist()
-    fit = [k for k, t in enumerate(top) if not t >= -1e-300]   # else not negative definite
-    if len(fit) < len(live):
-        H, live = H[fit], [live[k] for k in fit]
-    if live:
-        try:
-            solved = np.linalg.solve(H, -np.array([grads[i] for i in live])[..., None])[..., 0]
-        except np.linalg.LinAlgError:     # a singular one among them
-            solved = [_newton_direction(h, grads[i]) for h, i in zip(H, live)]
-        for i, d in zip(live, solved):
-            out[i] = d
-    return out
+def _negative_definite(top: float) -> bool:
+    """Whether a Hessian with largest eigenvalue ``top`` takes a Newton step."""
+    return not top >= NEGATIVE_DEFINITE_BELOW
 
 
 def _newton_direction(H: Optional[np.ndarray], grad) -> Optional[np.ndarray]:
     """Solve -H d = g with the exact Hessian of the iterate's jet.
 
-    Returns None, and so a gradient step, where the Hessian is not negative
-    definite or diverges (Riesz orders alpha <= 2 in the boundary band).
+    Returns None, and so a gradient step, where the Hessian diverges (Riesz
+    orders alpha <= 2 in the boundary band), is not negative definite
+    (``_negative_definite``) or is singular.
     """
-    if H is None:
-        return None
-    eig = np.linalg.eigvalsh(H)
-    if eig.max() >= -1e-300:        # not negative definite: reject
+    if H is None or not _negative_definite(np.linalg.eigvalsh(H).max()):
         return None
     try:
         return np.linalg.solve(H, -grad)
     except np.linalg.LinAlgError:
         return None
+
+
+def _newton_directions(hessians: list, grads: list) -> list:
+    """``_newton_direction`` for each of ``hessians`` with its gradient.
+
+    Two or more Hessians go in one stacked ``eigvalsh`` and one stacked
+    ``solve``, which take each matrix on its own, so each direction has the
+    bits of its own solve; where one of them is singular, each is solved
+    alone.  One Hessian takes ``_newton_direction`` itself: a stack of one
+    costs about 3 us more in ``eigvalsh`` and ``solve``.
+    """
+    if len(hessians) == 1:
+        return [_newton_direction(hessians[0], grads[0])]
+    out = [None] * len(hessians)
+    live = [i for i, H in enumerate(hessians) if H is not None]
+    if not live:
+        return out
+    H = np.array([hessians[i] for i in live])
+    top = np.linalg.eigvalsh(H).max(axis=-1).tolist()
+    fit = [k for k, t in enumerate(top) if _negative_definite(t)]
+    if len(fit) < len(live):
+        H, live = H[fit], [live[k] for k in fit]
+    if not live:
+        return out
+    try:
+        solved = np.linalg.solve(H, -np.array([grads[i] for i in live])[..., None])[..., 0]
+    except np.linalg.LinAlgError:     # a singular one among them
+        solved = [_newton_direction(h, grads[i]) for h, i in zip(H, live)]
+    for i, d in zip(live, solved):
+        out[i] = d
+    return out
 
 
 # ---------------------------------------------------------------------------

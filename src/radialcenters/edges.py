@@ -22,9 +22,11 @@ Those stay on quadrature.
 
 A frame may also be a stack of frames about N points, ``p`` of shape (N, n)
 and ``s`` of shape (2, N, n) (``potentials.potential_jet_many``).  Everything
-per edge is elementwise and runs on it unchanged; the sums over the edges are
-stacked products (``_edge_sum``), which give each point the bits of its own
-frame's sum, and a value becomes an array of N.
+per edge is elementwise and runs on it unchanged.  The sums over the edges
+are stacked matrix products over the last axes (``_edge_sum``, ``gradient``,
+``hessian``), one expression for a frame and a stack alike, which gives each
+point of a stack the bits of its own frame's sum; a value becomes an array
+of N.
 """
 
 from __future__ import annotations
@@ -39,12 +41,14 @@ __all__ = ["riesz_value", "riesz_flux", "riesz_moments", "poisson_value",
            "heat_moments", "gradient", "hessian"]
 
 
+def _per_point(total: np.ndarray):
+    """A sum over the edges: a float for one frame, an array for a stack."""
+    return float(total) if total.ndim == 0 else total
+
+
 def _edge_sum(a: np.ndarray, b: np.ndarray):
-    """sum a b over the edges: a float for one frame, an array per point for
-    a stack, each by the dot product that one frame takes."""
-    if a.ndim == 1:
-        return float(a @ b)
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """sum a b over the edges, by one stacked dot product per point."""
+    return _per_point((a[..., None, :] @ b[..., :, None])[..., 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +183,7 @@ def poisson_value(frame, h: float) -> float:
     q, s = np.abs(frame.p), frame.s
     Q2 = q * q + h * h
     a = np.arctan2(frame.p * s, Q2 + h * np.sqrt(Q2 + s * s))
-    total = np.sum(a[1] - a[0], axis=-1)
-    return (float(total) if total.ndim == 0 else total) / (2 * math.pi)
+    return _per_point(np.sum(a[1] - a[0], axis=-1)) / (2 * math.pi)
 
 
 def poisson_flux(frame, h: float) -> np.ndarray:
@@ -238,18 +241,12 @@ def heat_moments(frame, t: float):
 
 def gradient(frame, flux: np.ndarray) -> np.ndarray:
     """-sum n int k ds."""
-    if flux.ndim == 1:
-        return -(flux @ frame.normals)
-    return -(flux[:, None, :] @ frame.normals)[:, 0]
+    return -(flux[..., None, :] @ frame.normals)[..., 0, :]
 
 
 def hessian(frame, moments) -> np.ndarray:
     """sum (p int w ds n + int w s ds e) (x) n, symmetrized."""
     w0, w1 = moments
-    if w0.ndim == 1:
-        d = (frame.p * w0)[:, None] * frame.normals + w1[:, None] * frame.tangents
-        H = d.T @ frame.normals
-        return 0.5 * (H + H.T)
     d = (frame.p * w0)[..., None] * frame.normals + w1[..., None] * frame.tangents
-    H = np.swapaxes(d, 1, 2) @ frame.normals
-    return 0.5 * (H + np.swapaxes(H, 1, 2))
+    H = d.swapaxes(-1, -2) @ frame.normals
+    return 0.5 * (H + H.swapaxes(-1, -2))
