@@ -295,3 +295,41 @@ def test_riesz_jet_parts_equal_fresh_evaluations(name, alpha):
         assert jet.value() == value and np.array_equal(jet.gradient(), grad)
         jet = pot.potential_jet(body, x, spec, 2)
         assert np.array_equal(jet.gradient(), grad) and jet.value() == value
+
+
+# ---------------------------------------------------------------------------
+# each 2F1 of G_a only where its form is read, with the bits of the whole array's
+# ---------------------------------------------------------------------------
+
+def _g_parts_on_every_element(a, q, s):
+    """``edges._g_parts`` with both 2F1 forms taken over every element."""
+    from scipy.special import hyp2f1
+    sign = np.sign(s)
+    r2 = q * q + s * s
+    tail = -np.log(np.abs(s) + np.sqrt(r2)) if a == 1 else \
+        r2 ** ((a - 1) / 2) / (1 - a) * hyp2f1((1 - a) / 2, 0.5, (3 - a) / 2, q * q / r2)
+    head = np.abs(s) < q
+    if not head.any():
+        return sign, -sign * tail
+    qh, sh = np.where(head, q, 1.0), np.where(head, s, 0.0)
+    hv = np.arcsinh(sh / qh) if a == 1 else (qh * qh + sh * sh) ** (a / 2) * sh / (qh * qh) \
+        * hyp2f1(1.0, (a + 1) / 2, 1.5, -(sh / qh) ** 2)
+    return np.where(head, 0.0, sign), np.where(head, hv, -sign * tail)
+
+
+@pytest.mark.parametrize("name", SHARED_BRACKET_BODIES)
+def test_g_parts_equal_the_whole_array_forms_bit_for_bit(name):
+    body, _, _ = SHARED_BRACKET_BODIES[name]().normalized()
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 12):
+        pts = rng.uniform(-1.3, 1.3, (n, 2))
+        located = body.locate_many(pts)
+        p = np.stack([at.view.p for at in located])
+        s = np.stack([at.view.s for at in located], axis=1)       # a stack's (2, N, n)
+        frames = [(p[0], s[:, 0])] if n == 1 else [(p, s), (p[0], s[:, 0])]
+        for pp, ss in frames:
+            q = np.abs(pp)
+            for a in (-1.0, -0.5, 0.0, 0.5, 0.999, 1.0):
+                got, want = edges._g_parts(a, q, ss), _g_parts_on_every_element(a, q, ss)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
