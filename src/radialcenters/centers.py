@@ -7,12 +7,13 @@ regimes follow the concavity theory: order-``alpha`` potentials are
 strictly concave inside convex bodies for ``alpha <= 1`` and globally for
 ``alpha >= 3``; Poisson and heat potentials of convex bodies are
 strictly power-concave globally.  Everything else falls back to a
-deterministic multistart: twelve seeds ascended in lockstep, as one ascent
-over a stack of starts.  Each start keeps its own iterate, direction, step
-and endgame, and each round evaluates the pending trial points of all of
-them in one stacked jet (``potential_jet_many``) and solves their Newton
-systems in one stacked call, so every start takes the steps, and reaches
-the bits, that it would take alone; ``ascend`` is the one-start case.
+deterministic multistart: twelve seeds ascended in lockstep.  The ascent is
+written once, as a generator (``_ascent``) that asks for the jet at a point
+and for a Newton direction and is sent the answers.  ``ascend`` answers one
+ascent's requests one at a time; the multistart (``_ascend_all``) answers
+twelve at once, each round their Newton systems in one stacked call and
+their trial points in one stacked jet (``potential_jet_many``), so every
+start takes the steps, and reaches the bits, that it would take alone.
 
 Every search runs on the body's normal frame: its copy with the centroid at
 the origin and diameter 2, and the spec rescaled to it.  The body prepares
@@ -126,48 +127,33 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     family requires interior iterates, trial points must keep a relative
     margin of 1e-6 diameters inside the body; backtracking shrinks steps
     until they do.  One jet per evaluated point gives its location and the
-    parts of its value, gradient and Hessian that the ascent reads.  This is
-    the one-start case of ``_ascend_all``.
-    """
-    return _ascend_all(body, spec, [x0], cfg)[0].outcome()
-
-
-class _Climb:
-    """One start's ascent: its iterate ``x`` with the iterate's jet, value,
-    gradient and tolerance, and the line search under way from it.  It ends
-    with a ``result`` (point, value, grad_norm, iterations) or an ``error``."""
-
-    __slots__ = ("x", "jet", "val", "grad", "gnorm", "gtol", "iterations",
-                 "direction", "slope", "endgame", "k", "result", "error")
-
-    def __init__(self, x: np.ndarray):
-        self.x, self.iterations, self.result, self.error = x, 0, None, None
-
-    def stop(self):
-        self.result = (self.x, self.val, self.gnorm, self.iterations)
-
-    def outcome(self):
-        """The result, or raise the error."""
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-
-def _ascend_all(body, spec: PotentialSpec, starts, cfg: Optional[QuadratureConfig] = None):
-    """``ascend`` from each of ``starts`` in lockstep; returns one ``_Climb``
-    per start.
-
-    A round turns each start that has just moved (the Newton directions in
-    one stacked call, ``_newton_directions``) and then takes one line-search
-    trial for each start that is searching, with every trial point in one
-    stacked jet; a start whose trial fails halves its step for the next
-    round.  Each start reads exactly the parts that its own ascent reads, in
-    the same order, so it ends as it would alone.
+    parts of its value, gradient and Hessian that the ascent reads.  The
+    ascent is ``_ascent``, answered here one request at a time.
     """
     cfg = cfg or _family_cfg(spec)
-    # the potential diverges or loses differentiability at the boundary
-    keep_in = refused_on_boundary(spec, 1)
-    diam = diameter(body)
+    ascent = _ascent(as_point(x0).astype(float), cfg, refused_on_boundary(spec, 1), diameter(body))
+    ask = next(ascent)
+    try:
+        while True:
+            ask = ascent.send(potential_jet_many(body, [ask[1]], spec, 2, cfg)[0] if ask[0] is _JET
+                              else _newton_direction(ask[1], ask[2]))
+    except StopIteration as done:
+        return done.value
+
+
+# what an ascent asks for: the jet at a point, or the Newton direction of a
+# Hessian and gradient
+_JET, _NEWTON = "jet", "newton"
+
+
+def _ascent(x: np.ndarray, cfg: QuadratureConfig, keep_in: bool, diam: float):
+    """The ascent from ``x``, as a generator that yields what it needs and is
+    sent the answer: ``(_JET, point)`` for the jet at a point, ``(_NEWTON,
+    H, grad)`` for ``_newton_direction(H, grad)``.  It returns (point,
+    value, grad_norm, iterations), or raises ``NoInteriorSeed`` or
+    ``NonConvergence``.  ``keep_in``: the family refuses the boundary
+    (``refused_on_boundary``), so iterates keep a margin inside the body.
+    """
     margin = INTERIOR_MARGIN_REL * diam
 
     def allowed(jet) -> bool:
@@ -176,67 +162,86 @@ def _ascend_all(body, spec: PotentialSpec, starts, cfg: Optional[QuadratureConfi
         refuse."""
         return not keep_in or (jet.location == "interior" and jet.distance > margin)
 
-    def turn(c: _Climb) -> bool:
-        """After a move: stop, fail, or go on to the next iteration (True)."""
-        if c.gnorm < c.gtol:
-            c.stop()
-        elif c.iterations >= MAX_ITERATIONS:
-            c.error = NonConvergence(c.x, c.gnorm, c.iterations)
-        else:
-            c.iterations += 1
-            return True
-        return False
-
-    climbs = [_Climb(as_point(x0).astype(float)) for x0 in starts]
-    moved = []
-    for c, jet in zip(climbs, potential_jet_many(body, [c.x for c in climbs], spec, 2, cfg)):
-        if not allowed(jet):
-            c.error = NoInteriorSeed(f"infeasible start {c.x!r}")
-            continue
-        c.jet, c.val, c.grad = jet, jet.value(), jet.gradient()
-        c.gnorm = float(np.hypot(*c.grad))
-        c.gtol = GRAD_TOL_REL * max(abs(c.val), 1.0)
-        if turn(c):
-            moved.append(c)
-    searching = []
-    while moved or searching:
-        directions = _newton_directions([c.jet.hessian() for c in moved], [c.grad for c in moved])
-        for c, direction in zip(moved, directions):
-            if direction is None or float(np.dot(c.grad, direction)) <= 0:
-                direction = c.grad / c.gnorm * min(0.2 * diam, c.gnorm)
-            c.direction, c.slope = direction, float(np.dot(c.grad, direction))
-            # once the predicted gain drops below the value's resolution the
-            # sufficient-increase test only measures quadrature noise; accept
-            # steps on gradient-norm decrease instead (Newton endgame)
-            c.endgame = 1e-4 * c.slope <= _value_resolution(cfg, c.val)
-            c.k = 0
-            searching.append(c)
-        trials = [c.x + 0.5 ** c.k * c.direction for c in searching]
-        moved, waiting = [], []
-        for c, trial, there in zip(searching, trials,
-                                   potential_jet_many(body, trials, spec, 2, cfg)):
+    jet = yield _JET, x
+    if not allowed(jet):
+        raise NoInteriorSeed(f"infeasible start {x!r}")
+    val = jet.value()
+    gtol = GRAD_TOL_REL * max(abs(val), 1.0)
+    grad = jet.gradient()
+    gnorm = float(np.hypot(*grad))
+    iterations = 0
+    while iterations < MAX_ITERATIONS:
+        if gnorm < gtol:
+            return x, val, gnorm, iterations
+        iterations += 1
+        direction = yield _NEWTON, jet.hessian(), grad
+        if direction is None or float(np.dot(grad, direction)) <= 0:
+            direction = grad / gnorm * min(0.2 * diam, gnorm)
+        slope = float(np.dot(grad, direction))
+        # once the predicted gain drops below the value's resolution the
+        # sufficient-increase test only measures quadrature noise; accept
+        # steps on gradient-norm decrease instead (Newton endgame)
+        endgame = 1e-4 * slope <= _value_resolution(cfg, val)
+        for k in range(20 if endgame else 60):
+            step = 0.5 ** k
+            trial = x + step * direction
+            there = yield _JET, trial
             if allowed(there):
-                part = there.gradient() if c.endgame else there.value()
-                if (float(np.hypot(*part)) < c.gnorm if c.endgame
-                        else part >= c.val + 1e-4 * 0.5 ** c.k * c.slope):
-                    c.x, c.jet = trial, there
-                    c.val, c.grad = (there.value(), part) if c.endgame else (part, there.gradient())
-                    c.gnorm = float(np.hypot(*c.grad))
-                    if turn(c):
-                        moved.append(c)
-                    continue
-            c.k += 1
-            if c.k < (20 if c.endgame else 60):
-                waiting.append(c)
+                part = there.gradient() if endgame else there.value()
+                if (float(np.hypot(*part)) < gnorm if endgame
+                        else part >= val + 1e-4 * step * slope):
+                    break
+        else:
             # flat to resolution: a gradient floor (endgame) or step underflow
-            elif c.gnorm < max(c.gtol, (1e4 if c.endgame else 1e3) * cfg.abs_tol):
-                c.stop()
-            else:
-                c.error = NonConvergence(c.x, c.gnorm, c.iterations,
-                                         "gradient stagnated above tolerance" if c.endgame
-                                         else "line search stalled above gradient tolerance")
-        searching = waiting
-    return climbs
+            if gnorm < max(gtol, (1e4 if endgame else 1e3) * cfg.abs_tol):
+                return x, val, gnorm, iterations
+            raise NonConvergence(x, gnorm, iterations,
+                                 "gradient stagnated above tolerance" if endgame
+                                 else "line search stalled above gradient tolerance")
+        x, jet = trial, there
+        val, grad = (jet.value(), part) if endgame else (part, jet.gradient())
+        gnorm = float(np.hypot(*grad))
+    if gnorm < gtol:
+        return x, val, gnorm, iterations
+    raise NonConvergence(x, gnorm, iterations)
+
+
+def _ascend_all(body, spec: PotentialSpec, starts, cfg: Optional[QuadratureConfig] = None) -> list:
+    """``ascend`` from each of ``starts`` in lockstep: per start, a pair of
+    its (point, value, grad_norm, iterations) and None, or of None and the
+    ``NonConvergence`` that ended it.  A start outside raises
+    ``NoInteriorSeed``, as ``ascend`` does.
+
+    Each round first answers the ascents that ask for a Newton direction,
+    in one stacked call (``_newton_directions``); then every ascent asks for
+    the jet at its next trial point, and all of these are one stacked jet
+    (``potential_jet_many``).  Every ascent reads exactly what it would read
+    alone, so it ends as ``ascend`` from its start does.
+    """
+    cfg = cfg or _family_cfg(spec)
+    keep_in, diam = refused_on_boundary(spec, 1), diameter(body)
+    ascents = [_ascent(as_point(x0).astype(float), cfg, keep_in, diam) for x0 in starts]
+    asks = [next(a) for a in ascents]
+    ends = [None] * len(ascents)
+
+    def reply(those: list, answers):
+        for i, answer in zip(those, answers):
+            try:
+                asks[i] = ascents[i].send(answer)
+            except StopIteration as done:
+                ends[i] = done.value, None
+            except NonConvergence as exc:
+                ends[i] = None, exc
+
+    live = list(range(len(ascents)))
+    while live:
+        turning = [i for i in live if asks[i][0] is _NEWTON]
+        if turning:     # each then asks for its first trial point's jet
+            reply(turning, _newton_directions([asks[i][1] for i in turning],
+                                              [asks[i][2] for i in turning]))
+        reply(live, potential_jet_many(body, [asks[i][1] for i in live], spec, 2, cfg))
+        live = [i for i in live if ends[i] is None]
+    return ends
 
 
 def _negative_definite(top: float) -> bool:
@@ -376,12 +381,8 @@ def find_center(body, spec: PotentialSpec,
 
     if regime == "multistart":
         seeds = _kept_seeds(nbody)
-        cands = []
-        for climb in _ascend_all(nbody, nspec, seeds, cfg):
-            try:
-                cands.append(climb.outcome())
-            except NonConvergence:
-                continue
+        cands = [result for result, failed in _ascend_all(nbody, nspec, seeds, cfg)
+                 if failed is None]
         if not cands:
             raise NonConvergence(seeds[0], math.nan, MAX_ITERATIONS,
                                  "no seed converged")

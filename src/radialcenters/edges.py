@@ -63,15 +63,6 @@ def _g_limit(a: float, q: np.ndarray) -> np.ndarray:
         * q ** (a - 1)
 
 
-def _hyp2f1_at(mask: np.ndarray, a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
-    """hyp2f1(a, b, c, z) where ``mask`` holds and 0 elsewhere, computed only
-    there.  Each value is the one hyp2f1 gives that element alone (the
-    ufunc's own ``where=`` gave other values, with scipy 1.17)."""
-    out = np.zeros_like(z)
-    out[mask] = hyp2f1(a, b, c, z[mask])
-    return out
-
-
 def _g_parts(a: float, q: np.ndarray, s: np.ndarray):
     """G_a = c * _g_limit(a, q) + g for a <= 1.
 
@@ -80,20 +71,19 @@ def _g_parts(a: float, q: np.ndarray, s: np.ndarray):
     q^2/r^2) (for a = 1 the finite part -log(|s| + r)): finite at q = 0, and
     the divergent limit cancels exactly between two ends on the same side.
     Where |s| < q, c = 0 and g is the head integral in its Euler form
-    s r^a / q^2 2F1(1, (a + 1)/2; 3/2; -s^2/q^2).  Each 2F1 is computed only
-    where its form is read: the tail's is slowest near q^2/r^2 = 1, which
-    is where the head form is read instead.
+    s r^a / q^2 2F1(1, (a + 1)/2; 3/2; -s^2/q^2).  Each 2F1 is taken at 0,
+    where it returns at once, on the elements that read the other form: the
+    tail's is slowest near q^2/r^2 = 1, where the head's form is read.
     """
     sign = np.sign(s)
     r2 = q * q + s * s
     head = np.abs(s) < q
-    some_head = head.any()
     if a == 1:
         tail = -np.log(np.abs(s) + np.sqrt(r2))
     else:
-        f = (1 - a) / 2, 0.5, (3 - a) / 2, q * q / r2
-        tail = r2 ** ((a - 1) / 2) / (1 - a) * (_hyp2f1_at(~head, *f) if some_head else hyp2f1(*f))
-    if not some_head:
+        tail = r2 ** ((a - 1) / 2) / (1 - a) \
+            * hyp2f1((1 - a) / 2, 0.5, (3 - a) / 2, np.where(head, 0.0, q * q / r2))
+    if not head.any():
         return sign, -sign * tail
     qh = np.where(head, q, 1.0)
     sh = np.where(head, s, 0.0)
@@ -101,7 +91,7 @@ def _g_parts(a: float, q: np.ndarray, s: np.ndarray):
         hv = np.arcsinh(sh / qh)
     else:
         hv = (qh * qh + sh * sh) ** (a / 2) * sh / (qh * qh) \
-            * _hyp2f1_at(head, 1.0, (a + 1) / 2, 1.5, -(sh / qh) ** 2)
+            * hyp2f1(1.0, (a + 1) / 2, 1.5, -(sh / qh) ** 2)
     return np.where(head, 0.0, sign), np.where(head, hv, -sign * tail)
 
 

@@ -177,11 +177,18 @@ def _outcome(fn):
     return _r(point), repr(value), repr(gnorm), iterations
 
 
+def _raise_or_return(result, failed):
+    if failed is not None:
+        raise failed
+    return result
+
+
 def _lockstep_and_sequential(body, spec):
     norm = _normalize(body, spec)
     cfg = _family_cfg(spec)
     seeds = multistart_seeds(norm.body)
-    lockstep = [_outcome(c.outcome) for c in _ascend_all(norm.body, norm.spec, seeds, cfg)]
+    lockstep = [_outcome(lambda end=end: _raise_or_return(*end))
+                for end in _ascend_all(norm.body, norm.spec, seeds, cfg)]
     sequential = [_outcome(lambda s=s: ascend(norm.body, norm.spec, s, cfg)) for s in seeds]
     return lockstep, sequential
 
@@ -215,8 +222,8 @@ def test_lockstep_drops_the_seeds_that_do_not_converge(monkeypatch):
     assert 0 < len(failed) < len(lockstep)
     # the search reports one of the seeds that converged
     norm = _normalize(body, Riesz(0.5))
-    climbs = _ascend_all(norm.body, norm.spec, multistart_seeds(norm.body), _family_cfg(norm.spec))
-    converged = {_r(norm.to_original(c.result[0])) for c in climbs if c.error is None}
+    ends = _ascend_all(norm.body, norm.spec, multistart_seeds(norm.body), _family_cfg(norm.spec))
+    converged = {_r(norm.to_original(result[0])) for result, failed in ends if failed is None}
     assert _r(find_center(body, Riesz(0.5)).point) in converged
     monkeypatch.setattr(centers, "MAX_ITERATIONS", 0)
     with pytest.raises(NonConvergence, match="no seed converged"):
