@@ -133,12 +133,13 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     cfg = cfg or _family_cfg(spec)
     ascent = _ascent(as_point(x0).astype(float), cfg, refused_on_boundary(spec, 1), diameter(body))
     ask = next(ascent)
-    try:
-        while True:
-            ask = ascent.send(potential_jet_many(body, [ask[1]], spec, 2, cfg)[0] if ask[0] is _JET
-                              else _newton_direction(ask[1], ask[2]))
-    except StopIteration as done:
-        return done.value
+    while True:
+        answer = potential_jet_many(body, [ask[1]], spec, 2, cfg)[0] if ask[0] is _JET \
+            else _newton_direction(ask[1], ask[2])
+        try:
+            ask = ascent.send(answer)
+        except StopIteration as done:
+            return done.value
 
 
 # what an ascent asks for: the jet at a point, or the Newton direction of a
