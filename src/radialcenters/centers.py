@@ -9,11 +9,13 @@ strictly concave inside convex bodies for ``alpha <= 1`` and globally for
 strictly power-concave globally.  Everything else falls back to a
 deterministic multistart: twelve seeds ascended in lockstep.  The ascent is
 written once, as a generator (``_ascent``) that asks for the jet at a point
-and for a Newton direction and is sent the answers.  ``ascend`` answers one
-ascent's requests one at a time; the multistart (``_ascend_all``) answers
-twelve at once, each round their Newton systems in one stacked call and
-their trial points in one stacked jet (``potential_jet_many``), so every
-start takes the steps, and reaches the bits, that it would take alone.
+and for a Newton direction and is sent the answers.  A Newton direction is
+solved in closed form from the Hessian's three entries
+(``_newton_direction``), for one start and for many alike.  ``ascend``
+answers one ascent's requests one at a time; the multistart
+(``_ascend_all``) answers twelve at once, each round their trial points in
+one stacked jet (``potential_jet_many``), so every start takes the steps,
+and reaches the bits, that it would take alone.
 
 Every search runs on the body's normal frame: its copy with the centroid at
 the origin and diameter 2, and the spec rescaled to it.  The body prepares
@@ -21,11 +23,16 @@ that copy on first use and keeps it (``body.normalized``), so the searches of
 a multistart, a locus and the limit diagnostics on one body build it once.
 The multistart's seeds are kept on the normalized body in the same way
 (``geometry.kept``), with the incenter and circumcenter they start from.
+``find_center`` evaluates its point once more in the body's own frame;
+loci and the limit diagnostics read the normal frame's search
+(``_search``) directly, and report gradient norms in the body's frame by
+the gradient's scaling law.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,8 +40,8 @@ import numpy as np
 
 from .errors import NoInteriorSeed, NonConvergence
 from .geometry import as_point, centroid, circumcenter, diameter, incenter, is_convex, kept
-from .potentials import (PotentialSpec, Riesz, make_spec, potential_jet, potential_jet_many,
-                         refused_on_boundary, rescaled)
+from .potentials import (PotentialSpec, Riesz, degree, make_spec, potential_jet,
+                         potential_jet_many, refused_on_boundary, rescaled)
 from .quadrature import QuadratureConfig
 
 __all__ = ["CenterResult", "LocusTrace", "LimitDiagnostics", "find_center",
@@ -98,6 +105,15 @@ class _Normalized:
         """The same normalized body with ``spec`` rescaled to it."""
         return _Normalized(self.body, rescaled(spec, self.scale), self.shift, self.scale)
 
+    def to_original_gradient_norm(self, gnorm: float) -> float:
+        """A gradient norm of the normal frame in the body's: gradients scale
+        as s^(1 - degree) (``potentials.degree``); inf where that overflows."""
+        try:
+            factor = self.scale ** (1 - degree(self.spec))
+        except OverflowError:
+            return math.inf if gnorm else 0.0
+        return gnorm * factor
+
 
 def _normalize(body, spec: PotentialSpec) -> _Normalized:
     nbody, shift, s = body.normalized()
@@ -135,7 +151,7 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     ask = next(ascent)
     while True:
         answer = potential_jet_many(body, [ask[1]], spec, 2, cfg)[0] if ask[0] is _JET \
-            else _newton_direction(ask[1], ask[2])
+            else _newton_direction(*ask[1:])
         try:
             ask = ascent.send(answer)
         except StopIteration as done:
@@ -214,8 +230,8 @@ def _ascend_all(body, spec: PotentialSpec, starts, cfg: Optional[QuadratureConfi
     ``NoInteriorSeed``, as ``ascend`` does.
 
     Each round first answers the ascents that ask for a Newton direction,
-    in one stacked call (``_newton_directions``); then every ascent asks for
-    the jet at its next trial point, and all of these are one stacked jet
+    each with ``_newton_direction``; then every ascent asks for the jet at
+    its next trial point, and all of these are one stacked jet
     (``potential_jet_many``).  Every ascent reads exactly what it would read
     alone, so it ends as ``ascend`` from its start does.
     """
@@ -238,8 +254,7 @@ def _ascend_all(body, spec: PotentialSpec, starts, cfg: Optional[QuadratureConfi
     while live:
         turning = [i for i in live if asks[i][0] is _NEWTON]
         if turning:     # each then asks for its first trial point's jet
-            reply(turning, _newton_directions([asks[i][1] for i in turning],
-                                              [asks[i][2] for i in turning]))
+            reply(turning, [_newton_direction(*asks[i][1:]) for i in turning])
         reply(live, potential_jet_many(body, [asks[i][1] for i in live], spec, 2, cfg))
         live = [i for i in live if ends[i] is None]
     return ends
@@ -251,49 +266,30 @@ def _negative_definite(top: float) -> bool:
 
 
 def _newton_direction(H: Optional[np.ndarray], grad) -> Optional[np.ndarray]:
-    """Solve -H d = g with the exact Hessian of the iterate's jet.
+    """Solve -H d = g with the exact Hessian of the iterate's jet, in closed
+    form from H's lower triangle (a, b; b, c), as ``eigvalsh`` reads it: the
+    largest eigenvalue is (a + c)/2 + hypot((a - c)/2, b), and d comes by
+    Cramer's rule with det = ac - b^2.
 
     Returns None, and so a gradient step, where the Hessian diverges (Riesz
-    orders alpha <= 2 in the boundary band), is not negative definite
-    (``_negative_definite``) or is singular.
+    orders alpha <= 2 in the boundary band), is not finite, is not negative
+    definite (``_negative_definite``), or is singular to working precision:
+    its det is not a positive normal float.
     """
-    if H is None or not _negative_definite(np.linalg.eigvalsh(H).max()):
+    if H is None:
         return None
-    try:
-        return np.linalg.solve(H, -grad)
-    except np.linalg.LinAlgError:
+    (a, _), (b, c) = H.tolist()
+    top = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)     # nan or inf if H is not finite
+    if not (math.isfinite(top) and _negative_definite(top)):
         return None
-
-
-def _newton_directions(hessians: list, grads: list) -> list:
-    """``_newton_direction`` for each of ``hessians`` with its gradient.
-
-    Two or more Hessians go in one stacked ``eigvalsh`` and one stacked
-    ``solve``, which take each matrix on its own, so each direction has the
-    bits of its own solve; where one of them is singular, each is solved
-    alone.  One Hessian takes ``_newton_direction`` itself: a stack of one
-    costs about 3 us more in ``eigvalsh`` and ``solve``.
-    """
-    if len(hessians) == 1:
-        return [_newton_direction(hessians[0], grads[0])]
-    out = [None] * len(hessians)
-    live = [i for i, H in enumerate(hessians) if H is not None]
-    if not live:
-        return out
-    H = np.array([hessians[i] for i in live])
-    top = np.linalg.eigvalsh(H).max(axis=-1).tolist()
-    fit = [k for k, t in enumerate(top) if _negative_definite(t)]
-    if len(fit) < len(live):
-        H, live = H[fit], [live[k] for k in fit]
-    if not live:
-        return out
-    try:
-        solved = np.linalg.solve(H, -np.array([grads[i] for i in live])[..., None])[..., 0]
-    except np.linalg.LinAlgError:     # a singular one among them
-        solved = [_newton_direction(h, grads[i]) for h, i in zip(H, live)]
-    for i, d in zip(live, solved):
-        out[i] = d
-    return out
+    det = a * c - b * b
+    if not sys.float_info.min <= det < math.inf:
+        return None
+    g0, g1 = float(grad[0]), float(grad[1])
+    d0, d1 = (b * g1 - c * g0) / det, (b * g0 - a * g1) / det
+    if not (math.isfinite(d0) and math.isfinite(d1)):
+        return None
+    return np.array([d0, d1])
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +372,20 @@ def find_center(body, spec: PotentialSpec,
     the body's own frame.
     """
     cfg = cfg or _family_cfg(spec)
+    norm, (y, val, gnorm, iters), regime, unique = _search(body, spec, cfg)
+    point = norm.to_original(y)
+    if norm.body is not body or point.tobytes() != y.tobytes():
+        # the ascent's value and gradient are those of the normal frame, or of
+        # a point whose zeros changed sign (-0.0 + 0.0): evaluate at the point
+        final = potential_jet(body, point, spec, 1, cfg)
+        val, gnorm = final.value(), float(np.hypot(*final.gradient()))
+    return CenterResult(point, val, gnorm, iters, regime, unique)
+
+
+def _search(body, spec: PotentialSpec, cfg: QuadratureConfig):
+    """``find_center``'s search, on the body's normal frame: the frame, the
+    ascent's (point, value, grad_norm, iterations) in it, the regime, and
+    whether the maximum is unique."""
     norm = _normalize(body, spec)
     regime, unique = _regime(body, spec)
     nbody, nspec = norm.body, norm.spec
@@ -392,21 +402,13 @@ def find_center(body, spec: PotentialSpec,
         top = max(c[1] for c in cands)
         best = min((c for c in cands if c[1] >= top - _value_resolution(cfg, top)),
                    key=lambda c: c[2])
-        y, val, gnorm, iters = best
     else:
         try:
-            y, val, gnorm, iters = ascend(nbody, nspec, centroid(nbody), cfg)
+            best = ascend(nbody, nspec, centroid(nbody), cfg)
         except NoInteriorSeed:
             # the family keeps iterates inside, and the centroid is not
-            y, val, gnorm, iters = ascend(nbody, nspec, incenter(nbody).center, cfg)
-
-    point = norm.to_original(y)
-    if nbody is not body or point.tobytes() != y.tobytes():
-        # the ascent's value and gradient are those of the normal frame, or of
-        # a point whose zeros changed sign (-0.0 + 0.0): evaluate at the point
-        final = potential_jet(body, point, spec, 1, cfg)
-        val, gnorm = final.value(), float(np.hypot(*final.gradient()))
-    return CenterResult(point, val, gnorm, iters, regime, unique)
+            best = ascend(nbody, nspec, incenter(nbody).center, cfg)
+    return norm, best, regime, unique
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +422,9 @@ def trace_locus(body, family: str, param_range: tuple[float, float],
     Each center search starts from the previous center (predictor), corrected
     by the ascent; when a correction needs more than 20 iterations the
     parameter step is halved by inserting intermediate grid points (up to six
-    times per interval).
+    times per interval).  Every row's gradient norm is that of the body's own
+    frame, from the ascent's in the normal frame by the gradient's scaling
+    law (``_Normalized.to_original_gradient_norm``).
     """
     lo, hi = param_range
     if not (lo < hi):
@@ -430,9 +434,10 @@ def trace_locus(body, family: str, param_range: tuple[float, float],
     grid = [float(p) for p in (np.geomspace(lo, hi, n_steps) if lo > 0 else
                                np.linspace(lo, hi, n_steps))]
     spec = make_spec(family, grid[0])
-    first = find_center(body, spec, cfg or _family_cfg(spec))
-    rows = [(grid[0], first.point, first.grad_norm)]
-    rows += _walk(body, family, grid[0], first.point, grid[1:], cfg, refine=True)
+    norm, (y, _, gnorm, _), _, _ = _search(body, spec, cfg or _family_cfg(spec))
+    first = norm.to_original(y)
+    rows = [(grid[0], first, norm.to_original_gradient_norm(gnorm))]
+    rows += _walk(body, family, grid[0], first, grid[1:], cfg, refine=True)
     params, points, gnorms = zip(*rows)
     return LocusTrace(family, np.array(params), np.array(points), np.array(gnorms))
 
@@ -442,7 +447,8 @@ def _walk(body, family: str, param: float, point: np.ndarray, params,
     """Follow the center from ``point``, the center at ``param``, through ``params``.
 
     Each step ascends from the previous center; the body is normalized once
-    for the whole walk.  Returns ``(param, point, grad_norm)`` per step.  With
+    for the whole walk.  Returns ``(param, point, grad_norm)`` per step, the
+    gradient norm in the body's frame.  With
     ``refine``, a step whose ascent needs more than 20 iterations is retaken
     after first walking to the middle of its parameter interval (up to six
     nested halvings); those intermediate steps are returned too.
@@ -455,7 +461,7 @@ def _walk(body, family: str, param: float, point: np.ndarray, params,
         norm = frame.with_spec(spec)
         y, _, gn, iters = ascend(norm.body, norm.spec, norm.to_normalized(x),
                                  cfg or _family_cfg(spec))
-        return norm.to_original(y), gn, iters
+        return norm.to_original(y), norm.to_original_gradient_norm(gn), iters
 
     def step(q, depth=0):
         nonlocal param, point
@@ -533,7 +539,9 @@ def _continuation(body, family: str, params, anchor: float) -> list:
     Targets below and above the anchor are walked in two chains, each
     interval between consecutive targets in four geometric sub-steps.
     """
-    start = find_center(body, make_spec(family, anchor)).point
+    spec = make_spec(family, anchor)
+    norm, (y, _, _, _), _, _ = _search(body, spec, _family_cfg(spec))
+    start = norm.to_original(y)
     points = {anchor: start}
     for targets in (sorted((p for p in params if p < anchor), reverse=True),
                     sorted(p for p in params if p > anchor)):

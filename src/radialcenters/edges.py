@@ -13,12 +13,15 @@ With r = sqrt(q^2 + s^2), theta = atan2(s, q) and [f] = f(s_b) - f(s_a):
   d = x - y = -(p n + s e), where int w s ds = [k(r)].
 
 Everything Riesz reduces to G_a(q, s) = int_0^s (q^2 + u^2)^((a-2)/2) du
-(``_bracket``).  Poisson values are the triangles' solid angles (Van
-Oosterom & Strackee, IEEE TBME 30, 1983), heat values Owen's T function
-(Owen, Ann. Math. Statist. 27, 1956).  Riesz orders 0 and 2 have no value
-here (they need a log or a Clausen function); neither do Poisson and heat
-values outside the body, where the sector sum cancels in the far tail.
-Those stay on quadrature.
+(``_bracket``).  For a > 1 it is a ladder of rungs a - 2k, ..., a - 2, a;
+the Hessian's moments read [G_(a-2)] off the flux's own ladder
+(``riesz_ladder``), and the heat moments read the heat flux
+(``heat_ladder``), so a jet computes each once.  Poisson values are the
+triangles' solid angles (Van Oosterom & Strackee, IEEE TBME 30, 1983), heat
+values Owen's T function (Owen, Ann. Math. Statist. 27, 1956).  Riesz
+orders 0 and 2 have no value here (they need a log or a Clausen function);
+neither do Poisson and heat values outside the body, where the sector sum
+cancels in the far tail.  Those stay on quadrature.
 
 A frame may also be a stack of frames about N points, ``p`` of shape (N, n)
 and ``s`` of shape (2, N, n) (``potentials.potential_jet_many``).  Everything
@@ -36,8 +39,8 @@ import math
 import numpy as np
 from scipy.special import erfc, hyp2f1, owens_t
 
-__all__ = ["riesz_value", "riesz_flux", "riesz_moments", "poisson_value",
-           "poisson_flux", "poisson_moments", "heat_value", "heat_flux",
+__all__ = ["riesz_value", "riesz_flux", "riesz_ladder", "riesz_moments", "poisson_value",
+           "poisson_flux", "poisson_moments", "heat_value", "heat_flux", "heat_ladder",
            "heat_moments", "gradient", "hessian"]
 
 
@@ -95,46 +98,66 @@ def _g_parts(a: float, q: np.ndarray, s: np.ndarray):
     return np.where(head, 0.0, sign), np.where(head, hv, -sign * tail)
 
 
-def _g_recurrence(a: float, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _parts_bracket(a: float, q: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """[G_a] per edge from ``_g_parts(a, q, s)`` for a <= 1."""
+    jump = c[1] - c[0]
+    if jump.any():
+        # the limit where it counts, which has q > 0; elsewhere q may be 0
+        return g[1] - g[0] + jump * _g_limit(a, np.where(jump != 0, q, 1.0))
+    return g[1] - g[0]
+
+
+def _g_recurrence(a: float, q: np.ndarray, s: np.ndarray):
     """G_a for a > 1, upward from b = a - 2k in (-1, 1] by
     (b + 1) G_(b+2) = s r^b + b q^2 G_b, which damps errors by q^2 / r^2 a step
-    and keeps every factor representable at large orders."""
+    and keeps every factor representable at large orders.
+
+    Returns G_a and a function of no arguments that returns [G_(a-2)], the
+    bracket of the rung below: the last rung of the same recurrence from
+    a - 2 when k >= 2, and built from the same ``_g_parts(b)`` when k = 1,
+    each bit as ``_bracket(a - 2)`` gives it."""
     k = math.ceil((a - 1) / 2)
-    b = a - 2 * k
+    base = b = a - 2 * k
     c, g = _g_parts(b, q, s)
     q2 = q * q
     # q^2 G_b; the divergent part vanishes with q (q^(b+1), or q^2 log q)
     q2g = q2 * (g + c * _g_limit(b, q + (q == 0)))
     r2 = q2 + s * s
     rb = r2 ** (b / 2)
-    G = (s * rb + b * q2g) / (b + 1)
+    G, prev = (s * rb + b * q2g) / (b + 1), None
     for _ in range(k - 1):
         b += 2
         rb = rb * r2
-        G = (s * rb + b * q2 * G) / (b + 1)
-    return G
+        G, prev = (s * rb + b * q2 * G) / (b + 1), G
+    if prev is None:
+        return G, lambda: _parts_bracket(base, q, c, g)
+    return G, lambda: prev[1] - prev[0]
 
 
-def _bracket(a: float, q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """[G_a] per edge; ``s`` has the rows s_a and s_b.
+def _brackets(a: float, q: np.ndarray, s: np.ndarray):
+    """[G_a] per edge, and for a > 1 a function of no arguments that returns
+    [G_(a-2)] from the same ladder (else None); ``s`` has the rows s_a and
+    s_b.
 
     At odd orders a >= 1 the tail has a log; at a distance delta from one
     the split into limit and tail, or the recurrence step, cancels to about
     1e-16 / delta relative.  Orders within 1e-8 of an odd one are taken as
-    it, which bounds the loss by a few times 1e-8.
+    it, which bounds the loss by a few times 1e-8.  a - 2 is then within
+    1e-8 of the odd order below, and is taken as it too.
     """
     odd = 2 * round((a - 1) / 2) + 1
     if odd >= 1 and abs(a - odd) < 1e-8:
         a = float(odd)
     if a > 1:
-        G = _g_recurrence(a, q, s)
-        return G[1] - G[0]
+        G, below = _g_recurrence(a, q, s)
+        return G[1] - G[0], below
     c, g = _g_parts(a, q, s)
-    jump = c[1] - c[0]
-    if jump.any():
-        # the limit where it counts, which has q > 0; elsewhere q may be 0
-        return g[1] - g[0] + jump * _g_limit(a, np.where(jump != 0, q, 1.0))
-    return g[1] - g[0]
+    return _parts_bracket(a, q, c, g), None
+
+
+def _bracket(a: float, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[G_a] per edge (``_brackets``)."""
+    return _brackets(a, q, s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -154,23 +177,34 @@ def riesz_value(frame, alpha: float, flux=None) -> float:
 
 def riesz_flux(frame, alpha: float) -> np.ndarray:
     """int k ds per edge."""
+    return riesz_ladder(frame, alpha)[0]
+
+
+def riesz_ladder(frame, alpha: float):
+    """``riesz_flux`` and what ``riesz_moments`` reads of its computation: a
+    function of no arguments that returns [G_(alpha - 2)], a rung of the
+    flux's own ladder (``_brackets``), or None where the flux has none
+    (alpha <= 1, and alpha = 2)."""
     q, s = np.abs(frame.p), frame.s
     if alpha == 2:
         r = np.hypot(q, s)
         f = s * np.log(r) - s + q * np.arctan2(s, q)
-        return f[0] - f[1]
-    return math.copysign(1.0, 2 - alpha) * _bracket(alpha, q, s)
+        return f[0] - f[1], None
+    g, below = _brackets(alpha, q, s)
+    return math.copysign(1.0, 2 - alpha) * g, below
 
 
-def riesz_moments(frame, alpha: float):
-    """int w ds and int w s ds per edge, w = k'(r) / r."""
+def riesz_moments(frame, alpha: float, below=None):
+    """int w ds and int w s ds per edge, w = k'(r) / r.  Given ``below`` from
+    ``riesz_ladder``, [G_(alpha - 2)] is read off the flux's ladder instead
+    of computed again."""
     q, s = np.abs(frame.p), frame.s
     r2 = q * q + s * s
     if alpha == 2:
         return -_bracket(0.0, q, s), -0.5 * (np.log(r2[1]) - np.log(r2[0]))
     k = r2 ** (0.5 * (alpha - 2))
-    return -abs(alpha - 2) * _bracket(alpha - 2, q, s), \
-        math.copysign(1.0, 2 - alpha) * (k[1] - k[0])
+    g = _bracket(alpha - 2, q, s) if below is None else below()
+    return -abs(alpha - 2) * g, math.copysign(1.0, 2 - alpha) * (k[1] - k[0])
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +266,20 @@ def heat_flux(frame, t: float) -> np.ndarray:
         / (4 * math.sqrt(math.pi * t))
 
 
-def heat_moments(frame, t: float):
+def heat_ladder(frame, t: float):
+    """``heat_flux``, twice: it is also what ``heat_moments`` reads."""
+    flux = heat_flux(frame, t)
+    return flux, flux
+
+
+def heat_moments(frame, t: float, flux=None):
+    """int w ds and int w s ds per edge; int w ds is -flux / 2t, read off the
+    edges' ``flux`` when given."""
     q, s = np.abs(frame.p), frame.s
     k = np.exp(-(q * q + s * s) / (4 * t))
-    return -heat_flux(frame, t) / (2 * t), (k[1] - k[0]) / (4 * math.pi * t)
+    if flux is None:
+        flux = heat_flux(frame, t)
+    return -flux / (2 * t), (k[1] - k[0]) / (4 * math.pi * t)
 
 
 # ---------------------------------------------------------------------------

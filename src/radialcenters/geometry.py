@@ -1084,24 +1084,31 @@ def halfplane_intersection(normals, offsets, seed_polygon) -> Optional[np.ndarra
     """Clip ``seed_polygon`` by every half-plane {x : n . x <= b}.
 
     Returns the vertices of the (convex) intersection, or None when empty.
+    Each clip keeps, in order, every vertex p with n . p - b <= 0 and, after
+    it, the point where the edge to the next vertex crosses the line.  The
+    vertices' values n . p are one stacked (m, 1, 2) @ (2, 1) product, which
+    gives each the bits of its own ``np.dot``.
     """
-    pts = [np.asarray(p, dtype=float) for p in seed_polygon]
+    pts = np.array(seed_polygon, dtype=float).reshape(-1, 2)      # a copy: it may be returned
     for nvec, b in zip(np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)):
-        if not pts:
+        if not len(pts):
             return None
-        out = []
-        m = len(pts)
-        vals = [float(np.dot(nvec, p)) - b for p in pts]
-        for i in range(m):
-            p, q = pts[i], pts[(i + 1) % m]
-            vp, vq = vals[i], vals[(i + 1) % m]
-            if vp <= 0:
-                out.append(p)
-            if (vp < 0 < vq) or (vq < 0 < vp):
-                t = vp / (vp - vq)
-                out.append(p + t * (q - p))
-        pts = out
-    return np.asarray(pts) if pts else None
+        vals = (pts[:, None, :] @ nvec[:, None])[:, 0, 0] - b
+        side = np.sign(vals)
+        if not (side > 0).any():        # every vertex kept, no edge crossing
+            continue
+        # each vertex, then its edge's crossing, where there is one
+        both = np.empty((len(pts), 2, 2))
+        mask = np.empty((len(pts), 2), dtype=bool)
+        both[:, 0], mask[:, 0] = pts, side <= 0
+        mask[:-1, 1] = side[:-1] * side[1:] < 0
+        mask[-1, 1] = side[-1] * side[0] < 0
+        i = mask[:, 1].nonzero()[0]
+        j = (i + 1) % len(pts)
+        t = vals[i] / (vals[i] - vals[j])
+        both[i, 1] = pts[i] + t[:, None] * (pts[j] - pts[i])
+        pts = both[mask]
+    return pts if len(pts) else None
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,19 @@ Off its boundary band a polygon names ``edges``: values, gradients and
 Hessians are closed-form sums over the edge frame that located the point
 (``edges`` module); the jet computes the edges' flux once, for the first
 part that asks for it, and the Riesz value, a sum of the same bracket
-[G_alpha], is read off it.  A disk names ``disk`` there: all three are
-closed-form functions of the distance to its center (``disks`` module).
-In the boundary band of every body, and everywhere on the radially
-parameterized one, the route is ``pieces``: one-dimensional quadratures over
-the body's boundary pieces, each in its offset from the foot of the point.
-Seen from x, a boundary point y subtends d theta = (y - x).n ds / |y - x|^2,
-so the value and gradient are angular integrals of exact radial
-antiderivatives, which absorb the singularity (if any), and the Hessian is
-``-int over the boundary of d_i K(x - y) n_j ds``.
+[G_alpha], is read off it, as are the Hessian's moments where they read the
+flux's computation (``_Family.ladder``: a rung of the Riesz ladder, the
+heat flux itself).  A disk names ``disk`` there: all three are closed-form
+functions of the distance to its center (``disks`` module).  In the
+boundary band of every body, and everywhere on the radially parameterized
+one, the route is ``pieces``: one-dimensional quadratures over the body's
+boundary pieces, each in its offset from the foot of the point.  Seen from
+x, a boundary point y subtends d theta = (y - x).n ds / |y - x|^2, so the
+value and gradient are angular integrals of exact radial antiderivatives,
+which absorb the singularity (if any), and the Hessian is
+``-int over the boundary of d_i K(x - y) n_j ds``.  A jet prepares the
+pieces about its point once (``_boundary_nodes``), and its parts share the
+nodes of the panels they have in common.
 
 The polygon values that have no closed form here, Riesz orders 0 and 2 (a
 log or a Clausen function) and Poisson and heat values outside the body (the
@@ -56,7 +60,7 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_gk, fan_integ
 
 __all__ = [
     "Riesz", "Poisson", "Heat", "PotentialSpec", "PotentialValue",
-    "FAMILY_NAMES", "make_spec", "rescaled",
+    "FAMILY_NAMES", "make_spec", "rescaled", "degree",
     "sphere_area", "poisson_kernel", "poisson_kernel_gauss_integral",
     "weierstrass_kernel",
     "riesz_value", "riesz_value_finite_part_eps", "riesz_value_complement",
@@ -222,20 +226,21 @@ def _heat_grad_profile(t: float, loc: str):
 # the pieces route
 # ---------------------------------------------------------------------------
 
-def _piece_integral(body, x: np.ndarray, profile, cfg, vector: bool):
+def _piece_integral(body, x: np.ndarray, profile, cfg, vector: bool, nodes=None):
     """The angular integral of ``profile(rho)`` over the body's boundary
     pieces: seen from x, a boundary point y subtends d theta = (y - x).n ds /
     |y - x|^2, so the integral is that of profile(|y - x|) (y - x).n / |y - x|^2
     in ds, and with ``vector`` of the same weighted by (y - x) / |y - x|.
     About a point that sees the whole body this is the angular route; about
-    any other, the signed sum of the chords that a ray crosses."""
+    any other, the signed sum of the chords that a ray crosses.  ``nodes``:
+    the pieces prepared about x (``_boundary_nodes``), or None."""
     def integrand(d, n_ds):           # d = x - y
         r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         r = np.sqrt(r2)
         w = -np.asarray(profile(r)) * (d[:, 0] * n_ds[:, 0] + d[:, 1] * n_ds[:, 1]) / r2
         return (-d / r[:, None]) * w[:, None] if vector else w
 
-    total = _boundary_integral(body, x, integrand, cfg)
+    total = _boundary_integral(body, x, integrand, cfg, nodes)
     return total if vector else float(total)
 
 
@@ -368,16 +373,42 @@ def riesz_gradient_boundary(body, x, alpha: float,
     return pref * _boundary_integral(body, x, integrand, cfg)
 
 
-def _boundary_integral(body, x: np.ndarray, integrand, cfg: QuadratureConfig) -> np.ndarray:
+def _boundary_integral(body, x: np.ndarray, integrand, cfg: QuadratureConfig,
+                       nodes=None) -> np.ndarray:
     """Sum over the body's boundary pieces of the integral of
     ``integrand(x - y, n_ds)`` in the piece parameter, with ``n_ds`` the
-    outward normal scaled by |dy/dt|.  Each piece is integrated in the
-    offset s = t - foot from the foot of ``x``, where the kernel peaks when
-    ``x`` is near the boundary, and x - y is formed as
-    (x - y(foot)) - (y - y(foot)) with the piece's ``chord`` of s.  Formed
-    from the absolute parameter instead, s and x - y would carry a rounding
-    of one ulp of t and of the body's size, which near the boundary swamps
-    the tolerance and sends the quadrature bisecting rounding noise.
+    outward normal scaled by |dy/dt|, over the pieces prepared about x
+    (``nodes``, from ``_boundary_nodes``; prepared here when None).
+
+    The (x - y, n_ds) pairs at each panel's nodes are kept on ``nodes``,
+    keyed by the nodes, so the integrals about one point that reach the same
+    panel compute them once; an integrand must not write to them.
+    """
+    total = 0.0
+    for piece, foot, gap, breaks, kept in nodes or _boundary_nodes(body, x):
+        def f(s, piece=piece, foot=foot, gap=gap, kept=kept):
+            key = s.tobytes()
+            if key not in kept:
+                kept[key] = gap - piece.chord(s, foot), piece.curve(foot + s)[1]
+            return integrand(*kept[key])
+
+        val, _ = adaptive_gk(f, breaks, cfg)
+        total = total + np.asarray(val)
+    return total
+
+
+def _boundary_nodes(body, x: np.ndarray) -> list:
+    """The body's boundary pieces seen from ``x``, prepared once for every
+    integral about it: per piece, the foot of x, the gap x - y(foot), the
+    panels' breakpoints, and a store for the nodes of its panels.
+
+    Each piece is integrated in the offset s = t - foot from the foot of
+    ``x``, where the kernel peaks when ``x`` is near the boundary, and x - y
+    is formed as (x - y(foot)) - (y - y(foot)) with the piece's ``chord`` of
+    s.  Formed from the absolute parameter instead, s and x - y would carry
+    a rounding of one ulp of t and of the body's size, which near the
+    boundary swamps the tolerance and sends the quadrature bisecting
+    rounding noise.
 
     The peak is about w = |x - y(foot)| / |dy/dt| wide in s, and on a curved
     piece it sits on a smooth background that hides it from the quadrature
@@ -385,24 +416,19 @@ def _boundary_integral(body, x: np.ndarray, integrand, cfg: QuadratureConfig) ->
     s = +-L 4^-j (j >= 1, L the larger of the piece's two sides of the foot)
     down to w.
     """
-    total = 0.0
+    out = []
     for piece in body.boundary_pieces():
         foot = piece.nearest(x)
         y, n_ds = piece.curve(np.array([foot]))
         gap = x - y[0]
-
-        def f(s, piece=piece, foot=foot, gap=gap):
-            return integrand(gap - piece.chord(s, foot), piece.curve(foot + s)[1])
-
         lo, hi = piece.t0 - foot, piece.t1 - foot
         w = math.hypot(gap[0], gap[1]) / math.hypot(n_ds[0, 0], n_ds[0, 1])
         breaks, g = [lo, 0.0, hi], 0.25 * max(-lo, hi)
         while g > w > 0:
             breaks += [s for s in (-g, g) if lo < s < hi]
             g *= 0.25
-        val, _ = adaptive_gk(f, breaks, cfg)
-        total = total + np.asarray(val)
-    return total
+        out.append((piece, foot, gap, breaks, {}))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +492,10 @@ class _Family(NamedTuple):
     refused: Callable = lambda p, k: False    # (p, k) -> order k diverges on the boundary
     closed_value: Callable = lambda p, loc: loc == "interior"   # on the edges route
     value_reads_flux: bool = False   # the edges value takes the flux: value(frame, p, flux)
+    # (frame, p) -> the edges' flux and what their moments read of its
+    # computation, passed to them last; None where they read nothing of it
+    ladder: Optional[Callable] = None
+    degree: Callable = lambda p: 0.0  # p -> V scales as a length to this power
 
 
 _FAMILIES = {
@@ -478,8 +508,11 @@ _FAMILIES = {
         # has a bounded Hessian for alpha > 2
         refused=lambda a, k: a <= k,
         closed_value=lambda a, loc: a not in (0, 2),
-        # the value and the flux are sums of the same bracket [G_alpha]
-        value_reads_flux=True),
+        # the value and the flux are sums of the same bracket [G_alpha], and
+        # the moments' [G_(alpha - 2)] is a rung of its ladder
+        value_reads_flux=True, ladder=edges.riesz_ladder,
+        # up to a constant at alpha in {0, 2}
+        degree=lambda a: a),
     Poisson: _Family(
         "poisson", "h", 1, lambda h: "poisson", _poisson_profile, _poisson_grad_profile,
         _poisson_hessian_kernel, (edges.poisson_value, edges.poisson_flux, edges.poisson_moments),
@@ -487,7 +520,7 @@ _FAMILIES = {
     Heat: _Family(
         "heat", "t", 2, lambda t: "heat", _heat_profile, _heat_grad_profile,
         _heat_hessian_kernel, (edges.heat_value, edges.heat_flux, edges.heat_moments),
-        (disks.heat_value, disks.heat_slope, disks.heat_curvature)),
+        (disks.heat_value, disks.heat_slope, disks.heat_curvature), ladder=edges.heat_ladder),
 }
 
 FAMILY_NAMES = tuple(fam.name for fam in _FAMILIES.values())
@@ -516,6 +549,15 @@ def rescaled(spec: PotentialSpec, s: float) -> PotentialSpec:
     for _ in range(fam.length_power):
         p = p * s
     return type(spec)(p)
+
+
+def degree(spec: PotentialSpec) -> float:
+    """The potential's degree in length: on the body scaled by s, with the
+    spec ``rescaled`` to it, the value is s^degree times the body's (up to a
+    constant, at Riesz orders 0 and 2) and the gradient s^(degree - 1)
+    times.  It is alpha for Riesz and 0 for Poisson and heat."""
+    fam, p = _family(spec)
+    return fam.degree(p)
 
 
 def refused_on_boundary(spec: PotentialSpec, order: int) -> bool:
@@ -614,16 +656,10 @@ def _jet(body, x: np.ndarray, fam: "_Family", p: float, order: int, cfg, at) -> 
         raise _refusal(min(order, 1))
     route = body.route(loc)
     if route == "edges":
-        value, flux, moments = fam.edges
-        flux_once = _once(flux, view, p)        # serves the gradient, and the value if it reads it
+        parts = _edge_parts(fam, p, view)
         if not fam.closed_value(p, loc):
-            value_part = lambda: fam.scales(p)[0] * fan_integral(body, x, fam.profile(p, loc), cfg)
-        elif fam.value_reads_flux:
-            value_part = lambda: value(view, p, flux_once())
-        else:
-            value_part = lambda: value(view, p)
-        parts = (value_part, lambda: edges.gradient(view, flux_once()),
-                 lambda: edges.hessian(view, moments(view, p)))
+            parts = (lambda: fam.scales(p)[0] * fan_integral(body, x, fam.profile(p, loc), cfg),
+                     ) + parts[1:]
     elif route == "disk":
         delta, R, d = x - body.center, body.radius, view
         value, slope, curvature = fam.disks
@@ -646,17 +682,30 @@ def _shared_edge_jets(fam: "_Family", p: float, order: int, located: list) -> li
     frame = EdgeFrame(np.stack([at.view.p for at in located]),
                       np.stack([at.view.s for at in located], axis=1),
                       first.normals, first.tangents)
-    value, flux, moments = fam.edges
-    flux_once = _once(flux, frame, p)
-    values = _once(lambda: value(frame, p, flux_once()) if fam.value_reads_flux
-                   else value(frame, p))
-    gradients = _once(lambda: edges.gradient(frame, flux_once()))
-    hessians = _once(lambda: edges.hessian(frame, moments(frame, p)))
+    values, gradients, hessians = map(_once, _edge_parts(fam, p, frame))
     regime = fam.regime(p)
     return [PotentialJet(regime, at.location, at.distance, lambda i=i: float(values()[i]),
                          (lambda i=i: gradients()[i]) if order else None,
                          (lambda i=i: hessians()[i]) if order == 2 else None)
             for i, at in enumerate(located)]
+
+
+def _edge_parts(fam: "_Family", p: float, frame) -> tuple:
+    """The closed-form value, gradient and Hessian on an edge frame, or on a
+    stack of them.  The edges' flux is computed once, by the first part that
+    reads it: the gradient, the value where it reads the flux, and the
+    Hessian where its moments read the flux's ladder (``fam.ladder``)."""
+    value, flux, moments = fam.edges
+    ladder = _once(fam.ladder or (lambda frame, p: (flux(frame, p), None)), frame, p)
+    if fam.value_reads_flux:
+        value_part = lambda: value(frame, p, ladder()[0])
+    else:
+        value_part = lambda: value(frame, p)
+    if fam.ladder is None:
+        hessian = lambda: edges.hessian(frame, moments(frame, p))
+    else:
+        hessian = lambda: edges.hessian(frame, moments(frame, p, ladder()[1]))
+    return value_part, lambda: edges.gradient(frame, ladder()[0]), hessian
 
 
 def _once(f, *args):
@@ -674,14 +723,17 @@ def _once(f, *args):
 def _piece_parts(body, x, fam: _Family, p: float, loc: str, cfg):
     """The ``pieces`` route: the value and gradient as volume forms over the
     boundary pieces (``_piece_integral``), and the Hessian as
-    ``-int over the boundary of d_i K(x - y) n_j ds``."""
+    ``-int over the boundary of d_i K(x - y) n_j ds``.  The pieces are
+    prepared about x once, by the first part called, and the parts share
+    the nodes of the panels they have in common."""
     sign, scale = fam.scales(p)
+    nodes = _once(_boundary_nodes, body, x)
 
     def value():
-        return sign * _piece_integral(body, x, fam.profile(p, loc), cfg, False)
+        return sign * _piece_integral(body, x, fam.profile(p, loc), cfg, False, nodes())
 
     def gradient():
-        return scale * _piece_integral(body, x, fam.gradient_profile(p, loc), cfg, True)
+        return scale * _piece_integral(body, x, fam.gradient_profile(p, loc), cfg, True, nodes())
 
     def hessian():
         dk = fam.hessian_kernel(p)
@@ -690,7 +742,7 @@ def _piece_parts(body, x, fam: _Family, p: float, loc: str, cfg):
             w = dk(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
             return (w[:, None, None] * d[:, :, None] * n_ds[:, None, :]).reshape(-1, 4)
 
-        H = -_boundary_integral(body, x, integrand, cfg).reshape(2, 2)
+        H = -_boundary_integral(body, x, integrand, cfg, nodes()).reshape(2, 2)
         return 0.5 * (H + H.T)
 
     return value, gradient, hessian

@@ -12,9 +12,9 @@ from radialcenters.centers import (ascend, find_center, limit_diagnostics,
 from radialcenters.geometry import (Disk, Polygon, centroid, circumcenter, contains,
                                     convex_hull, diameter, incenter, transformed,
                                     unfolded_region)
-from radialcenters.potentials import Heat, Poisson, Riesz
+from radialcenters.potentials import Heat, Poisson, Riesz, make_spec, potential_gradient
 
-from conftest import make_square, make_tri345, random_convex_polygon
+from conftest import interior_points, make_square, make_tri345, random_convex_polygon
 
 
 def test_symmetric_bodies_center_at_symmetry_point():
@@ -337,3 +337,39 @@ def test_a_searched_body_answers_as_a_fresh_one(spec):
         for other in (Riesz(4.0), Heat(1.0), spec):
             find_center(body, other)
         assert _same_center(find_center(body, spec), find_center(make(), spec))
+
+
+# ---------------------------------------------------------------------------
+# gradient norms in the body's frame
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [Riesz(-1.0), Riesz(0.5), Riesz(1.5), Riesz(4.0), Riesz(10.0),
+                                  Poisson(0.7), Heat(0.4)], ids=repr)
+def test_gradient_norm_scaling_law(spec):
+    """On the normal frame (the body scaled by s, the spec rescaled to it) a
+    gradient is s^(1 - degree) times smaller: s^(1 - alpha) for Riesz, s for
+    Poisson and heat."""
+    rng = np.random.default_rng(31)
+    for body in (make_tri345(), Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]),
+                 Disk([0.3, -0.2], 1.5)):
+        norm = _normalize(body, spec)
+        assert norm.scale != 1.0
+        for x in interior_points(rng, body, 4):
+            got = float(np.hypot(*potential_gradient(norm.body, norm.to_normalized(x),
+                                                     norm.spec)))
+            want = float(np.hypot(*potential_gradient(body, x, spec)))
+            assert norm.to_original_gradient_norm(got) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("family,prange", [("heat", (0.05, 1.25)), ("riesz", (3.0, 10.0))])
+def test_locus_gradient_norms_are_the_bodys(family, prange):
+    """Every row reports the gradient norm of the body's own frame; the rows
+    after the first once read the normal frame's, 2.5 times too high for heat
+    on tri345 (s = 0.4)."""
+    tri = make_tri345()
+    tr = trace_locus(tri, family, prange, 3)
+    for param, x, gnorm in zip(tr.params, tr.points, tr.grad_norms):
+        spec = make_spec(family, param)
+        body = float(np.hypot(*potential_gradient(tri, x, spec, centers._family_cfg(spec))))
+        if body > 1e-13:        # above the gradients' rounding
+            assert gnorm == pytest.approx(body, rel=1e-3), (param, gnorm, body)

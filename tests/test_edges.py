@@ -255,17 +255,40 @@ def test_boundary_band_matches_edge_closed_forms(name, gap):
 
 def test_riesz_jet_computes_its_value_and_flux_bracket_once(monkeypatch):
     calls = 0
-    bracket = edges._bracket
+    parts = edges._g_parts
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return bracket(*args)
+        return parts(*args)
 
-    monkeypatch.setattr(edges, "_bracket", counted)
+    monkeypatch.setattr(edges, "_g_parts", counted)
     jet = pot.potential_jet(make_tri345(), [1.0, 0.9], Riesz(1.5), 2)
     jet.value(), jet.gradient(), jet.hessian(), jet.value(), jet.gradient()
-    assert calls == 2       # the value and flux's [G_alpha], the moments' [G_(alpha - 2)]
+    # the value, the flux's [G_alpha] and the moments' [G_(alpha - 2)] are one ladder
+    assert calls == 1
+
+
+def test_heat_jet_computes_its_flux_once(monkeypatch):
+    calls = 0
+    flux = edges.heat_flux
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return flux(*args)
+
+    tri = make_tri345()
+    for x in ([1.0, 0.9], [0.4, 0.3]):
+        view = tri.locate(np.asarray(x)).view
+        want = repr(edges.hessian(view, edges.heat_moments(view, 0.3)))
+        monkeypatch.setattr(edges, "heat_flux", counted)
+        calls = 0
+        jet = pot.potential_jet(tri, x, Heat(0.3), 2)
+        jet.value(), jet.gradient()
+        assert repr(jet.hessian()) == want
+        assert calls == 1       # the gradient's flux is also the moments' int w ds
+        monkeypatch.setattr(edges, "heat_flux", flux)
 
 
 def _seeded_ninegon():

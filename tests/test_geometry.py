@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import radialcenters
+from radialcenters import geometry
 from radialcenters.errors import InvalidBody, NotStarShaped
 from radialcenters.geometry import (Disk, Polygon, area, boundary_distance,
                                     boundary_polyline, centroid, circle_clip,
@@ -183,6 +184,51 @@ def _lp_inradius(poly):
                   method="highs")
     assert res.success
     return float(res.x[2])
+
+
+def _clip_one_vertex_at_a_time(normals, offsets, seed_polygon):
+    """``geometry.halfplane_intersection`` as a loop over the vertices, each
+    value by its own ``np.dot``: the reference the stacked clip must match."""
+    pts = [np.asarray(p, dtype=float) for p in seed_polygon]
+    for nvec, b in zip(np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)):
+        if not pts:
+            return None
+        vals = [float(np.dot(nvec, p)) - b for p in pts]
+        out = []
+        for i, p in enumerate(pts):
+            q, vp, vq = pts[(i + 1) % len(pts)], vals[i], vals[(i + 1) % len(pts)]
+            if vp <= 0:
+                out.append(p)
+            if (vp < 0 < vq) or (vq < 0 < vp):
+                out.append(p + vp / (vp - vq) * (q - p))
+        pts = out
+    return np.asarray(pts) if pts else None
+
+
+def _incenter_corpus():
+    rng = np.random.default_rng(1083)
+    out = [make_tri345(), make_square(),
+           Polygon(generate_asymmetric_balanced().boundary_polyline(512))]
+    return out + [random_convex_polygon(rng, n_points=int(rng.integers(3, 30)))
+                  for _ in range(20)]
+
+
+def test_halfplane_clip_matches_one_vertex_at_a_time():
+    for poly in _incenter_corpus():
+        normals, offsets = poly._normals, poly._offsets
+        _, r = geometry._wavefront_collapse(normals, offsets)
+        box = geometry._bounding_box(poly, pad=1.0)
+        for offs in (offsets - r + 1e-12 * poly.diameter(), offsets - 0.5 * r, offsets - 2 * r):
+            got = geometry.halfplane_intersection(normals, offs, box)
+            want = _clip_one_vertex_at_a_time(normals, offs, box)
+            assert repr(got) == repr(want)
+        # a clip that keeps every vertex returns a copy, not the caller's array
+        kept = geometry.halfplane_intersection(normals[:1], offsets[:1] + 1.0, poly.vertices)
+        assert kept is not poly.vertices and np.array_equal(kept, poly.vertices)
+        ic = incenter(poly)
+        face = _clip_one_vertex_at_a_time(normals, offsets - ic.radius + 1e-12 * poly.diameter(),
+                                          box)
+        assert repr(ic.center) == repr(face.mean(axis=0))
 
 
 def test_wavefront_inradius_matches_linear_programming():

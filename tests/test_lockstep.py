@@ -134,20 +134,20 @@ def test_stack_of_one_is_potential_jet():
 
 def test_stacked_jets_compute_each_shared_part_once(monkeypatch):
     calls = 0
-    bracket = potentials.edges._bracket
+    parts = potentials.edges._g_parts
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return bracket(*args)
+        return parts(*args)
 
-    monkeypatch.setattr(potentials.edges, "_bracket", counted)
+    monkeypatch.setattr(potentials.edges, "_g_parts", counted)
     body = Polygon(LSHAPE)
     jets = potential_jet_many(body, [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [3.0, 3.0]],
                               Riesz(1.5), 2)
     for jet in jets:
         jet.value(), jet.gradient(), jet.hessian()
-    assert calls == 2       # one [G_alpha] and one [G_(alpha - 2)] for the four points
+    assert calls == 1       # one ladder, [G_alpha] and [G_(alpha - 2)], for the four points
 
 
 @pytest.mark.parametrize("make", [make_tri345, make_unit_disk, generate_asymmetric_balanced],
@@ -313,3 +313,93 @@ def test_identity_frame_reports_the_ascents_value(monkeypatch):
     res = find_center(tri, Riesz(4.0))
     jet = potential_jet(tri, res.point, Riesz(4.0), 1, _family_cfg(Riesz(4.0)))
     assert repr(res.value) == repr(jet.value())
+
+
+# ---------------------------------------------------------------------------
+# the closed-form Newton step against LAPACK
+# ---------------------------------------------------------------------------
+
+def _lapack_direction(H, grad):
+    """The Newton step as ``eigvalsh`` and ``solve`` take it: the oracle of
+    ``centers._newton_direction``."""
+    if not centers._negative_definite(np.linalg.eigvalsh(H).max()):
+        return None
+    return np.linalg.solve(H, -grad)
+
+
+def _hessian(rng, eigenvalues):
+    """A symmetric 2x2 matrix with the given eigenvalues in a random frame."""
+    theta = rng.uniform(0, math.pi)
+    c, s = math.cos(theta), math.sin(theta)
+    Q = np.array([[c, -s], [s, c]])
+    H = Q @ np.diag(eigenvalues) @ Q.T
+    return 0.5 * (H + H.T)
+
+
+def test_closed_form_newton_step_matches_lapack():
+    rng = np.random.default_rng(1603)
+    checked = 0
+    for trial in range(4000):
+        scale = 10.0 ** rng.uniform(-100, 100)
+        cond = 10.0 ** rng.uniform(0, 8)
+        kind = ("negative_definite", "indefinite", "positive")[trial % 3]
+        top = {"negative_definite": -1.0, "indefinite": 1.0, "positive": cond}[kind]
+        H = _hessian(rng, [top * scale, -cond * scale] if kind != "positive"
+                     else [scale, cond * scale])
+        grad = rng.normal(size=2) * 10.0 ** rng.uniform(-20, 20)
+        got, want = centers._newton_direction(H, grad), _lapack_direction(H, grad)
+        eig = np.linalg.eigvalsh(H)
+        if abs(eig.max()) < 1e-12 * abs(eig).max():
+            continue            # at the threshold: rounding decides either way
+        assert (got is None) == (want is None), (H, eig)
+        if want is not None:
+            k = np.linalg.cond(H)
+            err = np.hypot(*(got - want)) / np.hypot(*want)
+            assert err <= (1e-13 if k < 100 else 1e-15 * k), (H, grad, k, err)
+            checked += 1
+    assert checked > 1000
+
+
+def test_closed_form_newton_step_refuses_singular_and_non_finite_hessians():
+    grad = np.array([0.3, -0.7])
+    singular = [np.array([[-1.0, -2.0], [-2.0, -4.0]]), np.zeros((2, 2)),
+                np.array([[-1.0, 0.0], [0.0, 0.0]])]
+    broken = [np.array([[np.nan, 0.0], [0.0, -1.0]]), np.array([[-np.inf, 0.0], [0.0, -1.0]]),
+              np.array([[-1.0, 0.0], [np.inf, -1.0]]), np.array([[-1.0, 0.0], [0.0, -np.inf]])]
+    for H in singular + broken:
+        assert centers._newton_direction(H, grad) is None, H
+    assert centers._newton_direction(None, grad) is None
+    # the upper triangle is not read, as eigvalsh does not read it
+    H = np.array([[-2.0, 99.0], [0.5, -1.0]])
+    want = np.linalg.solve(np.array([[-2.0, 0.5], [0.5, -1.0]]), -grad)
+    assert np.allclose(centers._newton_direction(H, grad), want, rtol=1e-15, atol=0)
+    # a determinant that underflows to a subnormal reads as singular
+    assert centers._newton_direction(np.array([[-1e-160, 0.0], [0.0, -1e-160]]), grad) is None
+
+
+# ---------------------------------------------------------------------------
+# a pieces-route jet prepares its boundary nodes once
+# ---------------------------------------------------------------------------
+
+def test_asym_jet_computes_each_panels_nodes_once(monkeypatch):
+    from radialcenters import balance
+    seen = []
+    for cls in (balance._LobeCurve, geometry.CircleArc):
+        chord = cls.chord
+
+        def counted(self, s, t_ref, chord=chord):
+            seen.append((id(self), s.tobytes()))
+            return chord(self, s, t_ref)
+        monkeypatch.setattr(cls, "chord", counted)
+    asym = generate_asymmetric_balanced()
+    for spec in (Riesz(0.5), Riesz(3.0), Poisson(0.4), Heat(0.3)):
+        for x in ([0.0, 0.0], [0.2, -0.1]):
+            seen.clear()
+            jet = potential_jet(asym, x, spec, 2)
+            parts = _r(jet.value()), _r(jet.gradient()), _r(jet.hessian())
+            # a lobe's chord takes an arc's, so count the pieces' own calls
+            own = [k for k in seen if k[0] in {id(p) for p in asym.boundary_pieces()}]
+            assert len(own) == len(set(own)) > 0
+            assert parts == (_r(potential_jet(asym, x, spec, 0).value()),
+                             _r(potential_jet(asym, x, spec, 1).gradient()),
+                             _r(potentials.potential_hessian(asym, x, spec)))

@@ -20,10 +20,12 @@ printed:
   Heat(0.2) and Heat(1.25): one line per body, point and part with the
   number of cells that differ and their worst relative and absolute
   deviations (the largest difference over the largest magnitude), and each
-  cell that raises in one tree and is finite in the other; then the
-  ``trace_locus`` rows (three families on tri345, the square and the disk)
-  and the ``limit_diagnostics(tri345)`` rows that differ.  Floats are
-  compared by ``repr``, exceptions by type;
+  cell that raises in one tree and is finite in the other; then one line
+  per ``trace_locus`` row (three families on tri345, the square and the
+  disk) and ``limit_diagnostics(tri345)`` row that differs, naming the fields
+  that differ (params, points, grad_norms or distances) and the point's
+  deviation over the body's diameter.  Floats are compared by ``repr``,
+  exceptions by type;
 * the points where ``classify_location`` differs, out of about 43,000 random
   and near-boundary points on the same bodies, each with its boundary
   distance over the boundary band (a ratio near 1 is a point at the band's
@@ -133,22 +135,51 @@ def _fields(bodies) -> dict:
     return out
 
 
+def _row(**fields) -> dict:
+    """One locus or limit row, each field as the reprs of its floats."""
+    return {name: [repr(float(v)) for v in vals] for name, vals in fields.items()}
+
+
 def _loci(bodies, np) -> dict:
+    """Per locus and per limit family, the body's diameter and its rows (or
+    what the trace raised); per limit family its monotone flag."""
     from radialcenters.centers import limit_diagnostics, trace_locus
 
     def locus(body, family):
-        tr = trace_locus(body, family, LOCI[family], 4)
-        return np.column_stack([tr.params, tr.points, tr.grad_norms])
+        try:
+            tr = trace_locus(body, family, LOCI[family], 4)
+        except Exception as exc:
+            return f"raises {type(exc).__name__}"
+        return {"d": body.diameter(),
+                "rows": [_row(params=[q], points=x, grad_norms=[g])
+                         for q, x, g in zip(tr.params, tr.points, tr.grad_norms)]}
 
-    out = {f"locus {name} {family}": _reprs(lambda: locus(bodies[name], family))
+    out = {f"locus {name} {family}": locus(bodies[name], family)
            for name in ("tri345", "square", "disk") for family in LOCI}
     diag = limit_diagnostics(bodies["tri345"])
     for family in LOCI:
-        rows = getattr(diag, family)
-        out[f"limits tri345 {family}"] = [repr(float(v)) for r in rows
-                                          for v in (r[0], *r[1], *r[2:])]
+        out[f"limits tri345 {family}"] = {
+            "d": diag.diam,
+            "rows": [_row(params=[r[0]], points=r[1], distances=r[2:])
+                     for r in getattr(diag, family)]}
         out[f"limits tri345 monotone_{family}"] = getattr(diag, f"monotone_{family}")
     return out
+
+
+def _row_lines(key: str, a, b) -> list:
+    """One line per row of a locus or limit key that differs between the
+    trees: the fields that differ and the point's deviation over d."""
+    if not (isinstance(a, dict) and isinstance(b, dict) and len(a["rows"]) == len(b["rows"])):
+        return [f"  {key}: {a} -> {b}"]
+    lines = []
+    for i, (ra, rb) in enumerate(zip(a["rows"], b["rows"])):
+        fields = [name for name in ra if ra[name] != rb[name]]
+        if fields:
+            pa, pb = ([float(v) for v in r["points"]] for r in (ra, rb))
+            dev = math.hypot(pa[0] - pb[0], pa[1] - pb[1]) / a["d"]
+            lines.append(f"  {key} row {i}: {', '.join(fields)} differ, "
+                         f"point deviation {dev:.1e} d")
+    return lines
 
 
 def _criterion_4_corpus(np):
@@ -261,7 +292,7 @@ def compare(old: dict, new: dict) -> bool:
             _field_summary(old[part], new[part], keys)
         else:
             for k in differ:
-                print(f"  {k}: {old[part].get(k)} -> {new[part].get(k)}")
+                print("\n".join(_row_lines(k, old[part].get(k), new[part].get(k))))
         same &= not differ
 
     if old["points"] != new["points"]:
