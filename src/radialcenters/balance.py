@@ -895,6 +895,11 @@ class RadialArcBody:
         shift.setflags(write=False)
         return self, shift, 1.0
 
+    def transformed(self, R, shift, scale):
+        """Not supported: the body is defined about the origin, its balance
+        point; raises ``TypeError``."""
+        raise TypeError(f"cannot transform body of type {type(self).__name__}")
+
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -8,14 +8,13 @@ strictly concave inside convex bodies for ``alpha <= 1`` and globally for
 ``alpha >= 3``; Poisson and heat potentials of convex bodies are
 strictly power-concave globally.  Everything else falls back to a
 deterministic multistart: twelve seeds ascended in lockstep.  The ascent is
-written once, as a generator (``_ascent``) that asks for the jet at a point
-and for a Newton direction and is sent the answers.  A Newton direction is
-solved in closed form from the Hessian's three entries
-(``_newton_direction``), for one start and for many alike.  ``ascend``
-answers one ascent's requests one at a time; the multistart
-(``_ascend_all``) answers twelve at once, each round their trial points in
-one stacked jet (``potential_jet_many``), so every start takes the steps,
-and reaches the bits, that it would take alone.
+written once, as a generator (``_ascent``) that yields each point it
+evaluates and is sent the jet there; it solves its Newton step itself, in
+closed form from the Hessian's three entries (``_newton_direction``).  One
+driver runs it (``_ascend_all``): each round, the trial points of all live
+ascents are one stacked jet (``potential_jet_many``), so every start takes
+the steps, and reaches the bits, that it would take alone.  ``ascend`` is
+that driver run from one start.
 
 Every search runs on the body's normal frame: its copy with the centroid at
 the origin and diameter 2, and the spec rescaled to it.  The body prepares
@@ -101,10 +100,6 @@ class _Normalized:
     def to_normalized(self, x) -> np.ndarray:
         return (as_point(x) - self.shift) * self.scale
 
-    def with_spec(self, spec: PotentialSpec) -> "_Normalized":
-        """The same normalized body with ``spec`` rescaled to it."""
-        return _Normalized(self.body, rescaled(spec, self.scale), self.shift, self.scale)
-
     def to_original_gradient_norm(self, gnorm: float) -> float:
         """A gradient norm of the normal frame in the body's: gradients scale
         as s^(1 - degree) (``potentials.degree``); inf where that overflows."""
@@ -117,7 +112,7 @@ class _Normalized:
 
 def _normalize(body, spec: PotentialSpec) -> _Normalized:
     nbody, shift, s = body.normalized()
-    return _Normalized(nbody, spec, shift, s).with_spec(spec)
+    return _Normalized(nbody, rescaled(spec, s), shift, s)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +124,11 @@ def _value_resolution(cfg: QuadratureConfig, val: float) -> float:
     return 32 * max(cfg.abs_tol, (cfg.rel_tol + 4e-16) * abs(val))
 
 
-def _inside_by(body, p: np.ndarray, margin: float) -> bool:
-    """Whether ``p`` lies inside the body, more than ``margin`` from its
-    boundary; the margin exceeds the boundary band."""
-    loc, dist, _ = body.locate(p)
-    return loc == "interior" and dist > margin
+def _inside_by(at, margin: float) -> bool:
+    """Whether the point that ``at`` locates (a ``Located`` or a jet) lies
+    inside the body, more than ``margin`` from its boundary; the margin
+    exceeds the boundary band."""
+    return at.location == "interior" and at.distance > margin
 
 
 def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None):
@@ -143,31 +138,19 @@ def ascend(body, spec: PotentialSpec, x0, cfg: Optional[QuadratureConfig] = None
     family requires interior iterates, trial points must keep a relative
     margin of 1e-6 diameters inside the body; backtracking shrinks steps
     until they do.  One jet per evaluated point gives its location and the
-    parts of its value, gradient and Hessian that the ascent reads.  The
-    ascent is ``_ascent``, answered here one request at a time.
+    parts of its value, gradient and Hessian that the ascent reads.  This is
+    the lockstep driver (``_ascend_all``) run from one start.
     """
-    cfg = cfg or _family_cfg(spec)
-    ascent = _ascent(as_point(x0).astype(float), cfg, refused_on_boundary(spec, 1), diameter(body))
-    ask = next(ascent)
-    while True:
-        answer = potential_jet_many(body, [ask[1]], spec, 2, cfg)[0] if ask[0] is _JET \
-            else _newton_direction(*ask[1:])
-        try:
-            ask = ascent.send(answer)
-        except StopIteration as done:
-            return done.value
-
-
-# what an ascent asks for: the jet at a point, or the Newton direction of a
-# Hessian and gradient
-_JET, _NEWTON = "jet", "newton"
+    (result, failure), = _ascend_all(body, spec, [x0], cfg)
+    if failure is not None:
+        raise failure
+    return result
 
 
 def _ascent(x: np.ndarray, cfg: QuadratureConfig, keep_in: bool, diam: float):
-    """The ascent from ``x``, as a generator that yields what it needs and is
-    sent the answer: ``(_JET, point)`` for the jet at a point, ``(_NEWTON,
-    H, grad)`` for ``_newton_direction(H, grad)``.  It returns (point,
-    value, grad_norm, iterations), or raises ``NoInteriorSeed`` or
+    """The ascent from ``x``, as a generator that yields each point it
+    evaluates and is sent the jet there.  It returns (point, value,
+    grad_norm, iterations), or raises ``NoInteriorSeed`` or
     ``NonConvergence``.  ``keep_in``: the family refuses the boundary
     (``refused_on_boundary``), so iterates keep a margin inside the body.
     """
@@ -177,9 +160,9 @@ def _ascent(x: np.ndarray, cfg: QuadratureConfig, keep_in: bool, diam: float):
         """Whether an iterate may go to the jet's point; a refused point lies
         in the boundary band, which only families that keep iterates inside
         refuse."""
-        return not keep_in or (jet.location == "interior" and jet.distance > margin)
+        return not keep_in or _inside_by(jet, margin)
 
-    jet = yield _JET, x
+    jet = yield x
     if not allowed(jet):
         raise NoInteriorSeed(f"infeasible start {x!r}")
     val = jet.value()
@@ -191,7 +174,7 @@ def _ascent(x: np.ndarray, cfg: QuadratureConfig, keep_in: bool, diam: float):
         if gnorm < gtol:
             return x, val, gnorm, iterations
         iterations += 1
-        direction = yield _NEWTON, jet.hessian(), grad
+        direction = _newton_direction(jet.hessian(), grad)
         if direction is None or float(np.dot(grad, direction)) <= 0:
             direction = grad / gnorm * min(0.2 * diam, gnorm)
         slope = float(np.dot(grad, direction))
@@ -202,7 +185,7 @@ def _ascent(x: np.ndarray, cfg: QuadratureConfig, keep_in: bool, diam: float):
         for k in range(20 if endgame else 60):
             step = 0.5 ** k
             trial = x + step * direction
-            there = yield _JET, trial
+            there = yield trial
             if allowed(there):
                 part = there.gradient() if endgame else there.value()
                 if (float(np.hypot(*part)) < gnorm if endgame
@@ -224,38 +207,29 @@ def _ascent(x: np.ndarray, cfg: QuadratureConfig, keep_in: bool, diam: float):
 
 
 def _ascend_all(body, spec: PotentialSpec, starts, cfg: Optional[QuadratureConfig] = None) -> list:
-    """``ascend`` from each of ``starts`` in lockstep: per start, a pair of
-    its (point, value, grad_norm, iterations) and None, or of None and the
-    ``NonConvergence`` that ended it.  A start outside raises
-    ``NoInteriorSeed``, as ``ascend`` does.
+    """The ascents (``_ascent``) from each of ``starts``, in lockstep: per
+    start, a pair of its (point, value, grad_norm, iterations) and None, or
+    of None and the ``NonConvergence`` that ended it.  A start outside
+    raises ``NoInteriorSeed``.
 
-    Each round first answers the ascents that ask for a Newton direction,
-    each with ``_newton_direction``; then every ascent asks for the jet at
-    its next trial point, and all of these are one stacked jet
+    Each round the points that the live ascents yield are one stacked jet
     (``potential_jet_many``).  Every ascent reads exactly what it would read
-    alone, so it ends as ``ascend`` from its start does.
+    alone, so it ends as it would from its start alone.
     """
     cfg = cfg or _family_cfg(spec)
     keep_in, diam = refused_on_boundary(spec, 1), diameter(body)
     ascents = [_ascent(as_point(x0).astype(float), cfg, keep_in, diam) for x0 in starts]
-    asks = [next(a) for a in ascents]
+    points = [next(a) for a in ascents]
     ends = [None] * len(ascents)
-
-    def reply(those: list, answers):
-        for i, answer in zip(those, answers):
+    live = list(range(len(ascents)))
+    while live:
+        for i, jet in zip(live, potential_jet_many(body, [points[i] for i in live], spec, 2, cfg)):
             try:
-                asks[i] = ascents[i].send(answer)
+                points[i] = ascents[i].send(jet)
             except StopIteration as done:
                 ends[i] = done.value, None
             except NonConvergence as exc:
                 ends[i] = None, exc
-
-    live = list(range(len(ascents)))
-    while live:
-        turning = [i for i in live if asks[i][0] is _NEWTON]
-        if turning:     # each then asks for its first trial point's jet
-            reply(turning, [_newton_direction(*asks[i][1:]) for i in turning])
-        reply(live, potential_jet_many(body, [asks[i][1] for i in live], spec, 2, cfg))
         live = [i for i in live if ends[i] is None]
     return ends
 
@@ -314,7 +288,7 @@ def multistart_seeds(body) -> list[np.ndarray]:
     seeds: list[np.ndarray] = []
 
     def push(p):
-        if _inside_by(body, p, margin) and \
+        if _inside_by(body.locate(p), margin) and \
                 all(float(np.hypot(*(p - q))) > 1e-12 * diam for q in seeds):
             seeds.append(p)
 
@@ -446,19 +420,18 @@ def _walk(body, family: str, param: float, point: np.ndarray, params,
           cfg: Optional[QuadratureConfig] = None, refine: bool = False) -> list:
     """Follow the center from ``point``, the center at ``param``, through ``params``.
 
-    Each step ascends from the previous center; the body is normalized once
-    for the whole walk.  Returns ``(param, point, grad_norm)`` per step, the
-    gradient norm in the body's frame.  With
-    ``refine``, a step whose ascent needs more than 20 iterations is retaken
-    after first walking to the middle of its parameter interval (up to six
-    nested halvings); those intermediate steps are returned too.
+    Each step ascends from the previous center, on the body's kept normal
+    frame (``body.normalized``).  Returns ``(param, point, grad_norm)`` per
+    step, the gradient norm in the body's frame.  With ``refine``, a step
+    whose ascent needs more than 20 iterations is retaken after first
+    walking to the middle of its parameter interval (up to six nested
+    halvings); those intermediate steps are returned too.
     """
-    frame = _normalize(body, make_spec(family, param))
     rows = []
 
     def ascend_to(q, x):
         spec = make_spec(family, q)
-        norm = frame.with_spec(spec)
+        norm = _normalize(body, spec)
         y, _, gn, iters = ascend(norm.body, norm.spec, norm.to_normalized(x),
                                  cfg or _family_cfg(spec))
         return norm.to_original(y), norm.to_original_gradient_norm(gn), iters

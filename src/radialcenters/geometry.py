@@ -6,10 +6,11 @@ Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
 ``radial_function_many``, ``circle_clip``, ``balance_residuals``,
 ``angular_breakpoints``, ``radius_breakpoints``, ``reach``, ``route``,
 ``boundary_polyline``, ``boundary_pieces``, ``circumcenter``, ``incenter``,
-``normalized``, ``locate_many`` and ``to_dict``.  ``locate(x)`` gives x's
-location and boundary distance with the view of x that the routes read: a
-polygon's ``EdgeFrame``, which also gives its distance and membership, or a
-disk's distance to its ``center`` (a disk has a ``radius`` too);
+``normalized``, ``transformed``, ``locate_many`` and ``to_dict``.
+``locate(x)`` gives x's location and boundary distance with the view of x
+that the routes read: a polygon's ``EdgeFrame``, which also gives its
+distance and membership, or a disk's distance to its ``center`` (a disk has
+a ``radius`` too);
 ``locate_many`` does the same for a stack of points, a polygon from one edge
 frame of them all.  Simple polygons and disks live here, the radially
 parameterized balanced body in the balance module.  Bodies are immutable and
@@ -488,6 +489,15 @@ class Polygon:
         change, and the kept arrays are read-only."""
         return _normal_frame(self)
 
+    def transformed(self, R: np.ndarray, shift: np.ndarray, scale: float) -> "Polygon":
+        """The image under x -> R x + shift, R a rotation times ``scale``
+        (``geometry.transformed``); under a positive scale it skips the
+        validation of its vertices."""
+        vertices = self.vertices @ R.T + shift
+        if scale > 0 and np.isfinite(vertices).all():
+            return Polygon._similar(vertices)
+        return Polygon(vertices)
+
     def to_dict(self) -> dict:
         return {"vertices": [[float(x), float(y)] for x, y in self.vertices]}
 
@@ -629,6 +639,10 @@ class Disk:
         """The unit disk about the origin, with the shift and scale that
         give it, as ``Polygon.normalized``."""
         return _normal_frame(self)
+
+    def transformed(self, R: np.ndarray, shift: np.ndarray, scale: float) -> "Disk":
+        """The image under x -> R x + shift, as ``Polygon.transformed``."""
+        return Disk(R @ self.center + shift, self.radius * scale)
 
     def to_dict(self) -> dict:
         return {"type": "disk", "center": [float(self.center[0]), float(self.center[1])],
@@ -1215,30 +1229,29 @@ def unfolded_region(poly: Polygon, n_dirs: int) -> UnfoldedRegion:
 def transformed(body: Body, angle: float = 0.0, shift=(0.0, 0.0), scale: float = 1.0) -> Body:
     """Rotate about the origin, scale, then translate.  A polygon's image
     under a positive scale skips the validation of its vertices."""
-    shift = as_point(shift)
     c, s = math.cos(angle), math.sin(angle)
-    R = np.array([[c, -s], [s, c]]) * scale
-    if isinstance(body, Polygon):
-        vertices = body.vertices @ R.T + shift
-        if scale > 0 and np.isfinite(vertices).all():
-            return Polygon._similar(vertices)
-        return Polygon(vertices)
-    if isinstance(body, Disk):
-        return Disk(R @ body.center + shift, body.radius * scale)
-    raise TypeError(f"cannot transform body of type {type(body).__name__}")
+    return body.transformed(np.array([[c, -s], [s, c]]) * scale, as_point(shift), scale)
 
 
 def body_from_dict(data: dict) -> Body:
+    """The body that ``to_dict`` describes; ``InvalidBody`` for JSON that
+    describes none."""
+    try:
+        kind = data.get("type")
+    except AttributeError:
+        raise InvalidBody(f"body JSON must be an object, not {type(data).__name__}") from None
     try:
         if "vertices" in data:
             return Polygon(np.asarray(data["vertices"], dtype=float))
-        if data.get("type") == "disk":
+        if kind == "disk":
             return Disk(data["center"], data["radius"])
-        if data.get("type") == "radial_arc":
+        if kind == "radial_arc":
             from .balance import RadialArcBody
             return RadialArcBody.from_dict(data)
     except KeyError as exc:
-        raise InvalidBody(f"{data['type']} body JSON lacks key {exc.args[0]!r}") from None
+        raise InvalidBody(f"{kind} body JSON lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise InvalidBody(f"{kind or 'polygon'} body JSON has a malformed field: {exc}") from None
     raise InvalidBody(f"unrecognized body JSON with keys {sorted(data)}")
 
 

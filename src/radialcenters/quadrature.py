@@ -51,8 +51,8 @@ class QuadratureConfig:
     max_subdivisions: int = 2 ** 16
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_subdivisions < 16:
             raise ValueError("max_subdivisions must be at least 16")
 

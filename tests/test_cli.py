@@ -137,16 +137,31 @@ def test_missing_body_file_is_domain_error(capsys, tmp_path):
     # the older profile-array format is rejected, not converted
     ({"type": "radial_arc", "direction_angles": [0.0, 2.39, 3.82], "r_max": 1.04,
       "profile_r": [1.0, 1.04], "profile_a_u": [0.5, 0.0]}, "amplitude"),
+    # JSON of the wrong shape: not an object, or a field of the wrong type
+    ([[0, 0], [4, 0], [0, 3]], "object"),
+    ("tri", "object"),
+    ({"type": "disk", "center": [0, 0], "radius": None}, "malformed"),
+    ({"type": "radial_arc", "direction_angles": 5, "r_max": 1.04, "amplitude": 0.5},
+     "malformed"),
 ])
 def test_malformed_body_json_is_domain_error(capsys, tmp_path, data, key):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    code, out, err = run_cli(capsys, ["balance", "--body", str(bad)])
+    for command in (["balance"], ["center", "--family", "riesz", "--param", "1.5"]):
+        code, out, err = run_cli(capsys, [*command, "--body", str(bad)])
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidBody"
+        assert key in payload["message"]
+
+
+def test_infinite_tolerance_is_domain_error(capsys, scalene_file):
+    code, out, err = run_cli(capsys, ["center", "--family", "riesz", "--param", "1.5",
+                                      "--tol", "inf", "--body", scalene_file])
     assert code == 1
     assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "InvalidBody"
-    assert key in payload["message"]
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_invalid_body_is_domain_error(capsys, tmp_path):

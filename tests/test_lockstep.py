@@ -199,6 +199,9 @@ LOCKSTEP_CASES = [(make_tri345, Riesz(1.5)), (lambda: Polygon(LSHAPE), Riesz(0.5
 
 @pytest.mark.parametrize("make,spec", LOCKSTEP_CASES, ids=["tri345", "lshape", "disk"])
 def test_lockstep_multistart_matches_sequential_ascents(make, spec):
+    """The twelve seeds, ascended as one stack of twelve, end bit for bit as
+    each does in a stack of one (``ascend``, the lockstep driver run from one
+    start)."""
     lockstep, sequential = _lockstep_and_sequential(make(), spec)
     assert len(lockstep) == 12
     assert lockstep == sequential
@@ -209,6 +212,44 @@ def test_lockstep_multistart_matches_on_reflex_polygons(alpha):
     for body in _reflex_polygons():
         lockstep, sequential = _lockstep_and_sequential(body, Riesz(alpha))
         assert lockstep == sequential
+
+
+@pytest.mark.parametrize("make,spec", [(make_tri345, Riesz(4.0)),
+                                       (lambda: Polygon(LSHAPE), Riesz(0.5))],
+                         ids=["tri345", "lshape"])
+def test_ascent_yields_only_points(make, spec):
+    """Driven by hand, one jet per yielded point, the ascent yields float
+    points of shape (2,) and returns what ``ascend`` returns."""
+    norm = _normalize(make(), spec)
+    cfg = _family_cfg(spec)
+    x0 = multistart_seeds(norm.body)[-1]          # a Halton point, off the center
+    ascent = centers._ascent(x0.astype(float), cfg, potentials.refused_on_boundary(norm.spec, 1),
+                             norm.body.diameter())
+    x, evaluated = next(ascent), 0
+    while True:
+        assert isinstance(x, np.ndarray) and x.dtype == float and x.shape == (2,), x
+        evaluated += 1
+        try:
+            x = ascent.send(potential_jet_many(norm.body, [x], norm.spec, 2, cfg)[0])
+        except StopIteration as done:
+            result = done.value
+            break
+    assert evaluated > result[3] > 0
+    assert _outcome(lambda: result) == _outcome(lambda: ascend(norm.body, norm.spec, x0, cfg))
+
+
+def test_ascend_raises_the_failure_the_lockstep_driver_reports(monkeypatch):
+    monkeypatch.setattr(centers, "MAX_ITERATIONS", 2)
+    norm = _normalize(Polygon(LSHAPE), Riesz(0.5))
+    cfg = _family_cfg(norm.spec)
+    x0 = multistart_seeds(norm.body)[0]
+    ((result, failed),) = _ascend_all(norm.body, norm.spec, [x0], cfg)
+    assert result is None and isinstance(failed, NonConvergence)
+    with pytest.raises(NonConvergence) as raised:
+        ascend(norm.body, norm.spec, x0, cfg)
+    assert _outcome(lambda: _raise_or_return(None, raised.value)) == \
+        _outcome(lambda: _raise_or_return(None, failed))
+    assert raised.value.iterations == 2
 
 
 def test_lockstep_drops_the_seeds_that_do_not_converge(monkeypatch):

@@ -160,5 +160,8 @@ def test_tolerance_not_met_reports_estimate():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=-1.0)
+    for field in ("rel_tol", "abs_tol"):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(**{field: math.inf})
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=4)

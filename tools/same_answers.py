@@ -12,7 +12,9 @@ printed:
   asymmetric balanced body and 20 seeded polygons (10 convex, 10 reflex), for
   Riesz(0.5), Riesz(1.5), Riesz(4), Riesz(20), Poisson(0.5) and Heat(1.25),
   and the searches that raise in one tree only (a search is named by its
-  body, family and parameter);
+  body, family and parameter); then how many of the searches differ in each
+  of their ``value``, ``grad_norm``, ``iterations`` and ``regime``, compared
+  by ``repr`` (a change in iteration count shows here, not in the points);
 * the values, gradients and Hessians on tri345, the square, the L-shape, the
   disk and the asymmetric body, at the centroid, 1e-3 and 1e-11 diameters
   inside a boundary point, 5e-10 and 0.5 diameters outside it, for Riesz
@@ -37,7 +39,8 @@ printed:
 
 The exit status is 0 when the points agree to 1e-12 diameters, the values,
 gradients, Hessians, loci and limit rows are identical, the locations differ
-only within 1e-6 of the band's edge, and the verdicts are identical.
+only within 1e-6 of the band's edge, and the verdicts are identical; the
+counts of searches whose other fields differ are reported only.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ CENTER_TOL = 1e-12       # center deviation over the diameter
 BAND_EDGE = 1e-6         # relative distance from the band's edge that rounding may cross
 FIELD_BODIES = ("tri345", "square", "lshape2", "disk", "asym")
 LOCI = {"riesz": (0.5, 4.0), "poisson": (0.1, 2.0), "heat": (0.05, 1.0)}
+SEARCH_FIELDS = ("value", "grad_norm", "iterations", "regime")
 
 
 def _bodies(geo, bal, np):
@@ -205,7 +209,7 @@ def emit() -> dict:
     from radialcenters.potentials import Heat, Poisson, Riesz
 
     specs = [Riesz(0.5), Riesz(1.5), Riesz(4.0), Riesz(20.0), Poisson(0.5), Heat(1.25)]
-    centers, points, locations = {}, [], []
+    centers, searches, points, locations = {}, {}, [], []
     rng = np.random.default_rng(7)
     bodies = _bodies(geo, bal, np)
     for name, body in bodies:
@@ -213,9 +217,12 @@ def emit() -> dict:
         for spec in specs:
             key = f"{name} {_spec_key(spec)}"
             try:
-                centers[key] = (find_center(body, spec).point / d).tolist()
+                res = find_center(body, spec)
             except Exception as exc:        # a search that raises is an answer too
                 centers[key] = type(exc).__name__
+                continue
+            centers[key] = (res.point / d).tolist()
+            searches[key] = {field: repr(getattr(res, field)) for field in SEARCH_FIELDS}
         band = geo.BOUNDARY_BAND * d
         for p in _probe_points(body, rng, np):
             points.append([name, p.tolist()])
@@ -227,8 +234,9 @@ def emit() -> dict:
         except TheoremViolation:
             verdicts.append("TheoremViolation")
     bodies = dict(bodies)
-    return {"centers": centers, "fields": _fields(bodies), "loci": _loci(bodies, np),
-            "points": points, "locations": locations, "verdicts": verdicts}
+    return {"centers": centers, "searches": searches, "fields": _fields(bodies),
+            "loci": _loci(bodies, np), "points": points, "locations": locations,
+            "verdicts": verdicts}
 
 
 def run(src: str) -> dict:
@@ -281,6 +289,10 @@ def compare(old: dict, new: dict) -> bool:
     print(f"find_center: {len(old['centers'])} searches, worst deviation {worst:.3e} d")
     for line in raised:
         print(f"  raises in one tree only: {line}")
+    both = old["searches"].keys() & new["searches"].keys()
+    print(f"find_center: of {len(both)} searches that return in both trees, " + ", ".join(
+        f"{sum(old['searches'][k][field] != new['searches'][k][field] for k in both)} differ "
+        f"in {field}" for field in SEARCH_FIELDS))
 
     same = True
     for part, what in (("fields", "values, gradients and Hessians"),
