@@ -7,11 +7,11 @@ triangle/quadrangle classification, candidate stationary points of weighted
 indicator sums, and a generator for a convex body that is balanced at the
 origin yet has no symmetry at all.
 
-A residual spectrum is one ``balance_residuals(x, radii)`` call on the body:
-a polygon sums signed circle-edge crossings over the whole radius grid at
-once, ``RadialArcBody`` does the same over its boundary pieces, and a disk
-uses its closed form.  ``vector_residual_of_arcs`` of a ``circle_clip``
-stays as the reference for tests and for the decomposition identities.
+A residual spectrum is one ``geometry.balance_residuals`` call, a signed
+sum over the circle crossings that the body answers for the whole radius
+grid (``crossings``); ``circle_clip`` builds its arcs from the same
+crossings.  No function here branches on the body's type for these, nor for
+the symmetries that ``symmetry_search`` reads from the body.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import (ConstructionFailed, ContinuumContact, InvalidBody, NotInterior,
                      NotStarShaped, TheoremViolation)
-from .geometry import (ArcSet, CircleArc, CircumCenter, Disk, InCenter, Located, Polygon,
-                       as_point, circle_clip, _angle_breakpoints, _arcs_between, _foot,
-                       _located)
+from .geometry import (ArcSet, CircleArc, CircumCenter, InCenter, Located, Polygon,
+                       as_point, balance_residuals, circle_clip, _angle_breakpoints,
+                       _arcs_between, _foot, _located)
 
 __all__ = [
     "BalanceReport", "WeightedBodyFunction", "ContactSet", "RadialArcBody",
@@ -67,7 +67,7 @@ def vector_residual(body, x, r: float) -> np.ndarray:
     r = float(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    return body.balance_residuals(as_point(x), np.array([r]))[0]
+    return balance_residuals(body, x, [r])[0]
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,9 @@ def balance_report(body, x, n_radii: int = 256) -> BalanceReport:
 
     The grid is log-uniform with exact breakpoints (plus small offsets)
     inserted at the radii where circle/boundary contacts change the arc
-    structure.  The body answers the whole grid in one ``balance_residuals``
-    call.  ``balanced`` holds when the sup of ``|residual| / (2 pi r)`` stays
-    below 1e-8.
+    structure.  One ``balance_residuals`` call answers the whole grid.
+    ``balanced`` holds when the sup of ``|residual| / (2 pi r)`` stays below
+    1e-8.
     """
     x = as_point(x)
     if n_radii < 32:
@@ -101,7 +101,7 @@ def balance_report(body, x, n_radii: int = 256) -> BalanceReport:
             if 0 < rb <= r_far:
                 radii.add(float(rb))
     grid = np.array(sorted(radii))
-    residuals = body.balance_residuals(x, grid)
+    residuals = balance_residuals(body, x, grid)
     sup = float(np.max(np.hypot(residuals[:, 0], residuals[:, 1]) / (2 * math.pi * grid)))
     return BalanceReport(x, grid, residuals, sup, bool(sup < BALANCED_TOL))
 
@@ -180,27 +180,20 @@ def equivalence_check(body, x, n_radii: int = 48, tol: float = 1e-9) -> Equivale
     On every test circle the residual of the body plus the residual of its
     complement must vanish (the full circle has zero first moment), and
     splitting the body at any ball radius must decompose the residual
-    additively.
+    additively.  The split holds by construction, so ``split_violation`` is
+    0.0: a circle about x lies wholly inside or wholly outside a ball about
+    x, so one part's residual on it is the body's and the other's is zero.
     """
     x = as_point(x)
     r_far = body.reach(x)
-    r_star = body.boundary_distance(x)
     grid = np.geomspace(r_far * 1e-3, r_far * 0.999, n_radii)
     comp_viol = 0.0
-    split_viol = 0.0
-    rhos = [0.3 * r_star, 0.7 * r_star, 1.3 * r_star] if r_star > 0 else [0.5 * r_far]
     for r in grid:
         arcs = circle_clip(body, x, float(r))
         res = vector_residual_of_arcs(arcs)
         res_comp = vector_residual_of_arcs(arcs.complement())
         comp_viol = max(comp_viol, float(np.hypot(*(res + res_comp))))
-        for rho in rhos:
-            inner = res if r <= rho else np.zeros(2)
-            outer = res if r > rho else np.zeros(2)
-            split_viol = max(split_viol, float(np.hypot(*(inner + outer - res))))
-    scale = max(1.0, r_far)
-    return EquivalenceReport(comp_viol, split_viol,
-                             comp_viol < tol * scale and split_viol < tol * scale)
+    return EquivalenceReport(comp_viol, 0.0, comp_viol < tol * max(1.0, r_far))
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +625,12 @@ class RadialArcBody:
         dd.append(dd[0])
         return _Cut(np.array(t), np.array(dd), np.array(kind), tuple(nearest))
 
-    def _crossings(self, x: np.ndarray, radii: np.ndarray):
+    def crossings(self, x: np.ndarray, radii: np.ndarray):
         """Where the circles of ``radii`` about ``x`` cross the boundary: the
         radius index of each crossing, its offset d = y - x from the center,
         and whether the counterclockwise circle leaves the body there, which
-        is where |y - x| falls through r along the boundary.
+        is where |y - x| falls through r along the boundary
+        (``geometry.Polygon.crossings``).
 
         One status per vertex of the cut, |y - x| < r, decides both of its
         parts, so a crossing at a vertex is counted once or not at all.  A
@@ -811,15 +805,10 @@ class RadialArcBody:
         norm = np.hypot(e[:, 0], e[:, 1]) * np.hypot(e2[:, 0], e2[:, 1])
         return float(np.min(cross / norm))
 
-    def circle_clip(self, x, r: float) -> ArcSet:
-        x = as_point(x)
-        _, d, _ = self._crossings(x, np.array([float(r)]))
-        angles = np.arctan2(d[:, 1], d[:, 0]) % (2 * math.pi)
-        return _arcs_between(x, float(r), sorted(angles.tolist()), self.contains)
-
     def _circle_clip_offcenter(self, x, r) -> ArcSet:
         """Sign changes of |p| - R(arg p) among 2048 circle samples, each
-        bracket refined by ``brentq``: the test oracle of ``circle_clip``."""
+        bracket refined by ``brentq``, and the arcs between them whose
+        midpoints lie inside: the test oracle of ``circle_clip``."""
         ts = np.linspace(0, 2 * math.pi, 2048, endpoint=False)
         rad, rb = self._polar(x + r * np.stack([np.cos(ts), np.sin(ts)], axis=1))
         vals = rad - rb
@@ -839,16 +828,22 @@ class RadialArcBody:
             crossings.append(root % (2 * math.pi))
         return _arcs_between(x, r, sorted(crossings), self.contains)
 
-    def balance_residuals(self, x, radii) -> np.ndarray:
-        """A signed sum over the circle crossings, as for a polygon: with
-        d = y - x at a crossing y, the counterclockwise circle adds (d_y, -d_x)
-        where it leaves the body and subtracts it where it enters."""
-        x = as_point(x)
-        radii = np.asarray(radii, dtype=float).reshape(-1)
-        ri, d, leave = self._crossings(x, radii)
-        out = np.zeros((len(radii), 2))
-        np.add.at(out, ri, np.where(leave, 1.0, -1.0)[:, None] * np.stack([d[:, 1], -d[:, 0]], 1))
-        return out
+    def symmetries(self, tol_rel: float) -> list:
+        """As ``Polygon.symmetries``.  Such an isometry permutes the lobe
+        apexes, the only boundary points at radius ``r_max``: two rotations
+        and three reflections, each confirmed when the radial function's
+        largest change over 1024 directions, a bound on the two-sided
+        Hausdorff distance, stays below ``tol_rel`` diameters."""
+        t = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
+        rb = self.boundary_radius(t)
+        a = self.direction_angles
+        found = []
+        for kind, ang in ([("rotation", (a[k] - a[0]) % (2 * math.pi)) for k in (1, 2)]
+                          + [("reflection", ak % math.pi) for ak in a]):
+            image = t - ang if kind == "rotation" else 2 * ang - t
+            if np.abs(self.boundary_radius(image) - rb).max() < tol_rel * self._diameter:
+                found.append((kind, ang))
+        return found
 
     def radius_breakpoints(self, x) -> list[float]:
         x = as_point(x)
@@ -962,96 +957,12 @@ class Isometry:
 
 
 def symmetry_search(body, tol_rel: float = 1e-6) -> list[Isometry]:
-    """Isometries (about the centroid) mapping the body onto itself.
-
-    Tests rotations by 2 pi k / n for n <= 12 and reflections across
-    candidate axes extracted from boundary extrema.  A candidate passes when
-    the two-sided boundary Hausdorff distance stays below ``tol_rel`` times
-    the diameter.  Returns the full symmetry group (identity included) when
-    any nontrivial symmetry exists, and the empty list otherwise.
-    """
-    g = body.centroid()
-    scale = body.diameter()
-    tol = tol_rel * scale
-    samples = body.boundary_polyline(512)
-    prefilter = _signature_prefilter(body, g, scale)
-
-    def h_dist(mat) -> float:
-        fwd = (samples - g) @ mat.T + g
-        d1 = body.boundary_distance_many(fwd)
-        bwd = (samples - g) @ mat + g       # inverse of an orthogonal matrix
-        d2 = body.boundary_distance_many(bwd)
-        return max(float(d1.max()), float(d2.max()))
-
-    found: list[Isometry] = []
-    for ang in _rotation_candidates():
-        # the identity always passes, and it is added below only with others
-        if ang == 0.0 or not prefilter("rotation", ang):
-            continue
-        c, s = math.cos(ang), math.sin(ang)
-        if h_dist(np.array([[c, -s], [s, c]])) < tol:
-            found.append(Isometry("rotation", ang, g))
-    for ax in _axis_candidates(body, g):
-        if not prefilter("reflection", ax):
-            continue
-        c, s = math.cos(2 * ax), math.sin(2 * ax)
-        if h_dist(np.array([[c, s], [s, -c]])) < tol:
-            found.append(Isometry("reflection", ax, g))
+    """Isometries (about the centroid) mapping the body onto itself: the
+    body's own ``symmetries(tol_rel)``.  Returns the full symmetry group
+    (identity first) when any nontrivial symmetry exists, and the empty
+    list otherwise."""
+    found = body.symmetries(tol_rel)
     if not found:
         return []
-    return [Isometry("rotation", 0.0, g)] + found
-
-
-def _signature_prefilter(body, g: np.ndarray, scale: float):
-    """Cheap radial-signature screen for star-shaped bodies centered at the centroid.
-
-    An exact symmetry permutes the radial function about the centroid; a
-    candidate whose permuted signature differs grossly cannot pass the full
-    Hausdorff test, so it is skipped.  Bodies without an origin-centered
-    radial parameterization are never screened out.
-    """
-    if not hasattr(body, "boundary_radius") or float(np.hypot(*g)) > 1e-9 * scale:
-        return lambda kind, ang: True
-    t = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
-    sig = body.boundary_radius(t)
-    period = 2 * math.pi
-    # gross-mismatch screen: exact symmetries land orders below either term
-    thr = max(1e-4 * scale, 0.05 * float(np.ptp(sig)))
-
-    def check(kind: str, ang: float) -> bool:
-        if kind == "rotation":
-            mapped = np.interp((t - ang) % period, t, sig, period=period)
-        else:
-            mapped = np.interp((2 * ang - t) % period, t, sig, period=period)
-        return float(np.max(np.abs(mapped - sig))) < thr
-
-    return check
-
-
-def _rotation_candidates() -> list[float]:
-    fracs = set()
-    for n in range(1, 13):
-        for k in range(n):
-            fracs.add(round(k / n, 12))
-    return sorted(2 * math.pi * f for f in fracs)
-
-
-def _axis_candidates(body, g: np.ndarray) -> list[float]:
-    if isinstance(body, Polygon):
-        pts = list(body.vertices) + [0.5 * (a + b) for a, b in body.edges()]
-        raw = [math.atan2(p[1] - g[1], p[0] - g[0]) % math.pi for p in pts]
-    elif isinstance(body, Disk):
-        raw = [math.pi * k / 8 for k in range(8)]
-    else:
-        t = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
-        rb = body.boundary_radius(t)
-        prv = np.roll(rb, 1)
-        nxt = np.roll(rb, -1)
-        ext = t[((rb >= prv) & (rb > nxt)) | ((rb <= prv) & (rb < nxt))]
-        raw = [float(a) % math.pi for a in ext]
-        raw += [((a + b) / 2) % math.pi for a in raw for b in raw if a < b]
-    out: list[float] = []
-    for a in sorted(raw):
-        if all(min(abs(a - b), math.pi - abs(a - b)) > 1e-9 for b in out):
-            out.append(a)
-    return out[:64]
+    g = body.centroid()
+    return [Isometry("rotation", 0.0, g)] + [Isometry(kind, ang, g) for kind, ang in found]

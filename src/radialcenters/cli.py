@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -32,12 +31,12 @@ from .quadrature import QuadratureConfig
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        out = args.handler(args)
+        text = _render(args.handler(args), args)
     except (RadialCentersError, ValueError, OSError, json.JSONDecodeError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 1
-    _emit(out, args)
+    _emit(text, args)
     return 0
 
 
@@ -131,18 +130,18 @@ def _cfg(args):
     return QuadratureConfig(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
 
 
-def _emit(result, args):
-    fmt = args.format
-    if fmt == "json":
-        text = json.dumps(result["json"], sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        if "csv" not in result:
-            raise ValueError(f"command {args.command!r} has no CSV form")
-        text = result["csv"]
-    else:
-        if "svg" not in result:
-            raise ValueError(f"command {args.command!r} has no SVG form")
-        text = result["svg"]
+def _render(result, args) -> str:
+    """The output in the format asked for.  A handler returns its JSON
+    payload and, for each other format it has, a function that renders it,
+    so that only the format asked for is rendered."""
+    if args.format == "json":
+        return json.dumps(result["json"], sort_keys=True, indent=2) + "\n"
+    if args.format not in result:
+        raise ValueError(f"command {args.command!r} has no {args.format.upper()} form")
+    return result[args.format]()
+
+
+def _emit(text: str, args):
     if args.out:
         _atomic_write(args.out, text)
     else:
@@ -199,7 +198,7 @@ def _cmd_center(args):
         "regime": res.regime, "uniqueness_guaranteed": res.uniqueness_guaranteed,
     }
     return {"json": payload,
-            "svg": svgmod.render_body(body, extra_points=[res.point])}
+            "svg": lambda: svgmod.render_body(body, extra_points=[res.point])}
 
 
 def _cmd_locus(args):
@@ -212,34 +211,32 @@ def _cmd_locus(args):
     trace = ctr.trace_locus(body, args.family, (lo, hi), n, _cfg(args))
     rows = [{"param": float(p), "x": float(q[0]), "y": float(q[1]), "grad_norm": float(g)}
             for p, q, g in zip(trace.params, trace.points, trace.grad_norms)]
-    buf = io.StringIO()
-    buf.write("param,x,y,grad_norm\n")
-    for r in rows:
-        buf.write(f"{r['param']!r},{r['x']!r},{r['y']!r},{r['grad_norm']!r}\n")
     return {"json": {"family": trace.family, "samples": rows},
-            "csv": buf.getvalue(),
-            "svg": svgmod.render_locus(body, trace.points)}
+            "csv": lambda: "param,x,y,grad_norm\n" + "".join(
+                f"{r['param']!r},{r['x']!r},{r['y']!r},{r['grad_norm']!r}\n" for r in rows),
+            "svg": lambda: svgmod.render_locus(body, trace.points)}
 
 
 def _cmd_balance(args):
     body = _load_body(args)
     x = _point_arg(args.at, body)
     report = bal.balance_report(body, x, n_radii=args.n_radii)
-    norm = [float(np.hypot(*v) / (2 * math.pi * r))
-            for v, r in zip(report.residual_vectors, report.radii)]
-    buf = io.StringIO()
-    buf.write("radius,residual_x,residual_y,normalized\n")
-    for r, v, s in zip(report.radii, report.residual_vectors, norm):
-        buf.write(f"{float(r)!r},{float(v[0])!r},{float(v[1])!r},{s!r}\n")
+
+    def normalized():
+        return [float(np.hypot(*v) / (2 * math.pi * r))
+                for v, r in zip(report.residual_vectors, report.radii)]
+
     return {"json": {
         "candidate": _point_list(report.candidate),
         "balanced": report.balanced,
         "sup_residual": report.sup_residual,
         "radii": [float(r) for r in report.radii],
         "residual_vectors": [_point_list(v) for v in report.residual_vectors],
-    }, "csv": buf.getvalue(),
-        "svg": svgmod.render_balance_spectrum(report.radii, np.array(norm),
-                                              threshold=bal.BALANCED_TOL)}
+    }, "csv": lambda: "radius,residual_x,residual_y,normalized\n" + "".join(
+        f"{float(r)!r},{float(v[0])!r},{float(v[1])!r},{s!r}\n"
+        for r, v, s in zip(report.radii, report.residual_vectors, normalized())),
+        "svg": lambda: svgmod.render_balance_spectrum(report.radii, np.array(normalized()),
+                                                      threshold=bal.BALANCED_TOL)}
 
 
 def _cmd_classify(args):
@@ -252,8 +249,7 @@ def _cmd_classify(args):
 
 def _cmd_generate(args):
     body = bal.generate_asymmetric_balanced(r_max=args.r_max)
-    return {"json": body.to_dict(),
-            "svg": svgmod.render_body(body)}
+    return {"json": body.to_dict(), "svg": lambda: svgmod.render_body(body)}
 
 
 def _cmd_limits(args):

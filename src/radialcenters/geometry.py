@@ -3,10 +3,11 @@
 Every body answers one protocol: ``area``, ``centroid``, ``diameter``,
 ``is_convex``, ``locate``, ``contains`` / ``contains_many``,
 ``boundary_distance`` / ``boundary_distance_many``, ``radial_function`` /
-``radial_function_many``, ``circle_clip``, ``balance_residuals``,
+``radial_function_many``, ``crossings``, ``symmetries``,
 ``angular_breakpoints``, ``radius_breakpoints``, ``reach``, ``route``,
 ``boundary_polyline``, ``boundary_pieces``, ``circumcenter``, ``incenter``,
-``normalized``, ``transformed``, ``locate_many`` and ``to_dict``.
+``normalized``, ``transformed``, ``locate_many`` and ``to_dict``.  The
+module functions ``circle_clip`` and ``balance_residuals`` read ``crossings``.
 ``locate(x)`` gives x's location and boundary distance with the view of x
 that the routes read: a polygon's ``EdgeFrame``, which also gives its
 distance and membership, or a disk's distance to its ``center`` (a disk has
@@ -24,6 +25,7 @@ delegate to the methods; points are arrays of shape (2,), checked by
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
@@ -41,7 +43,7 @@ __all__ = [
     "area", "centroid", "diameter", "contains", "boundary_distance",
     "classify_location", "is_convex", "convex_hull",
     "circumcenter", "incenter", "radial_function", "radial_function_many",
-    "circle_clip", "maximal_folding", "unfolded_region",
+    "circle_clip", "balance_residuals", "maximal_folding", "unfolded_region",
     "halfplane_intersection", "boundary_polyline", "transformed",
     "body_to_dict", "body_from_dict", "kept",
 ]
@@ -71,6 +73,11 @@ def _cross(a, b) -> float:
 def _point_set_diameter(v: np.ndarray) -> float:
     d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
     return math.sqrt(float(d2.max()))
+
+
+# the rotation angles a symmetry search tries: 2 pi k / n for n <= 12
+ROTATIONS = tuple(sorted(2 * math.pi * f for f in
+                         {round(k / n, 12) for n in range(1, 13) for k in range(n)}))
 
 
 def _angle_breakpoints(points, x) -> list[float]:
@@ -301,9 +308,10 @@ class Polygon:
                 for i, d in enumerate(dist)]
 
     def contains(self, p, tol: Optional[float] = None) -> bool:
-        p = as_point(p)
+        """Within ``tol`` of the boundary, or inside, both from one edge frame."""
         t = REL_TOL * self._diameter if tol is None else tol
-        return self.boundary_distance(p) <= t or bool(self.contains_many(p[None, :])[0])
+        p, s = self._frames(as_point(p))
+        return bool(_distance(p, s) <= t or _inside(p, s))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         """Winding-number membership of many points (no boundary band)."""
@@ -359,52 +367,25 @@ class Polygon:
             raise NotStarShaped(f"ray crosses the boundary {len(dedup)} times")
         return dedup[0]
 
-    def circle_clip(self, x, r: float) -> ArcSet:
-        x = as_point(x)
-        angles = []
-        for a, b in self.edges():
-            e = b - a
-            aa = float(np.dot(e, e))
-            bb = 2.0 * float(np.dot(a - x, e))
-            cc = float(np.dot(a - x, a - x)) - r * r
-            disc = bb * bb - 4 * aa * cc
-            if disc < 0:
-                continue
-            sq = math.sqrt(max(disc, 0.0))
-            for t in ((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)):
-                if -1e-12 <= t <= 1 + 1e-12:
-                    y = a + t * e
-                    angles.append(math.atan2(y[1] - x[1], y[0] - x[0]) % (2 * math.pi))
-        angles.sort()
-        dedup = angles[:1]
-        for t in angles[1:]:
-            if t - dedup[-1] > ANGLE_TOL:
-                dedup.append(t)
-        if len(dedup) > 1 and (dedup[0] + 2 * math.pi) - dedup[-1] <= ANGLE_TOL:
-            dedup.pop()
-        return _arcs_between(x, r, dedup, self.contains)
+    def crossings(self, x, radii):
+        """Where the circles of ``radii`` (shape (k,)) about ``x`` cross the
+        edges: the radius index of each crossing, its offset d = y - x from
+        the center, and whether the counterclockwise circle leaves the body
+        there.
 
-    def balance_residuals(self, x, radii) -> np.ndarray:
-        """Balance-law residuals on the circles of ``radii`` about ``x``, shape (k, 2).
-
-        A signed sum over circle-edge crossings, for convex and reflex
-        polygons and for any ``x``.  With d = y - x at a crossing y, the
-        counterclockwise circle adds (d_y, -d_x) where it leaves the body and
-        subtracts it where it enters; on the edge a + t e the smaller root of
-        |a - x + t e| = r is a leave and the larger one an enter.  Written with
-        the signed line distance s and the half chord h = sqrt(r^2 - s^2), a
-        leave is at d = s n - h e/|e| and an enter at d = s n + h e/|e| (n the
-        unit outward normal).  So each crossing adds -h n, and an edge that
-        runs from inside the circle to outside adds s e/|e| (the reverse
-        edge -s e/|e|).  One status per vertex, |v - x| < r, decides
-        both of its edges, so a vertex on the circle is counted once or not at
-        all.  An edge whose two ends lie outside the circle is crossed twice
-        when the foot of the perpendicular lies inside it and the circle
-        reaches more than ``REL_TOL`` diameters past its line; the thinner
-        band is a tangency, which ``contains`` also counts as boundary.
+        On the edge a + t e the smaller root of |a - x + t e| = r is a leave
+        and the larger one an enter.  Written with the signed line distance s
+        and the half chord h = sqrt(r^2 - s^2), a leave is at d = s n - h e/|e|
+        and an enter at d = s n + h e/|e| (n the unit outward normal).  One
+        status per vertex, |v - x| < r, decides both of its edges, so a vertex
+        on the circle is counted once or not at all: an edge that runs into
+        the circle is left there, one that runs out of it is entered.  An
+        edge whose two ends lie outside the circle is crossed twice when the
+        foot of the perpendicular lies inside it and the circle reaches more
+        than ``REL_TOL`` diameters past its line; the thinner band is a
+        tangency, which ``contains`` also counts as boundary.
         """
-        x = as_point(x)
-        r = np.asarray(radii, dtype=float).reshape(-1, 1)   # radii down, edges across
+        r = radii[:, None]                 # radii down, edges across
         rel = self.vertices - x
         inside = np.sum(rel * rel, axis=1) < r * r
         after = np.roll(inside, -1, axis=1)
@@ -414,10 +395,42 @@ class Polygon:
         pair = ~inside & ~after & (along > 0) & (along < self._lengths) \
             & (depth > REL_TOL * self._diameter)
         half_chord = np.sqrt(np.maximum(depth * (r + np.abs(s)), 0.0))
-        crossings = (inside != after) + 2 * pair
-        flow = inside.astype(float) - after
-        return (flow * s) @ self._tangents \
-            - (half_chord * crossings) @ self._normals
+        # the leaves, then the enters
+        enter, ri, e = np.nonzero(np.stack([after & ~inside | pair, inside & ~after | pair]))
+        h = np.where(enter, half_chord[ri, e], -half_chord[ri, e])
+        return ri, s[e, None] * self._normals[e] + h[:, None] * self._tangents[e], enter == 0
+
+    def symmetries(self, tol_rel: float) -> list:
+        """(kind, angle) of the isometries about the centroid that map the
+        polygon onto itself (``balance.symmetry_search``): the ``ROTATIONS``
+        and the reflections across the axes through the vertices and edge
+        midpoints whose two-sided Hausdorff distance over 512 boundary
+        samples stays below ``tol_rel`` diameters."""
+        g = self.centroid()
+        samples = self.boundary_polyline(512)
+        pts = list(self.vertices) + [0.5 * (a + b) for a, b in self.edges()]
+        axes: list[float] = []
+        for a in sorted(math.atan2(p[1] - g[1], p[0] - g[0]) % math.pi for p in pts):
+            if all(min(abs(a - b), math.pi - abs(a - b)) > 1e-9 for b in axes):
+                axes.append(a)
+
+        def h_dist(mat) -> float:
+            fwd = (samples - g) @ mat.T + g
+            d1 = self.boundary_distance_many(fwd)
+            bwd = (samples - g) @ mat + g       # inverse of an orthogonal matrix
+            d2 = self.boundary_distance_many(bwd)
+            return max(float(d1.max()), float(d2.max()))
+
+        found = []
+        for ang in ROTATIONS[1:]:       # the identity always passes
+            c, s = math.cos(ang), math.sin(ang)
+            if h_dist(np.array([[c, -s], [s, c]])) < tol_rel * self._diameter:
+                found.append(("rotation", ang))
+        for ax in axes[:64]:
+            c, s = math.cos(2 * ax), math.sin(2 * ax)
+            if h_dist(np.array([[c, s], [s, -c]])) < tol_rel * self._diameter:
+                found.append(("reflection", ax))
+        return found
 
     def angular_breakpoints(self, x) -> list[float]:
         """Vertex directions seen from ``x``, where the radial function kinks."""
@@ -576,35 +589,32 @@ class Disk:
             raise NotStarShaped("base point outside the disk")
         return -du + np.sqrt(self.radius ** 2 - dd + du * du)
 
-    def circle_clip(self, x, r: float) -> ArcSet:
-        x = as_point(x)
-        d = float(np.hypot(*(self.center - x)))
+    def crossings(self, x, radii):
+        """As ``Polygon.crossings``: the circle of radius r meets the disk in
+        the arc phi +- beta about the direction phi of the center, so it
+        enters at phi - beta and leaves at phi + beta.  There is no arc where
+        the circle lies inside the disk, within ``ANGLE_TOL`` of an inner
+        tangency, or outside it, outer tangencies included."""
+        c = self.center - x
+        d = float(np.hypot(*c))
         R = self.radius
-        if d + r <= R + ANGLE_TOL * max(r, 1.0):
-            return ArcSet(x, r, ((0.0, 2 * math.pi),))
-        if r >= d + R or d >= r + R:
-            return ArcSet(x, r, ())
-        cosb = (d * d + r * r - R * R) / (2 * d * r)
-        cosb = min(1.0, max(-1.0, cosb))
-        beta = math.acos(cosb)
-        phi = math.atan2(self.center[1] - x[1], self.center[0] - x[0])
-        return _build_arcset(x, r, [(phi - beta, phi + beta)])
+        ri = np.flatnonzero((d + radii > R + ANGLE_TOL * np.maximum(radii, 1.0))
+                            & (radii < d + R) & (d < radii + R))
+        if not ri.size:             # as always where d = 0
+            return ri, np.empty((0, 2)), np.empty(0, dtype=bool)
+        r = radii[ri]
+        cosb = np.clip((d * d + r * r - R * R) / (2 * d * r), -1.0, 1.0)
+        u = c / d
+        along = np.outer(r * cosb, u)
+        across = np.outer(r * np.sqrt((1 - cosb) * (1 + cosb)), [-u[1], u[0]])
+        return (np.concatenate([ri, ri]), np.concatenate([along - across, along + across]),
+                np.repeat([False, True], len(ri)))
 
-    def balance_residuals(self, x, radii) -> np.ndarray:
-        """2 r sin(beta) (cos phi, sin phi) for the arc phi +- beta that
-        ``circle_clip`` finds; zero where it finds the full or empty circle."""
-        x = as_point(x)
-        r = np.asarray(radii, dtype=float).reshape(-1)
-        d = float(np.hypot(*(self.center - x)))
-        R = self.radius
-        arc = (d + r > R + ANGLE_TOL * np.maximum(r, 1.0)) & (r < d + R) & (d < r + R)
-        out = np.zeros((len(r), 2))
-        if np.any(arc):     # then d > 0
-            ra = r[arc]
-            cosb = np.clip((d * d + ra * ra - R * R) / (2 * d * ra), -1.0, 1.0)
-            out[arc] = np.outer(2 * ra * np.sqrt((1 - cosb) * (1 + cosb)),
-                                (self.center - x) / d)
-        return out
+    def symmetries(self, tol_rel: float) -> list:
+        """As ``Polygon.symmetries``: every rotation but the identity and the
+        reflections across the axes at pi k / 8, with no sampling."""
+        return [("rotation", a) for a in ROTATIONS[1:]] \
+            + [("reflection", math.pi * k / 8) for k in range(8)]
 
     def angular_breakpoints(self, x) -> list[float]:
         return [0.0, 2 * math.pi]
@@ -781,15 +791,17 @@ def _build_arcset(center, radius, raw_arcs) -> ArcSet:
     return ArcSet(center, radius, tuple((t1, t2) for t1, t2 in merged))
 
 
-def _arcs_between(x, r, crossings, inside) -> ArcSet:
-    """Arcs between consecutive sorted crossing angles whose midpoints are ``inside``.
+def _whole_circle(x, r, inside) -> ArcSet:
+    """The full or the empty circle, as one probe point decides."""
+    return ArcSet(x, r, ((0.0, 2 * math.pi),) if inside(x + r * _unit(0.1234567)) else ())
 
-    Without crossings the circle lies wholly inside or wholly outside the
-    body, and one probe point decides which.
-    """
+
+def _arcs_between(x, r, crossings, inside) -> ArcSet:
+    """Arcs between consecutive sorted crossing angles whose midpoints are
+    ``inside``; the arcs of the sampled test oracle
+    ``RadialArcBody._circle_clip_offcenter``."""
     if not crossings:
-        full = inside(x + r * _unit(0.1234567))
-        return ArcSet(x, r, ((0.0, 2 * math.pi),) if full else ())
+        return _whole_circle(x, r, inside)
     raw = []
     k = len(crossings)
     for i in range(k):
@@ -856,13 +868,48 @@ def radial_function_many(body: Body, x, thetas: np.ndarray) -> np.ndarray:
 def circle_clip(body: Body, x, r: float) -> ArcSet:
     """Arcs of the circle of radius ``r`` about ``x`` that lie inside the body.
 
-    Tangential contacts are resolved by midpoint membership tests and arc
-    merging; the operation never fails on degeneracies.
+    Built from the body's ``crossings``, the ones ``balance_residuals`` sums:
+    an enter and a leave closer than ``ANGLE_TOL`` are a tangency and cancel,
+    then each arc runs counterclockwise from an enter to the next leave.  A
+    circle left without crossings lies wholly inside or wholly outside the
+    body, and one probe point decides which.  The operation never fails on
+    degeneracies.
     """
     r = float(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    return body.circle_clip(as_point(x), r)
+    x = as_point(x)
+    _, d, leave = body.crossings(x, np.array([r]))
+    angles = np.arctan2(d[:, 1], d[:, 0]) % (2 * math.pi)
+    events: list[tuple[float, bool]] = []
+    for i in np.argsort(angles, kind="stable"):
+        t, out = float(angles[i]), bool(leave[i])
+        if events and events[-1][1] != out and t - events[-1][0] <= ANGLE_TOL:
+            events.pop()
+        else:
+            events.append((t, out))
+    while len(events) > 1 and events[0][1] != events[-1][1] \
+            and events[0][0] + 2 * math.pi - events[-1][0] <= ANGLE_TOL:
+        events = events[1:-1]
+    enters = [t for t, out in events if not out]
+    leaves = [t for t, out in events if out]
+    if not (enters and leaves):
+        return _whole_circle(x, r, body.contains)
+    leaves.append(leaves[0] + 2 * math.pi)         # the first leave, once round
+    return _build_arcset(x, r, [(t, leaves[bisect.bisect_right(leaves, t)]) for t in enters])
+
+
+def balance_residuals(body: Body, x, radii) -> np.ndarray:
+    """Balance-law residuals on the circles of ``radii`` about ``x``, shape
+    (k, 2): one signed sum over the body's ``crossings``.  With d = y - x at
+    a crossing y, the counterclockwise circle adds (d_y, -d_x) where it
+    leaves the body and subtracts it where it enters."""
+    x = as_point(x)
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    ri, d, leave = body.crossings(x, radii)
+    out = np.zeros((len(radii), 2))
+    np.add.at(out, ri, np.where(leave, 1.0, -1.0)[:, None] * np.stack([d[:, 1], -d[:, 0]], 1))
+    return out
 
 
 def boundary_polyline(body: Body, n: int = 512) -> np.ndarray:
@@ -1250,7 +1297,9 @@ def body_from_dict(data: dict) -> Body:
             return RadialArcBody.from_dict(data)
     except KeyError as exc:
         raise InvalidBody(f"{kind} body JSON lacks key {exc.args[0]!r}") from None
-    except TypeError as exc:
+    except InvalidBody:
+        raise
+    except (TypeError, ValueError) as exc:
         raise InvalidBody(f"{kind or 'polygon'} body JSON has a malformed field: {exc}") from None
     raise InvalidBody(f"unrecognized body JSON with keys {sorted(data)}")
 

@@ -55,7 +55,7 @@ from scipy.special import erf, erfc
 
 from . import disks, edges
 from .errors import BoundaryPoint, InvalidBody
-from .geometry import EdgeFrame, as_point
+from .geometry import EdgeFrame, as_point, circle_clip
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_gk, fan_integral
 
 __all__ = [
@@ -306,7 +306,7 @@ def riesz_value_complement(body, x, alpha: float,
     def integrand(rs):
         out = np.empty_like(rs)
         for i, r in enumerate(rs):
-            gap = 2 * math.pi - body.circle_clip(x, float(r)).measure()
+            gap = 2 * math.pi - circle_clip(body, x, float(r)).measure()
             out[i] = float(r) ** (alpha - 1) * gap
         return out
 

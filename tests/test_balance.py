@@ -19,9 +19,11 @@ from radialcenters.balance import (BALANCED_TOL, PolygonClass, RadialArcBody,
 from radialcenters.centers import CENTER_CFG, ascend, limit_diagnostics
 from radialcenters.errors import (ConstructionFailed, ContinuumContact, InvalidBody,
                                   NotInterior)
-from radialcenters.geometry import (ArcSet, CircleArc, Disk, Polygon, centroid, circle_clip,
-                                    circumcenter, contains, contains_many, diameter, incenter,
-                                    transformed)
+from radialcenters import balance
+from radialcenters.geometry import (ArcSet, CircleArc, Disk, Polygon, balance_residuals,
+                                    centroid, circle_clip, circumcenter, contains,
+                                    contains_many, diameter, incenter, transformed,
+                                    _arcs_between)
 from radialcenters.potentials import Heat, Poisson, Riesz, _family, _riesz_profile, \
     poisson_gradient, potential, potential_gradient, potential_hessian, riesz_gradient, \
     riesz_gradient_boundary
@@ -132,12 +134,55 @@ def test_balanced_point_is_centroid(rng):
         assert not balance_report(poly, offset).balanced
 
 
+def _quadratic_clip(poly, x, r):
+    """The arcs of the circle inside a polygon from the roots of each edge's
+    quadratic |a + t e - x|^2 = r^2, deduplicated, with the arcs between
+    consecutive roots kept where their midpoints lie inside: a clip that
+    shares no code with the polygon's ``crossings``."""
+    angles = []
+    for a, b in poly.edges():
+        e = b - a
+        aa = float(np.dot(e, e))
+        bb = 2.0 * float(np.dot(a - x, e))
+        cc = float(np.dot(a - x, a - x)) - r * r
+        disc = bb * bb - 4 * aa * cc
+        if disc < 0:
+            continue
+        sq = math.sqrt(max(disc, 0.0))
+        for t in ((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)):
+            if -1e-12 <= t <= 1 + 1e-12:
+                y = a + t * e
+                angles.append(math.atan2(y[1] - x[1], y[0] - x[0]) % (2 * math.pi))
+    angles.sort()
+    dedup = angles[:1]
+    for t in angles[1:]:
+        if t - dedup[-1] > 1e-12:
+            dedup.append(t)
+    if len(dedup) > 1 and (dedup[0] + 2 * math.pi) - dedup[-1] <= 1e-12:
+        dedup.pop()
+    return _arcs_between(x, r, dedup, poly.contains)
+
+
+def _reference_moment(body, x, r):
+    """The balance residual on one circle, independently of ``crossings``:
+    the moment of the quadratic clip of a polygon, and 2 r sin(beta)
+    (cos phi, sin phi) for a disk, whose arc is phi +- beta."""
+    if isinstance(body, Polygon):
+        return vector_residual_of_arcs(_quadratic_clip(body, x, r))
+    c = body.center - x
+    d = float(np.hypot(*c))
+    if not abs(d - body.radius) < r < d + body.radius:
+        return np.zeros(2)
+    cosb = (d * d + r * r - body.radius ** 2) / (2 * d * r)
+    return 2 * r * math.sqrt(1 - cosb * cosb) * c / d
+
+
 def _spectrum_vs_clip_oracle(body, x):
-    """Largest gap between the report's spectrum and the circle-clip arc
+    """Largest gap between the report's spectrum and the reference arc
     moments at radii more than 2e-9 r_far from every breakpoint, relative to
     the diameter, and the two balance verdicts."""
     rep = balance_report(body, x)
-    oracle = np.array([vector_residual_of_arcs(circle_clip(body, x, r)) for r in rep.radii])
+    oracle = np.array([_reference_moment(body, x, r) for r in rep.radii])
     breaks = np.array(body.radius_breakpoints(x))
     clear = np.abs(rep.radii[:, None] - breaks[None, :]).min(axis=1) > 2e-9 * body.reach(x)
     gap = float(np.abs(rep.residual_vectors - oracle)[clear].max()) / body.diameter()
@@ -178,7 +223,7 @@ def test_spectrum_vanishes_at_edge_foot_radii(poly):
     # must not make one of sqrt(eps) width
     g = poly.centroid()
     feet = np.array(poly.radius_breakpoints(g)[poly.n:])
-    res = poly.balance_residuals(g, feet)
+    res = balance_residuals(poly, g, feet)
     assert np.all(np.hypot(*res.T) <= 1e-12 * feet)
 
 
@@ -191,14 +236,41 @@ def test_spectrum_exterior_tangency_is_empty():
 
 
 def test_polygon_spectra_make_no_circle_clips(monkeypatch):
-    def refuse(self, x, r):
+    def refuse(body, x, r):
         raise AssertionError("circle_clip called")
 
-    monkeypatch.setattr(Polygon, "circle_clip", refuse)
+    monkeypatch.setattr(balance, "circle_clip", refuse)
     tri = make_tri345()
     assert not balance_report(tri, centroid(tri)).balanced
     assert classify_polygon(make_equilateral()) == PolygonClass.BALANCED_EQUILATERAL
     assert classify_polygon(tri) == PolygonClass.NOT_BALANCED
+
+
+LSHAPE = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
+
+
+@pytest.mark.parametrize("make, cases", [
+    # an outer tangency, where a clip of its own found an arc of 7.2e-7
+    (make_tri345, [((0.8048426566754261, 2.4225585797777662), 0.02095245782748964)]),
+    (make_square, []),
+    # a real gap at the reflex vertex, which a membership probe filled (2.3e-7)
+    (lambda: Polygon(LSHAPE), [((1.0, 0.2), 0.8000000000008001)]),
+    (make_equilateral, []),
+    (lambda: Disk([0.3, -0.2], 1.5), []),
+    (generate_asymmetric_balanced, []),
+], ids=["tri345", "square", "lshape", "equilateral", "disk", "asym"])
+def test_clip_and_residuals_share_one_crossing_rule(make, cases):
+    # at every breakpoint radius and 1e-12 to either side, where tangencies
+    # and vertices on the circle are decided
+    body = make()
+    rng = np.random.default_rng(22)
+    pts = body.centroid() + 1.5 * body.diameter() * (rng.random((30, 2)) - 0.5)
+    cases = cases + [(x, b * f) for x in pts for b in body.radius_breakpoints(x)
+                     for f in (1 - 1e-12, 1.0, 1 + 1e-12)]
+    for x, r in cases:
+        clip = vector_residual_of_arcs(circle_clip(body, x, r))
+        gap = float(np.hypot(*(clip - balance_residuals(body, x, [r])[0])))
+        assert gap <= 1e-12 * 2 * math.pi * r, (x, r)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +793,8 @@ def test_asym_distances_about_the_origin_are_exact(asym_body):
 
 
 def test_asym_symmetry_search_skips_the_identity(asym_body, monkeypatch):
-    # the radial-signature screen rejects every other candidate, so no
-    # Hausdorff distance is measured at all
+    # the candidates are confirmed on the radial function, so no Hausdorff
+    # distance over boundary samples is measured at all
     def fail(*args):
         raise AssertionError("Hausdorff test on the asymmetric body")
 

@@ -143,6 +143,13 @@ def test_missing_body_file_is_domain_error(capsys, tmp_path):
     ({"type": "disk", "center": [0, 0], "radius": None}, "malformed"),
     ({"type": "radial_arc", "direction_angles": 5, "r_max": 1.04, "amplitude": 0.5},
      "malformed"),
+    # arrays of the wrong shape or contents, which numpy rejects
+    ({"type": "disk", "center": [0], "radius": 1}, "malformed"),
+    ({"vertices": [[0, 0], [1]]}, "malformed"),
+    ({"vertices": "abc"}, "malformed"),
+    ({"type": "disk", "center": [0, 0], "radius": "x"}, "malformed"),
+    # a constructor's own message passes through
+    ({"vertices": [[0, 0], [1, 0], [2, 0]]}, "counterclockwise"),
 ])
 def test_malformed_body_json_is_domain_error(capsys, tmp_path, data, key):
     bad = tmp_path / "bad.json"
@@ -275,6 +282,23 @@ def test_csv_cells_are_plain_numbers(capsys, square_file, argv):
         assert len(cells) == len(header.split(","))
         for cell in cells:
             float(cell)
+
+
+def test_only_the_format_asked_for_is_rendered(capsys, monkeypatch, square_file):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVG was rendered")
+
+    for name in ("render_body", "render_locus", "render_balance_spectrum"):
+        monkeypatch.setattr(cli.svgmod, name, refuse)
+    locus = ["locus", "--family", "heat", "--range", "0.2:1:3"]
+    for argv in (["balance"], ["balance", "--format", "csv"], locus, locus + ["--format", "csv"],
+                 ["center", "--family", "riesz", "--param", "4"]):
+        code, out, _ = run_cli(capsys, argv + ["--body", square_file])
+        assert code == 0 and out, argv
+    code, out, _ = run_cli(capsys, ["generate-asym"])
+    assert code == 0 and json.loads(out)["type"] == "radial_arc"
+    code, out, err = run_cli(capsys, ["classify", "--format", "csv", "--body", square_file])
+    assert (code, out) == (1, "") and "has no CSV form" in json.loads(err)["message"]
 
 
 def test_one_parser_serves_every_call_alike(capsys, monkeypatch, square_file):

@@ -4,7 +4,7 @@ usage: python3 tools/same_answers.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold a ``radialcenters`` package
 (a checkout's ``src``).  Each tree runs the corpus once, in a subprocess of
-its own, and the two sets of answers are compared.  Three things are
+its own, and the two sets of answers are compared.  Five things are
 printed:
 
 * the worst distance between the two trees' ``find_center`` points, over the
@@ -35,12 +35,17 @@ printed:
 * the balance verdicts (``classify_polygon``) that differ on the corpus of
   acceptance criterion 4: 200 triangles, 200 quadrangles, 8 equilateral
   triangles and 8 parallelograms, drawn as ``tests/test_acceptance.py`` draws
-  them.
+  them; then the worst deviation of their ``balance_report`` spectra at the
+  centroid, |residual difference| / r over every radius, and the reports
+  whose radius grids differ;
+* the bodies of the first list whose ``symmetry_search`` differs, each
+  isometry compared by its kind and the reprs of its angle and center.
 
 The exit status is 0 when the points agree to 1e-12 diameters, the values,
 gradients, Hessians, loci and limit rows are identical, the locations differ
-only within 1e-6 of the band's edge, and the verdicts are identical; the
-counts of searches whose other fields differ are reported only.
+only within 1e-6 of the band's edge, and the verdicts and symmetries are
+identical; the counts of searches whose other fields differ and the spectra's
+deviation are reported only.
 """
 
 from __future__ import annotations
@@ -227,16 +232,21 @@ def emit() -> dict:
         for p in _probe_points(body, rng, np):
             points.append([name, p.tolist()])
             locations.append([geo.classify_location(body, p), body.boundary_distance(p) / band])
-    verdicts = []
+    verdicts, spectra = [], []
     for poly in _criterion_4_corpus(np):
         try:
             verdicts.append(bal.classify_polygon(poly).value)
         except TheoremViolation:
             verdicts.append("TheoremViolation")
+        rep = bal.balance_report(poly, poly.centroid())
+        spectra.append([rep.radii.tolist(), rep.residual_vectors.tolist()])
+    symmetries = {name: [[s.kind, repr(s.angle), repr(float(s.center[0])),
+                          repr(float(s.center[1]))] for s in bal.symmetry_search(body)]
+                  for name, body in bodies}
     bodies = dict(bodies)
     return {"centers": centers, "searches": searches, "fields": _fields(bodies),
             "loci": _loci(bodies, np), "points": points, "locations": locations,
-            "verdicts": verdicts}
+            "verdicts": verdicts, "spectra": spectra, "symmetries": symmetries}
 
 
 def run(src: str) -> dict:
@@ -324,7 +334,24 @@ def compare(old: dict, new: dict) -> bool:
     print(f"classify_polygon: {len(old['verdicts'])} polygons, {len(flips)} verdicts differ")
     for i, a, b in flips:
         print(f"  polygon {i}: {a} -> {b}")
-    return worst <= CENTER_TOL and not raised and same and edge_only and not flips
+    spread, regridded = 0.0, 0
+    for (ra, va), (rb, vb) in zip(old["spectra"], new["spectra"]):
+        if ra != rb:
+            regridded += 1
+            continue
+        for r, a, b in zip(ra, va, vb):
+            spread = max(spread, math.hypot(a[0] - b[0], a[1] - b[1]) / r)
+    print(f"balance_report: {len(old['spectra'])} spectra, worst deviation {spread:.3e} r, "
+          f"{regridded} with radius grids that differ")
+
+    turned = [name for name in old["symmetries"]
+              if old["symmetries"][name] != new["symmetries"].get(name)]
+    print(f"symmetry_search: {len(old['symmetries'])} bodies, {len(turned)} differ")
+    for name in turned:
+        print(f"  {name}: {len(old['symmetries'][name])} -> "
+              f"{len(new['symmetries'].get(name, []))} isometries")
+    return worst <= CENTER_TOL and not raised and same and edge_only and not flips \
+        and not turned
 
 
 def main(argv: list) -> int:
