@@ -94,7 +94,7 @@ def balance_report(body, x, n_radii: int = 256) -> BalanceReport:
     r_far = body.reach(x)
     if r_far <= 0:
         raise ValueError("degenerate body")
-    radii = set(np.geomspace(r_far * 1e-4, r_far, n_radii))
+    radii = set(np.geomspace(r_far * 1e-4, r_far, n_radii).tolist())     # Python floats
     jitter = 1e-9 * r_far
     for b in body.radius_breakpoints(x):
         for rb in (b - jitter, b, b + jitter):
@@ -704,7 +704,7 @@ class RadialArcBody:
     def locate(self, x) -> Located:
         """From the cut about ``x``, which the boundary-piece integrals reuse."""
         return _located(float(self._cut(x).dist.min()), self._diameter,
-                        lambda: bool(self.contains_many(x)[0]))
+                        lambda _: bool(self.contains_many(x)[0]))
 
     def locate_many(self, pts) -> list:
         """``locate`` for points (N, 2), one at a time."""

@@ -4,6 +4,8 @@ Seen from a point x, edge i of a polygon has a frame: its unit tangent e and
 unit outward normal n, the signed distance p = b - n.x from x to its line
 (positive on the inner side), q = |p|, and its ends at s_a < s_b along e,
 measured from the foot of the perpendicular from x (``Polygon.locate``).
+The frame carries q at each end, of the shape of s, so that every form in
+q and s is elementwise with no broadcasting; what is per edge reads q[0].
 With r = sqrt(q^2 + s^2), theta = atan2(s, q) and [f] = f(s_b) - f(s_a):
 
 * values are sums of signed sectors, the sector of edge i being the triangle
@@ -24,12 +26,12 @@ neither do Poisson and heat values outside the body, where the sector sum
 cancels in the far tail.  Those stay on quadrature.
 
 A frame may also be a stack of frames about N points, ``p`` of shape (N, n)
-and ``s`` of shape (2, N, n) (``potentials.potential_jet_many``).  Everything
-per edge is elementwise and runs on it unchanged.  The sums over the edges
-are stacked matrix products over the last axes (``_edge_sum``, ``gradient``,
-``hessian``), one expression for a frame and a stack alike, which gives each
-point of a stack the bits of its own frame's sum; a value becomes an array
-of N.
+and ``q`` and ``s`` of shape (2, N, n) (``potentials.potential_jet_many``).
+Everything per edge is elementwise and runs on it unchanged.  The sums over
+the edges are dot products: one for a frame, and for a stack the stacked
+matrix product over the last axes (``_edge_sum``, ``gradient``,
+``hessian``), which runs the same dot product on each point and so gives it
+the bits of its own frame's sum; a value becomes an array of N.
 """
 
 from __future__ import annotations
@@ -44,14 +46,18 @@ __all__ = ["riesz_value", "riesz_flux", "riesz_ladder", "riesz_moments", "poisso
            "heat_moments", "gradient", "hessian"]
 
 
-def _per_point(total: np.ndarray):
-    """A sum over the edges: a float for one frame, an array for a stack."""
-    return float(total) if total.ndim == 0 else total
-
-
 def _edge_sum(a: np.ndarray, b: np.ndarray):
-    """sum a b over the edges, by one stacked dot product per point."""
-    return _per_point((a[..., None, :] @ b[..., :, None])[..., 0, 0])
+    """sum a b over the edges: a float for one frame, by one dot product, and
+    an array for a stack, by one stacked dot product per point, which runs
+    the same dot product on each."""
+    if a.ndim == 1:
+        return float(a @ b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _ones_at_zero(q: np.ndarray) -> np.ndarray:
+    """``q`` with each zero made 1: ``q`` itself where it has none."""
+    return q if np.count_nonzero(q) == q.size else q + (q == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +72,7 @@ def _g_limit(a: float, q: np.ndarray) -> np.ndarray:
         * q ** (a - 1)
 
 
-def _g_parts(a: float, q: np.ndarray, s: np.ndarray):
+def _g_parts(a: float, q: np.ndarray, s: np.ndarray, squares=None):
     """G_a = c * _g_limit(a, q) + g for a <= 1.
 
     Where |s| >= q, c = sign(s) and g = -sign(s) times the tail
@@ -74,37 +80,52 @@ def _g_parts(a: float, q: np.ndarray, s: np.ndarray):
     q^2/r^2) (for a = 1 the finite part -log(|s| + r)): finite at q = 0, and
     the divergent limit cancels exactly between two ends on the same side.
     Where |s| < q, c = 0 and g is the head integral in its Euler form
-    s r^a / q^2 2F1(1, (a + 1)/2; 3/2; -s^2/q^2).  Each 2F1 is taken at 0,
-    where it returns at once, on the elements that read the other form: the
-    tail's is slowest near q^2/r^2 = 1, where the head's form is read.
+    s r^a / q^2 2F1(1, (a + 1)/2; 3/2; -s^2/q^2).  The tail's 2F1 is taken
+    at 0, where it returns at once, on the head's elements (it is slowest
+    near q^2/r^2 = 1, where the head's form is read); the head's form is
+    computed on its elements alone and written over c and g in place.
+    -sign(s) times the tail is formed as sign(s) times its negation, which
+    has the same bits.  ``q`` has the shape of ``s`` (``EdgeFrame.q``);
+    ``squares``: q^2 and r^2 = q^2 + s^2 where the caller has them.
     """
     sign = np.sign(s)
-    r2 = q * q + s * s
-    head = np.abs(s) < q
-    if a == 1:
-        tail = -np.log(np.abs(s) + np.sqrt(r2))
+    if squares is None:
+        q2 = q * q
+        r2 = q2 + s * s
     else:
-        tail = r2 ** ((a - 1) / 2) / (1 - a) \
-            * hyp2f1((1 - a) / 2, 0.5, (3 - a) / 2, np.where(head, 0.0, q * q / r2))
-    if not head.any():
-        return sign, -sign * tail
-    qh = np.where(head, q, 1.0)
-    sh = np.where(head, s, 0.0)
+        q2, r2 = squares
+    abs_s = np.abs(s)
+    head = abs_s < q
+    heads = np.count_nonzero(head)
+    if a == 1:
+        g = sign * np.log(abs_s + np.sqrt(r2))
+    else:
+        z = q2 / r2
+        if heads:
+            np.copyto(z, 0.0, where=head)
+        g = r2 ** ((a - 1) / 2) / (a - 1) * hyp2f1((1 - a) / 2, 0.5, (3 - a) / 2, z)
+        g *= sign
+    if not heads:
+        return sign, g
+    qh, sh = q[head], s[head]
     if a == 1:
         hv = np.arcsinh(sh / qh)
     else:
-        hv = (qh * qh + sh * sh) ** (a / 2) * sh / (qh * qh) \
-            * hyp2f1(1.0, (a + 1) / 2, 1.5, -(sh / qh) ** 2)
-    return np.where(head, 0.0, sign), np.where(head, hv, -sign * tail)
+        hv = r2[head] ** (a / 2) * sh / (qh * qh) * hyp2f1(1.0, (a + 1) / 2, 1.5, -(sh / qh) ** 2)
+    sign[head] = 0.0
+    g[head] = hv
+    return sign, g
 
 
 def _parts_bracket(a: float, q: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """[G_a] per edge from ``_g_parts(a, q, s)`` for a <= 1."""
     jump = c[1] - c[0]
-    if jump.any():
-        # the limit where it counts, which has q > 0; elsewhere q may be 0
-        return g[1] - g[0] + jump * _g_limit(a, np.where(jump != 0, q, 1.0))
-    return g[1] - g[0]
+    jumps = np.count_nonzero(jump)
+    if not jumps:
+        return g[1] - g[0]
+    # the limit where it counts, which has q > 0; elsewhere q may be 0
+    q = q[0] if jumps == jump.size else np.where(jump != 0, q[0], 1.0)
+    return g[1] - g[0] + jump * _g_limit(a, q)
 
 
 def _g_recurrence(a: float, q: np.ndarray, s: np.ndarray):
@@ -115,22 +136,31 @@ def _g_recurrence(a: float, q: np.ndarray, s: np.ndarray):
     Returns G_a and a function of no arguments that returns [G_(a-2)], the
     bracket of the rung below: the last rung of the same recurrence from
     a - 2 when k >= 2, and built from the same ``_g_parts(b)`` when k = 1,
-    each bit as ``_bracket(a - 2)`` gives it."""
+    each bit as ``_bracket(a - 2)`` gives it.
+
+    At even orders b = 0 and G_2 = s: the step's b q^2 G_0 is a zero, finite
+    wherever x is off the boundary, and adds nothing but perhaps the sign of
+    a zero G_2, which no bracket reads.  G_0 is then computed only where the
+    rung below is read of G_2 (a = 2)."""
     k = math.ceil((a - 1) / 2)
     base = b = a - 2 * k
-    c, g = _g_parts(b, q, s)
     q2 = q * q
-    # q^2 G_b; the divergent part vanishes with q (q^(b+1), or q^2 log q)
-    q2g = q2 * (g + c * _g_limit(b, q + (q == 0)))
     r2 = q2 + s * s
-    rb = r2 ** (b / 2)
-    G, prev = (s * rb + b * q2g) / (b + 1), None
+    if b:
+        parts = c, g = _g_parts(b, q, s, (q2, r2))
+        # q^2 G_b; the divergent part vanishes with q (q^(b+1), or q^2 log q)
+        q2g = q2 * (g + c * _g_limit(b, _ones_at_zero(q)))
+        rb = r2 ** (b / 2)
+        G = (s * rb + b * q2g) / (b + 1)
+    else:
+        parts, G, rb = None, s, None
+    prev = None
     for _ in range(k - 1):
         b += 2
-        rb = rb * r2
+        rb = r2 if rb is None else rb * r2
         G, prev = (s * rb + b * q2 * G) / (b + 1), G
     if prev is None:
-        return G, lambda: _parts_bracket(base, q, c, g)
+        return G, lambda: _parts_bracket(base, q, *(parts or _g_parts(base, q, s, (q2, r2))))
     return G, lambda: prev[1] - prev[0]
 
 
@@ -168,11 +198,13 @@ def riesz_value(frame, alpha: float, flux=None) -> float:
     """sign(2 - alpha) / alpha * sum p [G_alpha], for alpha not in {0, 2}.
 
     Given the edges' ``flux`` (``riesz_flux``, sign(2 - alpha) [G_alpha]),
-    the bracket is read off it, exactly, instead of computed again.
+    it is 1 / alpha * sum p flux instead, the same bits: the two signs
+    cancel exactly.
     """
-    c = math.copysign(1.0, 2 - alpha)
-    g = _bracket(alpha, np.abs(frame.p), frame.s) if flux is None else c * flux
-    return c / alpha * _edge_sum(frame.p, g)
+    if flux is None:
+        return math.copysign(1.0, 2 - alpha) / alpha \
+            * _edge_sum(frame.p, _bracket(alpha, frame.q, frame.s))
+    return 1.0 / alpha * _edge_sum(frame.p, flux)
 
 
 def riesz_flux(frame, alpha: float) -> np.ndarray:
@@ -185,20 +217,20 @@ def riesz_ladder(frame, alpha: float):
     function of no arguments that returns [G_(alpha - 2)], a rung of the
     flux's own ladder (``_brackets``), or None where the flux has none
     (alpha <= 1, and alpha = 2)."""
-    q, s = np.abs(frame.p), frame.s
+    q, s = frame.q, frame.s
     if alpha == 2:
         r = np.hypot(q, s)
         f = s * np.log(r) - s + q * np.arctan2(s, q)
         return f[0] - f[1], None
     g, below = _brackets(alpha, q, s)
-    return math.copysign(1.0, 2 - alpha) * g, below
+    return (g if alpha < 2 else -1.0 * g), below
 
 
 def riesz_moments(frame, alpha: float, below=None):
     """int w ds and int w s ds per edge, w = k'(r) / r.  Given ``below`` from
     ``riesz_ladder``, [G_(alpha - 2)] is read off the flux's ladder instead
     of computed again."""
-    q, s = np.abs(frame.p), frame.s
+    q, s = frame.q, frame.s
     r2 = q * q + s * s
     if alpha == 2:
         return -_bracket(0.0, q, s), -0.5 * (np.log(r2[1]) - np.log(r2[0]))
@@ -217,21 +249,22 @@ def poisson_value(frame, h: float) -> float:
     This is sign(p) [theta - arcsin(h sin(theta) / Q)] without cancellation;
     the sectors' angles make up the constant 1 inside the body.
     """
-    q, s = np.abs(frame.p), frame.s
+    q, s = frame.q, frame.s
     Q2 = q * q + h * h
     a = np.arctan2(frame.p * s, Q2 + h * np.sqrt(Q2 + s * s))
-    return _per_point(np.sum(a[1] - a[0], axis=-1)) / (2 * math.pi)
+    turn = np.add.reduce(a[1] - a[0], -1)
+    return (float(turn) if turn.ndim == 0 else turn) / (2 * math.pi)
 
 
 def poisson_flux(frame, h: float) -> np.ndarray:
-    q, s = np.abs(frame.p), frame.s
+    q, s = frame.q, frame.s
     Q2 = q * q + h * h
     f = s / (Q2 * np.sqrt(Q2 + s * s))
     return h / (2 * math.pi) * (f[1] - f[0])
 
 
 def poisson_moments(frame, h: float):
-    q, s = np.abs(frame.p), frame.s
+    q, s = frame.q, frame.s
     Q2 = q * q + h * h
     R2 = Q2 + s * s
     R3 = R2 * np.sqrt(R2)
@@ -246,8 +279,9 @@ def poisson_moments(frame, h: float):
 
 def heat_value(frame, t: float) -> float:
     """sum sign(p) [theta / 2 pi - T(q / sqrt(2t), s / q)], T Owen's T."""
-    q, s = np.abs(frame.p), frame.s
-    qs = q + (q == 0)           # sign(p) = 0 drops those edges
+    q, s = frame.q, frame.s
+    # sign(p) = 0 drops the edges with q = 0
+    qs = _ones_at_zero(q)
     f = np.arctan2(s, q) / (2 * math.pi) - owens_t(qs / math.sqrt(2 * t), s / qs)
     return _edge_sum(np.sign(frame.p), f[1] - f[0])
 
@@ -261,8 +295,8 @@ def _erf_bracket(u: np.ndarray) -> np.ndarray:
 
 
 def heat_flux(frame, t: float) -> np.ndarray:
-    q, s = np.abs(frame.p), frame.s
-    return np.exp(-q * q / (4 * t)) * _erf_bracket(s / (2 * math.sqrt(t))) \
+    q = frame.q[0]
+    return np.exp(q * q / (-4 * t)) * _erf_bracket(frame.s / (2 * math.sqrt(t))) \
         / (4 * math.sqrt(math.pi * t))
 
 
@@ -275,8 +309,8 @@ def heat_ladder(frame, t: float):
 def heat_moments(frame, t: float, flux=None):
     """int w ds and int w s ds per edge; int w ds is -flux / 2t, read off the
     edges' ``flux`` when given."""
-    q, s = np.abs(frame.p), frame.s
-    k = np.exp(-(q * q + s * s) / (4 * t))
+    q, s = frame.q, frame.s
+    k = np.exp((q * q + s * s) / (-4 * t))
     if flux is None:
         flux = heat_flux(frame, t)
     return -flux / (2 * t), (k[1] - k[0]) / (4 * math.pi * t)
@@ -287,7 +321,9 @@ def heat_moments(frame, t: float, flux=None):
 # ---------------------------------------------------------------------------
 
 def gradient(frame, flux: np.ndarray) -> np.ndarray:
-    """-sum n int k ds."""
+    """-sum n int k ds; for a stack, one product per point, the one frame's."""
+    if flux.ndim == 1:
+        return -(flux @ frame.normals)
     return -(flux[..., None, :] @ frame.normals)[..., 0, :]
 
 

@@ -57,7 +57,8 @@ REL_TOL = 1e-12
 
 def as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=float).reshape(2)
-    if not (math.isfinite(q[0]) and math.isfinite(q[1])):
+    a, b = q.tolist()
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidBody(f"non-finite point {p!r}")
     return q
 
@@ -130,10 +131,15 @@ class EdgeFrame(NamedTuple):
 
     ``p`` is the signed distance from x to the edge's line, positive on the
     inner side; the rows of ``s`` are the edge's ends s_a < s_b along its
-    unit tangent, measured from the foot of the perpendicular from x.
+    unit tangent, measured from the foot of the perpendicular from x; ``q``
+    is |p| at each end, of the shape of ``s``, so that every form in s and
+    q runs elementwise without broadcasting.  About a stack of points
+    (``Polygon._frames``) ``p`` has shape (N, n) and ``s`` and ``q``
+    (N, 2, n).
     """
 
     p: np.ndarray
+    q: np.ndarray
     s: np.ndarray
     normals: np.ndarray
     tangents: np.ndarray
@@ -144,18 +150,23 @@ def _foot(s) -> np.ndarray:
     return np.minimum(np.maximum(s[..., 0, :], 0.0), s[..., 1, :])
 
 
-def _distance(p, s) -> np.ndarray:
-    """The distance from x to the nearest edge."""
-    return np.hypot(p, _foot(s)).min(axis=-1)
+def _distance(frame: EdgeFrame):
+    """The distance from x to the nearest edge: a float about one point, an
+    array about a stack."""
+    d = np.hypot(frame.q[..., 0, :], _foot(frame.s))
+    return min(d.tolist()) if d.ndim == 1 else np.minimum.reduce(d, -1)
 
 
-def _inside(p, s) -> np.ndarray:
-    """Whether x lies inside: its winding number, sum sign(p) [atan2(s, |p|)],
-    is 2 pi inside and 0 outside (Hormann and Agathos, Comput. Geom. 20, 2001)."""
-    turn = np.arctan2(s[..., 1, :], np.abs(p))
-    turn -= np.arctan2(s[..., 0, :], np.abs(p))
-    turn *= np.sign(p)
-    return turn.sum(axis=-1) > math.pi
+def _inside(frame: EdgeFrame) -> np.ndarray:
+    """Whether x lies inside: its winding number, sum sign(p) [atan2(s, q)],
+    is 2 pi inside and 0 outside (Hormann and Agathos, Comput. Geom. 20, 2001).
+    One ``arctan2`` takes both ends."""
+    turn = np.arctan2(frame.s, frame.q)
+    turn = turn[..., 1, :] - turn[..., 0, :]
+    turn *= np.sign(frame.p)
+    if turn.ndim == 1:          # about 2 pi or 0: any order of the sum decides alike
+        return sum(turn.tolist()) > math.pi
+    return np.add.reduce(turn, -1) > math.pi
 
 
 class Located(NamedTuple):
@@ -167,10 +178,10 @@ class Located(NamedTuple):
 
 
 def _located(distance: float, diameter: float, inside, view=None) -> Located:
-    """``inside()`` decides off the band, where membership needs no slack."""
+    """``inside(view)`` decides off the band, where membership needs no slack."""
     if distance <= BOUNDARY_BAND * diameter:
         return Located("boundary", distance, view)
-    return Located("interior" if inside() else "exterior", distance, view)
+    return Located("interior" if inside(view) else "exterior", distance, view)
 
 
 class CircleArc(NamedTuple):
@@ -258,11 +269,12 @@ class Polygon:
         normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
         object.__setattr__(self, "_normals", normals)
         object.__setattr__(self, "_offsets", np.sum(normals * arr, axis=1))
-        # the edge frame's dot products, by coordinate: normals with the
-        # starts, tangents with the starts and the ends
-        object.__setattr__(self, "_frame_dirs", np.hstack([normals.T, self._tangents.T,
-                                                           self._tangents.T]))
-        object.__setattr__(self, "_frame_points", np.hstack([arr.T, arr.T, nxt.T]))
+        # the edge frame's dot products, (coordinate, 4, n): normals with the
+        # starts, twice (p at each end), tangents with the starts and the ends
+        dirs = np.stack([normals, normals, self._tangents, self._tangents])
+        points = np.stack([arr, arr, arr, nxt])
+        object.__setattr__(self, "_frame_dirs", np.ascontiguousarray(np.moveaxis(dirs, -1, 0)))
+        object.__setattr__(self, "_frame_points", np.ascontiguousarray(np.moveaxis(points, -1, 0)))
         object.__setattr__(self, "_pieces", tuple(Segment(a, e) for a, e in zip(arr, edges)))
         object.__setattr__(self, "_kept", {})          # ``kept``: built on first use
         object.__setattr__(self, "_convex", bool(np.all(crosses > 0)))
@@ -294,24 +306,24 @@ class Polygon:
 
     def locate(self, x) -> Located:
         """With the edge frame about ``x``, the view of the edges route."""
-        frame = EdgeFrame(*self._frames(x), self._normals, self._tangents)
-        return _located(float(_distance(frame.p, frame.s)), self._diameter,
-                        lambda: _inside(frame.p, frame.s), frame)
+        frame = self._frames(x)
+        return _located(_distance(frame), self._diameter, _inside, frame)
 
     def locate_many(self, pts) -> list:
         """``locate`` for points (N, 2), from one edge frame about them all;
         each point's view is its row of it."""
-        p, s = self._frames(np.asarray(pts, dtype=float).reshape(-1, 2))
-        dist, inside = _distance(p, s), _inside(p, s)
-        return [_located(float(d), self._diameter, lambda i=i: inside[i],
-                         EdgeFrame(p[i], s[i], self._normals, self._tangents))
+        p, q, s, normals, tangents = frame = self._frames(
+            np.asarray(pts, dtype=float).reshape(-1, 2))
+        dist, inside = _distance(frame), _inside(frame)
+        return [_located(float(d), self._diameter, lambda _, i=i: inside[i],
+                         EdgeFrame(p[i], q[i], s[i], normals, tangents))
                 for i, d in enumerate(dist)]
 
     def contains(self, p, tol: Optional[float] = None) -> bool:
         """Within ``tol`` of the boundary, or inside, both from one edge frame."""
         t = REL_TOL * self._diameter if tol is None else tol
-        p, s = self._frames(as_point(p))
-        return bool(_distance(p, s) <= t or _inside(p, s))
+        frame = self._frames(as_point(p))
+        return _distance(frame) <= t or bool(_inside(frame))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         """Winding-number membership of many points (no boundary band)."""
@@ -386,9 +398,11 @@ class Polygon:
         tangency, which ``contains`` also counts as boundary.
         """
         r = radii[:, None]                 # radii down, edges across
+        r2 = r * r
         rel = self.vertices - x
-        inside = np.sum(rel * rel, axis=1) < r * r
-        after = np.roll(inside, -1, axis=1)
+        inside = np.sum(rel * rel, axis=1) < r2
+        rel_next = self._next - x
+        after = np.sum(rel_next * rel_next, axis=1) < r2      # the status of each edge's end
         s = np.sum(self._normals * rel, axis=1)
         along = -np.sum(self._tangents * rel, axis=1)
         depth = r - np.abs(s)          # how far the circle reaches past each edge line
@@ -438,8 +452,8 @@ class Polygon:
 
     def radius_breakpoints(self, x) -> list[float]:
         """Vertex and edge-foot distances, where circle arcs appear or vanish."""
-        p, s = self._frames(as_point(x))
-        return np.hypot(p, [s[0], _foot(s)]).ravel().tolist()
+        frame = self._frames(as_point(x))
+        return np.hypot(frame.q, [frame.s[0], _foot(frame.s)]).ravel().tolist()
 
     def reach(self, x) -> float:
         """Largest distance from ``x`` to a point of the body."""
@@ -453,19 +467,34 @@ class Polygon:
         boundary-piece integrals in it (``pieces``)."""
         return "pieces" if loc == "boundary" else "edges"
 
-    def _frames(self, x):
-        """``p`` (..., n) and ``s`` (..., 2, n) of the frames about ``x`` (..., 2)."""
-        w = (self._frame_points[0] - x[..., 0, None]) * self._frame_dirs[0]
-        t = self._frame_points[1] - x[..., 1, None]
-        w += np.multiply(t, self._frame_dirs[1], out=t)   # in place: many points' frames are large
+    def _frames(self, x) -> EdgeFrame:
+        """The edge frame about ``x`` (2,), or the stacked frames about points
+        (N, 2): p, s_a and s_b as the sum over the two coordinates of
+        (vertex - x) times direction, and q = |p| at each end."""
+        if x.ndim == 1:                  # p twice: one abs gives q at both ends
+            t = self._frame_points - x[:, None, None]
+            t *= self._frame_dirs
+            w = t[0] + t[1]
+            return EdgeFrame(w[0], np.abs(w[:2]), w[2:], self._normals, self._tangents)
+        # a coordinate at a time, in place, with p once and a point's rows
+        # p, s_a, s_b as one: many points' frames are large
         n = self.n
-        return w[..., :n], w[..., n:].reshape(w.shape[:-1] + (2, n))
+        (a0, a1), (d0, d1) = (v[:, 1:].reshape(2, 3 * n)
+                              for v in (self._frame_points, self._frame_dirs))
+        w = a0 - x[:, :1]
+        w *= d0
+        t = a1 - x[:, 1:]
+        t *= d1
+        w += t
+        p, s = w[:, :n], w[:, n:].reshape(-1, 2, n)
+        return EdgeFrame(p, np.broadcast_to(np.abs(p)[:, None], s.shape), s, self._normals,
+                         self._tangents)
 
     def _over_frames(self, pts, fn) -> np.ndarray:
-        """``fn(p, s)`` on the frames about points (N, 2), 2**18 point-edge pairs at a time."""
+        """``fn(frame)`` on the frames about points (N, 2), 2**18 point-edge pairs at a time."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         rows = max(1, 2 ** 18 // self.n)
-        return np.concatenate([fn(*self._frames(pts[i:i + rows]))
+        return np.concatenate([fn(self._frames(pts[i:i + rows]))
                                for i in range(0, max(len(pts), 1), rows)])
 
     def boundary_polyline(self, n: int = 512) -> np.ndarray:
@@ -547,7 +576,7 @@ class Disk:
     def locate(self, x) -> Located:
         """With the distance from ``x`` to the center, the view of the disk route."""
         d = math.hypot(x[0] - self.center[0], x[1] - self.center[1])
-        return _located(abs(d - self.radius), 2.0 * self.radius, lambda: d <= self.radius, d)
+        return _located(abs(d - self.radius), 2.0 * self.radius, lambda d: d <= self.radius, d)
 
     def locate_many(self, pts) -> list:
         """``locate`` for points (N, 2), one at a time: ``math.hypot`` keeps
@@ -907,9 +936,10 @@ def balance_residuals(body: Body, x, radii) -> np.ndarray:
     x = as_point(x)
     radii = np.asarray(radii, dtype=float).reshape(-1)
     ri, d, leave = body.crossings(x, radii)
-    out = np.zeros((len(radii), 2))
-    np.add.at(out, ri, np.where(leave, 1.0, -1.0)[:, None] * np.stack([d[:, 1], -d[:, 0]], 1))
-    return out
+    w = np.where(leave, 1.0, -1.0)
+    # bincount adds in the crossings' order, as np.add.at would
+    return np.stack([np.bincount(ri, w * d[:, 1], len(radii)),
+                     np.bincount(ri, w * -d[:, 0], len(radii))], axis=1)
 
 
 def boundary_polyline(body: Body, n: int = 512) -> np.ndarray:
@@ -1104,8 +1134,8 @@ _PATTERN = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1),
 
 
 def _incenter_grid(poly: Polygon, n: int = 96) -> InCenter:
-    def depth(p, s):         # the boundary distance inside, -inf outside
-        return np.where(_inside(p, s), _distance(p, s), -np.inf)
+    def depth(frame):         # the boundary distance inside, -inf outside
+        return np.where(_inside(frame), _distance(frame), -np.inf)
 
     xs = np.linspace(poly.vertices[:, 0].min(), poly.vertices[:, 0].max(), n)
     ys = np.linspace(poly.vertices[:, 1].min(), poly.vertices[:, 1].max(), n)

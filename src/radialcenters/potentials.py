@@ -656,7 +656,7 @@ def _jet(body, x: np.ndarray, fam: "_Family", p: float, order: int, cfg, at) -> 
         raise _refusal(min(order, 1))
     route = body.route(loc)
     if route == "edges":
-        parts = _edge_parts(fam, p, view)
+        parts = _edge_parts(fam, p, view, order)
         if not fam.closed_value(p, loc):
             parts = (lambda: fam.scales(p)[0] * fan_integral(body, x, fam.profile(p, loc), cfg),
                      ) + parts[1:]
@@ -676,36 +676,45 @@ def _jet(body, x: np.ndarray, fam: "_Family", p: float, order: int, cfg, at) -> 
 
 def _shared_edge_jets(fam: "_Family", p: float, order: int, located: list) -> list:
     """The jets of points off the boundary band on the edges route with a
-    closed-form value, from one stacked edge frame (``p`` (N, n), ``s``
-    (2, N, n)); each part is computed for all of them on its first call."""
+    closed-form value, from one stacked edge frame (``p`` (N, n), ``q`` and
+    ``s`` (2, N, n)); each part is computed for all of them on its first
+    call."""
     first = located[0].view
     frame = EdgeFrame(np.stack([at.view.p for at in located]),
+                      np.stack([at.view.q for at in located], axis=1),
                       np.stack([at.view.s for at in located], axis=1),
                       first.normals, first.tangents)
-    values, gradients, hessians = map(_once, _edge_parts(fam, p, frame))
+    parts = [_once(part) for part in _edge_parts(fam, p, frame, order)]
     regime = fam.regime(p)
-    return [PotentialJet(regime, at.location, at.distance, lambda i=i: float(values()[i]),
-                         (lambda i=i: gradients()[i]) if order else None,
-                         (lambda i=i: hessians()[i]) if order == 2 else None)
+    return [PotentialJet(regime, at.location, at.distance, lambda i=i: float(parts[0]()[i]),
+                         (lambda i=i: parts[1]()[i]) if order else None,
+                         (lambda i=i: parts[2]()[i]) if order == 2 else None)
             for i, at in enumerate(located)]
 
 
-def _edge_parts(fam: "_Family", p: float, frame) -> tuple:
-    """The closed-form value, gradient and Hessian on an edge frame, or on a
-    stack of them.  The edges' flux is computed once, by the first part that
-    reads it: the gradient, the value where it reads the flux, and the
-    Hessian where its moments read the flux's ladder (``fam.ladder``)."""
+def _edge_parts(fam: "_Family", p: float, frame, order: int) -> tuple:
+    """The closed-form value and, up to ``order``, gradient and Hessian on an
+    edge frame, or on a stack of them.  A value alone computes what it reads
+    and builds nothing to share.  Otherwise the edges' flux is computed once,
+    by the first part that reads it: the gradient, the value where it reads
+    the flux, and the Hessian where its moments read the flux's ladder
+    (``fam.ladder``)."""
     value, flux, moments = fam.edges
+    if not order:
+        return (lambda: value(frame, p),)
     ladder = _once(fam.ladder or (lambda frame, p: (flux(frame, p), None)), frame, p)
     if fam.value_reads_flux:
         value_part = lambda: value(frame, p, ladder()[0])
     else:
         value_part = lambda: value(frame, p)
+    gradient = lambda: edges.gradient(frame, ladder()[0])
+    if order == 1:
+        return value_part, gradient
     if fam.ladder is None:
         hessian = lambda: edges.hessian(frame, moments(frame, p))
     else:
         hessian = lambda: edges.hessian(frame, moments(frame, p, ladder()[1]))
-    return value_part, lambda: edges.gradient(frame, ladder()[0]), hessian
+    return value_part, gradient, hessian
 
 
 def _once(f, *args):

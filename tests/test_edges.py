@@ -269,6 +269,26 @@ def test_riesz_jet_computes_its_value_and_flux_bracket_once(monkeypatch):
     assert calls == 1
 
 
+@pytest.mark.parametrize("make", [make_tri345, lambda: Polygon(LSHAPE)], ids=["tri345", "lshape"])
+@pytest.mark.parametrize("part", [potential, potential_gradient], ids=["value", "gradient"])
+def test_one_point_takes_one_frame_and_one_ladder(monkeypatch, make, part):
+    frames, ladders = [], []
+    frame_of, parts = Polygon._frames, edges._g_parts
+    monkeypatch.setattr(Polygon, "_frames", lambda self, x: frames.append(x) or frame_of(self, x))
+    monkeypatch.setattr(edges, "_g_parts", lambda *args: ladders.append(args[0]) or parts(*args))
+    body = make()
+    for x in interior_points(np.random.default_rng(29), body, 2):
+        for alpha in (-1.0, 0.5, 1.5, 3.0, 4.0, 20.0):
+            frames.clear(), ladders.clear()
+            part(body, x, Riesz(alpha))
+            # an even order's ladder starts at G_2 = s, with no 2F1 parts
+            assert len(frames) == 1 and len(ladders) == (alpha % 2 != 0), alpha
+        for spec in (Poisson(0.5), Heat(0.5)):
+            frames.clear(), ladders.clear()
+            part(body, x, spec)
+            assert len(frames) == 1 and not ladders
+
+
 def test_heat_jet_computes_its_flux_once(monkeypatch):
     calls = 0
     flux = edges.heat_flux
@@ -347,12 +367,52 @@ def test_g_parts_equal_the_whole_array_forms_bit_for_bit(name):
     for n in (1, 2, 12):
         pts = rng.uniform(-1.3, 1.3, (n, 2))
         located = body.locate_many(pts)
-        p = np.stack([at.view.p for at in located])
-        s = np.stack([at.view.s for at in located], axis=1)       # a stack's (2, N, n)
-        frames = [(p[0], s[:, 0])] if n == 1 else [(p, s), (p[0], s[:, 0])]
-        for pp, ss in frames:
-            q = np.abs(pp)
+        q = np.stack([at.view.q for at in located], axis=1)       # a stack's (2, N, n)
+        s = np.stack([at.view.s for at in located], axis=1)
+        frames = [(q[:, 0], s[:, 0])] if n == 1 else [(q, s), (q[:, 0], s[:, 0])]
+        for q, ss in frames:
             for a in (-1.0, -0.5, 0.0, 0.5, 0.999, 1.0):
                 got, want = edges._g_parts(a, q, ss), _g_parts_on_every_element(a, q, ss)
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _recurrence_through_g0(a, q, s):
+    """``edges._g_recurrence`` with G_0's parts computed and stepped at even
+    orders too: [G_a], and [G_(a-2)] as the rung below gives it."""
+    k = math.ceil((a - 1) / 2)
+    b = a - 2 * k
+    c, g = edges._g_parts(b, q, s)
+    q2 = q * q
+    r2 = q2 + s * s
+    q2g = q2 * (g + c * edges._g_limit(b, q + (q == 0)))
+    rb = r2 ** (b / 2) if b else 1.0
+    G, prev = (s * rb + b * q2g) / (b + 1), None
+    for _ in range(k - 1):
+        b += 2
+        rb = rb * r2
+        G, prev = (s * rb + b * q2 * G) / (b + 1), G
+    below = edges._parts_bracket(a - 2 * k, q, c, g) if prev is None else prev[1] - prev[0]
+    return G[1] - G[0], below
+
+
+@pytest.mark.parametrize("name", SHARED_BRACKET_BODIES)
+def test_even_orders_skip_g0_with_the_bits_of_its_step(name):
+    body = SHARED_BRACKET_BODIES[name]()
+    v = body.vertices
+    rng = np.random.default_rng(41)
+    span = v.max(axis=0) - v.min(axis=0)
+    pts = list(v.min(axis=0) - 0.5 * span + 2 * span * rng.random((40, 2)))
+    # outside, in line with a vertex: an end's s can be -0 on axis-parallel edges
+    for a in v:
+        pts += [a + d for d in 2 * span[0] * np.array([[0, 1], [1, 0], [0, -1], [-1, 0]])]
+    for x in pts:
+        at = body.locate(np.asarray(x, dtype=float))
+        if at.location == "boundary":
+            continue
+        q, s = at.view.q, at.view.s
+        for a in (2.0, 4.0, 6.0, 20.0, 3.0, 2.5):
+            G, below = edges._brackets(a, q, s)
+            want, want_below = _recurrence_through_g0(a, q, s)
+            assert G.tobytes() == want.tobytes(), (x, a)
+            assert below().tobytes() == want_below.tobytes(), (x, a)

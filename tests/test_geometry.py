@@ -686,6 +686,109 @@ def test_contains_measures_a_point_with_one_edge_frame(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one edge frame, with q = |p| at each end, against the frame, distance and
+# two-call winding number it replaced
+# ---------------------------------------------------------------------------
+
+def _ninegon():
+    rng = np.random.default_rng(909)
+    angles = np.sort(rng.uniform(0.0, 2 * math.pi, 9))
+    radii = rng.uniform(0.6, 1.4, 9)
+    return Polygon(np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1))
+
+
+FRAME_POLYGONS = {"tri345": make_tri345, "square": make_square,
+                  "lshape": lambda: Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]),
+                  "ninegon": _ninegon}
+
+
+def _row_products(poly, x):
+    """p, s_a and s_b about x as the per-coordinate products and one sum."""
+    v, nxt, n, t = poly.vertices, np.roll(poly.vertices, -1, axis=0), poly._normals, \
+        poly._tangents
+    return ((v[:, 0] - x[0]) * n[:, 0] + (v[:, 1] - x[1]) * n[:, 1],
+            np.stack([(v[:, 0] - x[0]) * t[:, 0] + (v[:, 1] - x[1]) * t[:, 1],
+                      (nxt[:, 0] - x[0]) * t[:, 0] + (nxt[:, 1] - x[1]) * t[:, 1]]))
+
+
+def _two_call_inside(p, s) -> bool:
+    """The winding number with one ``arctan2`` call per end of the edges."""
+    turn = np.arctan2(s[1], np.abs(p))
+    turn -= np.arctan2(s[0], np.abs(p))
+    turn *= np.sign(p)
+    return bool(turn.sum(axis=-1) > math.pi)
+
+
+def _foot_distance(p, s) -> float:
+    return float(np.hypot(p, np.minimum(np.maximum(s[0], 0.0), s[1])).min(axis=-1))
+
+
+def _frame_probe_points(rng, poly) -> np.ndarray:
+    """Random points about the polygon, and points 0.1 to 10 boundary bands
+    off random edge points on either side."""
+    d = poly.diameter()
+    c = poly.vertices.mean(axis=0)
+    pts = [c + 1.5 * d * (rng.random((200, 2)) - 0.5)]
+    i = rng.integers(poly.n, size=120)
+    a, b = poly.vertices[i], poly.vertices[(i + 1) % poly.n]
+    on = a + (0.05 + 0.9 * rng.random(120))[:, None] * (b - a)
+    inward = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=1)
+    inward /= np.hypot(inward[:, 0], inward[:, 1])[:, None]
+    gap = geometry.BOUNDARY_BAND * d * 10.0 ** rng.uniform(-1, 1, 120)
+    pts.append(on + (np.where(rng.random(120) < 0.5, 1.0, -1.0) * gap)[:, None] * inward)
+    return np.vstack(pts)
+
+
+def _assert_q_is_abs_p(frame):
+    assert frame.q.shape == frame.s.shape
+    for row in frame.q:
+        assert row.tobytes() == np.abs(frame.p).tobytes()
+
+
+@pytest.mark.parametrize("name", FRAME_POLYGONS)
+def test_edge_frames_carry_q_at_each_end(name, monkeypatch):
+    from radialcenters import potentials
+    poly = FRAME_POLYGONS[name]()
+    pts = _frame_probe_points(np.random.default_rng(31), poly)[::8]
+    for x, at in zip(pts, poly.locate_many(pts)):
+        _assert_q_is_abs_p(poly.locate(x).view)
+        _assert_q_is_abs_p(at.view)
+    # the stacked frame that the jets of a stack share
+    stacked, parts = [], potentials._edge_parts
+    monkeypatch.setattr(potentials, "_edge_parts",
+                        lambda fam, p, frame, order: stacked.append(frame)
+                        or parts(fam, p, frame, order))
+    inner = [x for x, at in zip(pts, poly.locate_many(pts)) if at.location == "interior"]
+    for jet in potentials.potential_jet_many(poly, inner, potentials.Heat(0.3), 1):
+        jet.gradient()
+    (frame,) = stacked
+    assert frame.p.shape == (len(inner), poly.n)
+    _assert_q_is_abs_p(frame)
+
+
+@pytest.mark.parametrize("name", FRAME_POLYGONS)
+def test_one_frame_gives_the_bits_of_the_two_call_forms(name):
+    poly = FRAME_POLYGONS[name]()
+    pts = _frame_probe_points(np.random.default_rng(37), poly)
+    band = geometry.BOUNDARY_BAND * poly.diameter()
+    many = poly.locate_many(pts)
+    inside_many = poly.contains_many(pts)
+    near = 0
+    for x, at, member in zip(pts, many, inside_many):
+        p, s = _row_products(poly, x)
+        where = poly.locate(x)
+        frame = where.view
+        assert frame.p.tobytes() == p.tobytes() and frame.s.tobytes() == s.tobytes()
+        inside, dist = _two_call_inside(p, s), _foot_distance(p, s)
+        assert bool(geometry._inside(frame)) == inside == bool(member)
+        assert repr(where.distance) == repr(dist) == repr(at.distance)
+        assert where.location == at.location == ("boundary" if dist <= band else
+                                                  "interior" if inside else "exterior")
+        near += 0.1 * band <= dist <= 10 * band
+    assert near >= 100      # the band's edge is well sampled
+
+
+# ---------------------------------------------------------------------------
 # ratchets on type dispatch: new body behaviour belongs in the body protocol,
 # new family behaviour in the family data that ``potential_jet`` reads
 # ---------------------------------------------------------------------------
