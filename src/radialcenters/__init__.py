@@ -7,10 +7,9 @@ verifies the balance law that characterizes parameter-independent centers;
 and classifies the triangles and quadrangles admitting one.
 """
 
-from .balance import (BalanceReport, ContactSet, PolygonClass, RadialArcBody,
-                      StationaryCandidate, WeightedBodyFunction, balance_report,
-                      classify_polygon, contact_points, equivalence_check,
-                      generate_asymmetric_balanced, scalar_residual,
+from .balance import (BalanceReport, ContactSet, PolygonClass, StationaryCandidate,
+                      WeightedBodyFunction, balance_report, classify_polygon,
+                      contact_points, equivalence_check, scalar_residual,
                       stationary_candidate, symmetry_search, vector_residual)
 from .centers import (CenterResult, LocusTrace, find_center, limit_diagnostics,
                       trace_locus)
@@ -25,12 +24,12 @@ from .geometry import (ArcSet, Disk, Polygon, UnfoldedRegion, area, body_from_di
                        maximal_folding, radial_function, transformed,
                        unfolded_region)
 from .potentials import (Heat, Poisson, PotentialSpec, PotentialValue, Riesz,
-                         heat_gradient, heat_value, poisson_gradient,
-                         poisson_kernel, poisson_kernel_gauss_integral,
+                         heat_gradient, heat_value, poisson_gradient, poisson_kernel,
                          poisson_value, potential, potential_gradient,
                          potential_hessian, potential_jet, riesz_gradient, riesz_value,
                          weierstrass_kernel)
-from .quadrature import QuadratureConfig, integrate_angular, integrate_polygon
+from .quadrature import QuadratureConfig
+from .radialarc import RadialArcBody, generate_asymmetric_balanced
 
 __version__ = "0.1.0"
 
@@ -45,9 +44,8 @@ __all__ = [
     "boundary_distance", "centroid", "circle_clip", "circumcenter", "classify_polygon",
     "contact_points", "contains", "diameter", "equivalence_check", "find_center",
     "generate_asymmetric_balanced", "heat_gradient", "heat_value", "incenter",
-    "integrate_angular", "integrate_polygon", "is_convex", "limit_diagnostics",
-    "maximal_folding", "poisson_gradient", "poisson_kernel",
-    "poisson_kernel_gauss_integral", "poisson_value", "potential",
+    "is_convex", "limit_diagnostics", "maximal_folding", "poisson_gradient",
+    "poisson_kernel", "poisson_value", "potential",
     "potential_gradient", "potential_hessian", "potential_jet", "power_mean",
     "radial_function", "riesz_gradient",
     "riesz_value", "scalar_residual", "second_derivative_criterion",

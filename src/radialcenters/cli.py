@@ -111,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _load_body(args):
-    return geo.load_body(args.body)
+    with open(args.body) as fh:
+        return geo.body_from_dict(json.load(fh))
 
 
 def _point_arg(spec: str, body):

@@ -14,19 +14,19 @@ distance and membership, or a disk's distance to its ``center`` (a disk has
 a ``radius`` too);
 ``locate_many`` does the same for a stack of points, a polygon from one edge
 frame of them all.  Simple polygons and disks live here, the radially
-parameterized balanced body in the balance module.  Bodies are immutable and
-prepare their derived geometry once; what is derived later is built on first
-use and kept on the body (``kept``): the normalized copy that the center
-search works on (``normalized``), a polygon's incenter and circumcenter, and
-the center search's seeds.  The module-level functions of the same names
-delegate to the methods; points are arrays of shape (2,), checked by
-``as_point`` once per public entry.
+parameterized balanced body in the ``radialarc`` module.  Bodies are
+immutable and prepare their derived geometry once; what is derived later is
+built on first use and kept on the body (``kept``): the normalized copy that
+the center search works on (``normalized``), a polygon's incenter and
+circumcenter, and the center search's seeds.  Module-level functions of
+the same names (``area``, ``contains`` and the like) delegate to the
+methods; the benchmark's tracer wraps several of them by name.  Points are
+arrays of shape (2,), checked by ``as_point`` once per public entry.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -688,7 +688,7 @@ class Disk:
                 "radius": float(self.radius)}
 
 
-Body = Union[Polygon, Disk, "RadialArcBody"]  # noqa: F821  (radial-arc lives in balance)
+Body = Union[Polygon, Disk, "RadialArcBody"]  # noqa: F821  (lives in radialarc)
 
 
 def kept(body, name: str, build):
@@ -770,9 +770,6 @@ class ArcSet:
     def is_full(self) -> bool:
         return abs(self.measure() - 2 * math.pi) <= 4 * ANGLE_TOL
 
-    def is_empty(self) -> bool:
-        return not self.arcs
-
     def to_dict(self) -> dict:
         return {"center": [float(self.center[0]), float(self.center[1])],
                 "radius": float(self.radius),
@@ -825,22 +822,6 @@ def _whole_circle(x, r, inside) -> ArcSet:
     return ArcSet(x, r, ((0.0, 2 * math.pi),) if inside(x + r * _unit(0.1234567)) else ())
 
 
-def _arcs_between(x, r, crossings, inside) -> ArcSet:
-    """Arcs between consecutive sorted crossing angles whose midpoints are
-    ``inside``; the arcs of the sampled test oracle
-    ``RadialArcBody._circle_clip_offcenter``."""
-    if not crossings:
-        return _whole_circle(x, r, inside)
-    raw = []
-    k = len(crossings)
-    for i in range(k):
-        t1 = crossings[i]
-        t2 = crossings[(i + 1) % k] + (2 * math.pi if i == k - 1 else 0.0)
-        if inside(x + r * _unit(0.5 * (t1 + t2))):
-            raw.append((t1, t2))
-    return _build_arcset(x, r, raw)
-
-
 # ---------------------------------------------------------------------------
 # protocol functions: delegations to the body methods
 # ---------------------------------------------------------------------------
@@ -860,11 +841,6 @@ def diameter(body: Body) -> float:
 def contains(body: Body, p, tol: Optional[float] = None) -> bool:
     """Closed-set membership; points within ``tol`` of the boundary count as inside."""
     return body.contains(p, tol)
-
-
-def contains_many(body: Body, pts: np.ndarray) -> np.ndarray:
-    """Vectorized membership (boundary treatment not hardened; for sampling oracles)."""
-    return body.contains_many(pts)
 
 
 def boundary_distance(body: Body, p) -> float:
@@ -1323,7 +1299,7 @@ def body_from_dict(data: dict) -> Body:
         if kind == "disk":
             return Disk(data["center"], data["radius"])
         if kind == "radial_arc":
-            from .balance import RadialArcBody
+            from .radialarc import RadialArcBody
             return RadialArcBody.from_dict(data)
     except KeyError as exc:
         raise InvalidBody(f"{kind} body JSON lacks key {exc.args[0]!r}") from None
@@ -1332,8 +1308,3 @@ def body_from_dict(data: dict) -> Body:
     except (TypeError, ValueError) as exc:
         raise InvalidBody(f"{kind or 'polygon'} body JSON has a malformed field: {exc}") from None
     raise InvalidBody(f"unrecognized body JSON with keys {sorted(data)}")
-
-
-def load_body(path: str) -> Body:
-    with open(path) as fh:
-        return body_from_dict(json.load(fh))

@@ -38,10 +38,13 @@ nodes of the panels they have in common.
 The polygon values that have no closed form here, Riesz orders 0 and 2 (a
 log or a Clausen function) and Poisson and heat values outside the body (the
 sector sum loses relative accuracy in the far tail), take the signed edge
-sectors (``quadrature.fan_integral``) off the band.  The angular route, the
-chord route outside a disk (``quadrature.disk_exterior_integral``), the
-boundary-integral gradient (``riesz_gradient_boundary``) and the
-explicit-``eps`` forms are test oracles.
+sectors (``quadrature.fan_integral``) off the band.  The angular route and
+the chord route outside a disk (``quadrature.disk_exterior_integral``) are
+test oracles; the boundary-integral gradient, the explicit-``eps`` forms and
+the kernel's Gaussian integral are kept with the tests (``tests/oracles.py``).
+
+The kernels ``poisson_kernel`` and ``weierstrass_kernel`` take one planar
+offset, like every spec here.
 """
 
 from __future__ import annotations
@@ -55,16 +58,13 @@ from scipy.special import erf, erfc
 
 from . import disks, edges
 from .errors import BoundaryPoint, InvalidBody
-from .geometry import EdgeFrame, as_point, circle_clip
+from .geometry import EdgeFrame, as_point
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, adaptive_gk, fan_integral
 
 __all__ = [
     "Riesz", "Poisson", "Heat", "PotentialSpec", "PotentialValue",
     "FAMILY_NAMES", "make_spec", "rescaled", "degree",
-    "sphere_area", "poisson_kernel", "poisson_kernel_gauss_integral",
-    "weierstrass_kernel",
-    "riesz_value", "riesz_value_finite_part_eps", "riesz_value_complement",
-    "riesz_gradient", "riesz_gradient_boundary", "riesz_gradient_annulus",
+    "poisson_kernel", "weierstrass_kernel", "riesz_value", "riesz_gradient",
     "poisson_value", "poisson_gradient", "heat_value", "heat_gradient",
     "potential", "potential_gradient", "potential_hessian",
     "PotentialJet", "potential_jet", "potential_jet_many", "refused_on_boundary",
@@ -122,45 +122,22 @@ def _riesz_regime(alpha: float) -> str:
 # kernels
 # ---------------------------------------------------------------------------
 
-def sphere_area(n: int) -> float:
-    """Surface measure of the unit n-sphere embedded in R^(n+1)."""
-    return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
-
-
-def poisson_kernel(z, h: float, m: int = 2) -> float:
-    """Upper-half-space Poisson kernel at offset ``z`` and height ``h``."""
+def poisson_kernel(z, h: float) -> float:
+    """Upper-half-plane Poisson kernel at the planar offset ``z`` and height
+    ``h``: h / (2 pi (|z|^2 + h^2)^(3/2))."""
     if h <= 0:
         raise ValueError("height h must be positive")
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    r2 = float(zz @ zz) if zz.ndim == 1 else float(np.sum(zz * zz))
-    return (2.0 / sphere_area(m)) * h / (r2 + h * h) ** ((m + 1) / 2)
+    z = as_point(z)
+    return h / (2 * math.pi * (float(z @ z) + h * h) ** 1.5)
 
 
-def poisson_kernel_gauss_integral(z, h: float, m: int = 2,
-                                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Poisson kernel through its Gaussian integral representation.
-
-    Numerically evaluates ``(2 / (pi^((m+1)/2) h^m)) * int_0^inf s^m
-    exp(-(|z|^2 + h^2) s^2 / h^2) ds``; agrees with ``poisson_kernel`` and is
-    used as an independent cross-check of the kernel constant.
-    """
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    beta = (float(zz @ zz) + h * h) / (h * h)
-    s_hi = math.sqrt((60.0 + 10.0 * m) / beta)
-
-    def integrand(s):
-        return s ** m * np.exp(-beta * s * s)
-
-    val, _ = adaptive_gk(integrand, [0.0, s_hi / 8, s_hi], cfg)
-    return 2.0 / (math.pi ** ((m + 1) / 2) * h ** m) * float(val)
-
-
-def weierstrass_kernel(z, t: float, m: int = 2) -> float:
+def weierstrass_kernel(z, t: float) -> float:
+    """Planar heat kernel at the offset ``z`` and time ``t``:
+    exp(-|z|^2 / (4 t)) / (4 pi t)."""
     if t <= 0:
         raise ValueError("time t must be positive")
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    r2 = float(zz @ zz)
-    return (4 * math.pi * t) ** (-m / 2) * math.exp(-r2 / (4 * t))
+    z = as_point(z)
+    return math.exp(-float(z @ z) / (4 * t)) / (4 * math.pi * t)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +222,7 @@ def _piece_integral(body, x: np.ndarray, profile, cfg, vector: bool, nodes=None)
 
 
 # ---------------------------------------------------------------------------
-# Riesz values
+# Riesz values and gradients
 # ---------------------------------------------------------------------------
 
 def riesz_value(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PotentialValue:
@@ -257,67 +234,6 @@ def riesz_value(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     return _value(body, x, spec, cfg)
 
 
-def riesz_value_finite_part_eps(body, x, alpha: float, eps: float,
-                                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Finite-part value assembled from an explicit excluded-ball radius.
-
-    Computes ``int over body minus the eps-ball`` plus the regularizing
-    counterterm; the result is independent of ``eps`` for any admissible
-    choice ``0 < eps < dist(x, boundary)``.  Only defined for ``alpha <= 0``
-    at interior points.
-    """
-    x = as_point(x)
-    if alpha > 0:
-        raise ValueError("explicit-eps assembly is for alpha <= 0")
-    loc, dist, _ = body.locate(x)
-    if loc != "interior":
-        raise BoundaryPoint("finite-part assembly needs an interior point")
-    if not (0 < eps < dist):
-        raise ValueError("eps must lie in (0, dist(x, boundary))")
-    total = _piece_integral(body, x, _riesz_profile(alpha), cfg, False)
-    if alpha == 0:
-        annulus = total - 2 * math.pi * math.log(eps)
-        counterterm = -2 * math.pi * math.log(1.0 / eps)
-    else:
-        annulus = total - 2 * math.pi * eps ** alpha / alpha
-        counterterm = -(2 * math.pi / (-alpha)) * eps ** alpha
-    return annulus + counterterm
-
-
-def riesz_value_complement(body, x, alpha: float,
-                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Finite-part value through the complement identity (``alpha < 0`` interior).
-
-    Evaluates ``-int over the complement of |x-y|^(alpha-2) dy`` by splitting
-    the complement at the circumscribed radius and measuring the inner part
-    with circle-arc clipping; independent of the radial-function route.
-    """
-    x = as_point(x)
-    if alpha >= 0:
-        raise ValueError("complement identity holds for alpha < 0")
-    loc, r_near, _ = body.locate(x)
-    if loc != "interior":
-        raise BoundaryPoint("complement identity needs an interior point")
-    r_far = body.reach(x) * (1 + 1e-12)
-    # tail beyond the circumscribed circle, closed form
-    tail = -2 * math.pi * r_far ** alpha / alpha
-    # inside the circumscribed circle but outside the body
-
-    def integrand(rs):
-        out = np.empty_like(rs)
-        for i, r in enumerate(rs):
-            gap = 2 * math.pi - circle_clip(body, x, float(r)).measure()
-            out[i] = float(r) ** (alpha - 1) * gap
-        return out
-
-    inner, _ = adaptive_gk(integrand, [r_near, 0.5 * (r_near + r_far), r_far], cfg)
-    return -(tail + inner)
-
-
-# ---------------------------------------------------------------------------
-# Riesz gradients
-# ---------------------------------------------------------------------------
-
 def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Gradient of the order-``alpha`` potential.
 
@@ -328,49 +244,6 @@ def riesz_gradient(body, x, spec: Riesz, cfg: QuadratureConfig = DEFAULT_CONFIG)
     where the potential is not differentiable.
     """
     return potential_jet(body, x, spec, 1, cfg).gradient()
-
-
-def riesz_gradient_annulus(body, x, alpha: float, eps: float,
-                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Interior gradient via the excluded-ball integral with explicit ``eps``.
-
-    Valid for any admissible ``0 < eps < dist(x, boundary)``; the ``eps``
-    term integrates to zero over the full circle, which is what makes the
-    expression ``eps``-independent.
-    """
-    x = as_point(x)
-    loc, dist, _ = body.locate(x)
-    if loc != "interior":
-        raise BoundaryPoint("annulus form needs an interior point")
-    if not (0 < eps < dist):
-        raise ValueError("eps must lie in (0, dist(x, boundary))")
-    G = _riesz_grad_profile(alpha)
-    pref = abs(2 - alpha)
-    g_eps = float(G(np.asarray(eps)))
-    return pref * _piece_integral(body, x, lambda r: G(r) - g_eps, cfg, True)
-
-
-def riesz_gradient_boundary(body, x, alpha: float,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Gradient as a boundary integral against the outward normal.
-
-    Valid at any point off the boundary, for every ``alpha``; a test oracle
-    for the volume forms.
-    """
-    x = as_point(x)
-    if body.locate(x).location == "boundary":
-        raise BoundaryPoint("boundary-integral gradient needs a point off the boundary")
-    if alpha == 2:
-        kern = lambda r: np.log(r)
-        pref = 1.0
-    else:
-        kern = lambda r: r ** (alpha - 2)
-        pref = -math.copysign(1.0, 2 - alpha)
-
-    def integrand(d, n_ds):
-        return kern(np.hypot(d[:, 0], d[:, 1]))[:, None] * n_ds
-
-    return pref * _boundary_integral(body, x, integrand, cfg)
 
 
 def _boundary_integral(body, x: np.ndarray, integrand, cfg: QuadratureConfig,

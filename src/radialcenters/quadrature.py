@@ -1,27 +1,29 @@
 """Quadrature engines for radially symmetric kernels over planar bodies.
 
 ``adaptive_gk`` is the engine of the ``pieces`` route, which integrates over
-a body's boundary pieces (``potentials``).  The other engines here are:
+a body's boundary pieces (``potentials``), and ``fan_integral`` serves the
+polygon values that have no closed form off the boundary band.  The other
+engines compute no potential; tests use them as oracles:
 
-* ``integrate_angular`` -- polar decomposition about an interior base point
-  of a star-shaped body: integrates ``profile(rho(theta))`` over the circle,
-  where ``profile`` is the exact radial antiderivative of the kernel.
-  Singular kernels are absorbed analytically this way.  No potential is
-  computed this way; tests use it as an oracle.
-* ``fan_integral`` / ``fan_integral_vector`` -- signed-sector decomposition
-  of a polygon about an arbitrary base point.  ``fan_integral`` serves the
-  polygon values that have no closed form off the boundary band; both are
-  test oracles elsewhere.
+* ``integrate_angular`` / ``integrate_angular_vector`` -- polar
+  decomposition about an interior base point of a star-shaped body:
+  integrates ``profile(rho(theta))`` over the circle, where ``profile`` is
+  the exact radial antiderivative of the kernel, so singular kernels are
+  absorbed analytically.  Subdivision is forced at the body's
+  ``angular_breakpoints``.
+* ``fan_integral_vector`` -- the signed-sector decomposition of a polygon
+  about an arbitrary base point, for vector profiles; no code calls it.
 * ``disk_exterior_integral`` / ``disk_exterior_integral_vector`` -- chords
-  of a disk seen from an exterior point.  No potential is computed this
-  way; tests use it as an oracle for the closed-form disk route.
+  of a disk seen from an exterior point, the oracle of the closed-form disk
+  route.
 * ``integrate_polygon`` -- triangulation plus degree-5 Gauss rules with
-  recursive subdivision, for general smooth integrands.  No potential is
-  computed this way; tests use it as an independent oracle.
+  recursive subdivision, for general smooth integrands.
 
-Each body names the route for a base point through its ``route`` method;
-a polygon's ``edges`` route and a disk's ``disk`` route are closed form
-(``edges`` and ``disks`` modules), and ``pieces`` is the quadrature.
+They stay in this module because the benchmark's tracer counts their calls
+by these names.  Each body names the route for a base point through its
+``route`` method; a polygon's ``edges`` route and a disk's ``disk`` route
+are closed form (``edges`` and ``disks`` modules), and ``pieces`` is the
+quadrature.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from .geometry import Disk, Polygon, _cross, as_point
 __all__ = [
     "QuadratureConfig", "adaptive_gk", "integrate_angular", "integrate_polygon",
     "fan_integral", "fan_integral_vector", "disk_exterior_integral",
-    "disk_exterior_integral_vector", "angular_breakpoints", "triangulate",
-    "triangle_rule",
+    "disk_exterior_integral_vector", "triangulate", "triangle_rule",
 ]
 
 
@@ -159,11 +160,6 @@ def _panel_sum(panels):
 # ---------------------------------------------------------------------------
 # angular (polar) route
 # ---------------------------------------------------------------------------
-
-def angular_breakpoints(body, x) -> list[float]:
-    """Angles where the radial function loses smoothness, as seen from ``x``."""
-    return body.angular_breakpoints(x)
-
 
 def integrate_angular(body, x, profile: Callable[[np.ndarray], np.ndarray],
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

@@ -423,9 +423,9 @@ def test_closed_form_newton_step_refuses_singular_and_non_finite_hessians():
 # ---------------------------------------------------------------------------
 
 def test_asym_jet_computes_each_panels_nodes_once(monkeypatch):
-    from radialcenters import balance
+    from radialcenters import radialarc
     seen = []
-    for cls in (balance._LobeCurve, geometry.CircleArc):
+    for cls in (radialarc._LobeCurve, geometry.CircleArc):
         chord = cls.chord
 
         def counted(self, s, t_ref, chord=chord):

@@ -11,18 +11,15 @@ from radialcenters.errors import BoundaryPoint
 from radialcenters.geometry import Disk, Polygon, area, boundary_distance, centroid, \
     classify_location, diameter, transformed
 from radialcenters.potentials import (Heat, Poisson, Riesz, heat_gradient, heat_value,
-                                      poisson_gradient, poisson_kernel,
-                                      poisson_kernel_gauss_integral, poisson_value,
+                                      poisson_gradient, poisson_kernel, poisson_value,
                                       potential, potential_gradient, potential_hessian,
-                                      riesz_gradient,
-                                      riesz_gradient_annulus, riesz_gradient_boundary,
-                                      riesz_value, riesz_value_complement,
-                                      riesz_value_finite_part_eps, sphere_area,
-                                      weierstrass_kernel)
-from radialcenters.quadrature import DEFAULT_CONFIG, adaptive_gk
+                                      riesz_gradient, riesz_value, weierstrass_kernel)
+from radialcenters.quadrature import DEFAULT_CONFIG, adaptive_gk, integrate_polygon
 
 from conftest import interior_points, make_square, make_tri345, make_unit_disk, \
     random_convex_polygon, spec_id
+from oracles import poisson_kernel_gauss_integral, riesz_gradient_annulus, \
+    riesz_gradient_boundary, riesz_value_complement, riesz_value_finite_part_eps
 
 SQUARE_LOG_FINITE_PART = 0.6913098038983282
 
@@ -236,7 +233,6 @@ def test_exterior_gradient_matches_fd():
 def test_nonconvex_interior_values_and_gradients():
     lshape = Polygon([[0, 0], [3, 0], [3, 1], [1, 1], [1, 3], [0, 3]])
     x = np.array([0.5, 2.5])        # not star-shaped from here
-    from radialcenters.quadrature import integrate_polygon
 
     def k2d(pts):
         d2 = (pts[:, 0] - x[0]) ** 2 + (pts[:, 1] - x[1]) ** 2
@@ -293,12 +289,17 @@ def test_domain_monotonicity_at_exterior_points():
 # ---------------------------------------------------------------------------
 
 def test_poisson_kernel_constants():
-    assert poisson_kernel([0, 0], 1.0, 2) == pytest.approx(1 / (2 * math.pi), abs=1e-15)
-    assert sphere_area(2) == pytest.approx(4 * math.pi, abs=1e-12)
-    assert sphere_area(1) == pytest.approx(2 * math.pi, abs=1e-12)
-    # one-dimensional kernel is the Cauchy density
-    assert poisson_kernel([0.3], 0.7, 1) == pytest.approx(
-        0.7 / (math.pi * (0.09 + 0.49)), rel=1e-12)
+    assert poisson_kernel([0, 0], 1.0) == pytest.approx(1 / (2 * math.pi), abs=1e-15)
+
+
+@pytest.mark.parametrize("kernel", [poisson_kernel, weierstrass_kernel])
+def test_kernels_take_one_planar_point(kernel):
+    # a stack of points or a point of another dimension is refused, not
+    # folded into one squared norm
+    assert kernel([0.3, 0.4], 0.7) > kernel([0.6, 0.8], 0.7) > 0
+    for z in ([[0.3, 0.4], [0.0, 0.0]], [0.3, 0.4, 0.0], [0.3]):
+        with pytest.raises(ValueError):
+            kernel(z, 0.7)
 
 
 def test_poisson_kernel_normalization():
@@ -313,8 +314,8 @@ def test_poisson_kernel_normalization():
 
 
 def test_poisson_gauss_integral_identity():
-    got = poisson_kernel_gauss_integral([0.3, 0.4], 0.7, 2)
-    want = poisson_kernel([0.3, 0.4], 0.7, 2)
+    got = poisson_kernel_gauss_integral([0.3, 0.4], 0.7)
+    want = poisson_kernel([0.3, 0.4], 0.7)
     assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -336,7 +337,7 @@ def test_poisson_flatness_for_large_height():
     d = diameter(sq)
     h = 100 * d
     val = poisson_value(sq, [0.2, 0.1], Poisson(h)).value
-    approx = area(sq) * poisson_kernel([0.2, 0.1], h, 2)
+    approx = area(sq) * poisson_kernel([0.2, 0.1], h)
     assert val == pytest.approx(approx, rel=0.01)
 
 
@@ -437,7 +438,7 @@ def test_poisson_gradient_far_exterior():
 
 
 def test_weierstrass_kernel_value():
-    assert weierstrass_kernel([0, 0], 1.0, 2) == pytest.approx(1 / (4 * math.pi), abs=1e-15)
+    assert weierstrass_kernel([0, 0], 1.0) == pytest.approx(1 / (4 * math.pi), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +508,3 @@ def test_ball_offcenter_consistency_m2_routes():
     for alpha in (-1.0, 0.5, 1.0, 2.0, 3.0):
         assert _disk_value_psi(ball, x, alpha) == pytest.approx(
             riesz_value(ball, x, Riesz(alpha)).value, rel=1e-12)
-
-
-def test_ball_gauss_identity_other_dimensions():
-    for m in (1, 3, 5):
-        z = np.zeros(m) + 0.2
-        got = poisson_kernel_gauss_integral(z, 0.9, m)
-        want = poisson_kernel(z, 0.9, m)
-        assert got == pytest.approx(want, abs=1e-10)

@@ -1,6 +1,8 @@
-"""The repository's command-line tools, run as a user runs them."""
+"""The repository's command-line tools, run as a user runs them, and the
+names the benchmark reaches into the package by."""
 
 import importlib
+import importlib.util
 import json
 import math
 import pathlib
@@ -42,3 +44,22 @@ def test_ab_timing_times_every_operation_on_both_trees_and_the_control(tmp_path)
     lines = done.stdout.splitlines()
     assert sum(line.startswith(("potential ", "cli potential ")) for line in lines) == len(want)
     assert result["summary"]["operations"] == len(want)
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # ``Tracer.install`` reads ``owner.__dict__[attr]`` for each traced name,
+    # so a name moved out of its owner is a KeyError in every traced run
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for name, targets in spans.TRACED.items():
+        for owner_path, attr in targets:
+            module, _, rest = owner_path.partition(".")
+            owner = importlib.import_module("radialcenters." + module)
+            for part in filter(None, rest.split(".")):
+                owner = getattr(owner, part, None)
+            if owner is None or attr not in vars(owner):
+                missing.append((name, owner_path, attr))
+    assert not missing
